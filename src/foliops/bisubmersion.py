@@ -71,6 +71,9 @@ class Bisubmersion:
     foliation = None
     param_len = 0
     dim = 0  # manifold dimension of the term
+    # Parameters split as (fibre coords, base point) with s the base point,
+    # so that chart_jac_det is defined.
+    fibred_layout = False
 
     @property
     def base_dim(self):
@@ -133,6 +136,8 @@ class Bisubmersion:
 
 class PathHolonomy(Bisubmersion):
     """U in R^m x M0 with s(xi, x) = x and r(xi, x) the unit-time flow."""
+
+    fibred_layout = True
 
     def __init__(self, foliation):
         self.foliation = foliation
@@ -321,6 +326,7 @@ class Restriction(Bisubmersion):
         self.foliation = inner.foliation
         self.param_len = inner.param_len
         self.dim = inner.dim
+        self.fibred_layout = inner.fibred_layout
 
     def r(self, params, cfg=None, allow_escape=False):
         return self.inner.r(params, cfg, allow_escape)

@@ -84,8 +84,6 @@ def _combined_rhs(foliation, xi, with_jacobian):
 
 def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
     """Lockstep adaptive DP45 over the batch; returns (Y, J|None, escaped)."""
-    xi = np.asarray(xi, dtype=float)
-    x = np.asarray(x, dtype=float)
     N, n = x.shape
     state = x.copy()
     if with_jacobian:
@@ -148,56 +146,44 @@ def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
     return Y, J, escaped
 
 
+def _flow_batch(foliation, xi, x, cfg, allow_escape, direction, with_jacobian,
+                what):
+    """Shared body of the batch entry points; returns (Y, J|None, escaped)."""
+    cfg = cfg or DEFAULT_FLOW
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    Y, J, escaped = _integrate(foliation, xi, x, cfg, direction, with_jacobian)
+    if not allow_escape and np.any(escaped):
+        idx = int(np.argmax(escaped))
+        raise DomainEscape(
+            f"{what} from {x[idx]} with xi={xi[idx]} left the integration domain"
+        )
+    return Y, J, escaped
+
+
 def exp_flow_batch(foliation, xi, x, cfg=None, allow_escape=False):
     """Time-1 flow for a batch: xi is (N, m), x is (N, n).
 
     Returns (points, escaped_mask) when ``allow_escape`` is set, else
     raises DomainEscape if any trajectory leaves the integration domain.
     """
-    cfg = cfg or DEFAULT_FLOW
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    Y, _, escaped = _integrate(foliation, xi, x, cfg, +1.0, False)
-    if allow_escape:
-        return Y, escaped
-    if np.any(escaped):
-        idx = int(np.argmax(escaped))
-        raise DomainEscape(
-            f"flow from {x[idx]} with xi={xi[idx]} left the integration domain"
-        )
-    return Y
+    Y, _, escaped = _flow_batch(foliation, xi, x, cfg, allow_escape, +1.0,
+                                False, "flow")
+    return (Y, escaped) if allow_escape else Y
 
 
 def back_flow_batch(foliation, xi, x, cfg=None, allow_escape=False):
     """Inverse of the time-1 flow: unit-time flow of the negated field."""
-    cfg = cfg or DEFAULT_FLOW
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    Y, _, escaped = _integrate(foliation, xi, x, cfg, -1.0, False)
-    if allow_escape:
-        return Y, escaped
-    if np.any(escaped):
-        idx = int(np.argmax(escaped))
-        raise DomainEscape(
-            f"reverse flow from {x[idx]} with xi={xi[idx]} left the integration domain"
-        )
-    return Y
+    Y, _, escaped = _flow_batch(foliation, xi, x, cfg, allow_escape, -1.0,
+                                False, "reverse flow")
+    return (Y, escaped) if allow_escape else Y
 
 
 def flow_jacobian_batch(foliation, xi, x, cfg=None, allow_escape=False):
     """Jacobians d exp_flow(xi, .)/dx for a batch, via the variational equation."""
-    cfg = cfg or DEFAULT_FLOW
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    Y, J, escaped = _integrate(foliation, xi, x, cfg, +1.0, True)
-    if allow_escape:
-        return Y, J, escaped
-    if np.any(escaped):
-        idx = int(np.argmax(escaped))
-        raise DomainEscape(
-            f"flow from {x[idx]} with xi={xi[idx]} left the integration domain"
-        )
-    return Y, J
+    Y, J, escaped = _flow_batch(foliation, xi, x, cfg, allow_escape, +1.0,
+                                True, "flow")
+    return (Y, J, escaped) if allow_escape else (Y, J)
 
 
 def _single(xi, x):

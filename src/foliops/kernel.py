@@ -97,6 +97,18 @@ class PairingCtx:
 # Row budget for one quadrature batch; larger pairings are block-processed.
 _BLOCK_ROWS = 600_000
 
+
+def _in_row_blocks(n_rows, nodes_per_row, block_fn):
+    """Concatenate ``block_fn(rows)`` over row slices of at most _BLOCK_ROWS
+    quadrature rows; zero rows still make one (empty) call."""
+    block = max(1, _BLOCK_ROWS // nodes_per_row)
+    if n_rows <= block:
+        return block_fn(slice(0, n_rows))
+    return np.concatenate(
+        [block_fn(slice(i, i + block)) for i in range(0, n_rows, block)]
+    )
+
+
 _GL_CACHE = {}
 
 
@@ -145,7 +157,8 @@ def _as_coeff_fn(c, box):
 
 
 def _as_dens_fn(a, fibre_dim, base_box):
-    """Wrap a ScalarExpr over (xi, base) params into a masked density."""
+    """Wrap a ScalarExpr over (xi, base) params into a masked density;
+    callables ``a(params, rbase, sbase)`` pass through."""
     if isinstance(a, ScalarExpr):
         expr = a
 
@@ -154,8 +167,8 @@ def _as_dens_fn(a, fibre_dim, base_box):
             under = params[:, fibre_dim:]
             return np.where(_in_box(under, base_box), vals, 0.0)
 
-        return fn, False, False
-    return a, False, False
+        return fn
+    return a
 
 
 def _scaled_fn(fn, factor, nargs):
@@ -345,16 +358,10 @@ class DensityAtom(Atom):
 
     def pair(self, side, bases, phi, ctx):
         bases = np.atleast_2d(np.asarray(bases, float))
-        Q = self.node_count(ctx)
-        block = max(1, _BLOCK_ROWS // Q)
-        if len(bases) > block:
-            return np.concatenate(
-                [
-                    self._pair_block(side, bases[i : i + block], phi, ctx, i)
-                    for i in range(0, len(bases), block)
-                ]
-            )
-        return self._pair_block(side, bases, phi, ctx, 0)
+        return _in_row_blocks(
+            len(bases), self.node_count(ctx),
+            lambda rows: self._pair_block(side, bases[rows], phi, ctx, rows.start),
+        )
 
     def _pair_block(self, side, bases, phi, ctx, row_offset):
         N = len(bases)
@@ -708,11 +715,9 @@ def density(U, a, xi_box=None, base_box=None, side="r", quad_order=None,
         xi_box = U.xi_box()
     if base_box is None:
         base_box = U.foliation.escape_box
-    if isinstance(a, ScalarExpr):
-        fn, nr, ns = _as_dens_fn(a, U.fibre_dim, np.atleast_2d(np.asarray(base_box, float)))
-    else:
-        fn, nr, ns = a, needs_rbase, needs_sbase
-    atom = DensityAtom(U, fn, xi_box, base_box, nr, ns, quad_order)
+    fn = _as_dens_fn(a, U.fibre_dim, np.atleast_2d(np.asarray(base_box, float)))
+    atom = DensityAtom(U, fn, xi_box, base_box, needs_rbase, needs_sbase,
+                       quad_order)
     return FibredKernel(side, [atom])
 
 
@@ -869,17 +874,11 @@ def _reduce_addition(pi, atom, ctx, quad_order):
         return contrib.reshape(K, Q).sum(axis=1)
 
     def dens(params, rbase, sbase):
-        block = max(1, _BLOCK_ROWS // Q)
-        if len(params) <= block:
-            return dens_block(params, rbase)
-        return np.concatenate(
-            [
-                dens_block(
-                    params[i : i + block],
-                    rbase[i : i + block] if rbase is not None else None,
-                )
-                for i in range(0, len(params), block)
-            ]
+        return _in_row_blocks(
+            len(params), Q,
+            lambda rows: dens_block(
+                params[rows], rbase[rows] if rbase is not None else None
+            ),
         )
 
     zeta_box = A.xi_box + B.xi_box  # Minkowski interval sum

@@ -5,9 +5,11 @@ Op(a)f pairs each range-fibred atom against the pullback of f through
 the source map, pointwise over an output grid.  Grid points whose fibre
 charts escape the integration domain come back as NaN (masked) unless
 strict mode is requested.  The adjoint action realizes
-(adjoint(b) omega, f) = (omega, Op(b^t) f) by an explicit change of
-variables along the flow charts, so it needs flow Jacobians and is only
-defined for smooth densities.
+(adjoint(b) omega, f) = (omega, Op(b^t) f) as the same fibre pairing
+with a test function weighted by the flow Jacobian, so it is only
+defined for smooth densities on hosts laid out as (fibre, base).  As for
+Op, a point is masked only where an escaped chart meets a nonzero
+density.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import io
 import numpy as np
 
-from . import bisubmersion as bis
 from .errors import (
     DomainEscape,
     InsufficientLeafSampling,
@@ -27,7 +28,6 @@ from .expr import ScalarExpr
 from .kernel import (
     ConvolvedAtom,
     DensityAtom,
-    DiracAtom,
     FibredKernel,
     PairingCtx,
     QuadratureConfig,
@@ -207,161 +207,46 @@ def apply_op(kernel, f, out_box, out_res, ctx=None, strict=False):
 # Adjoint action on density-sampled generalized functions
 
 
-def _is_fibred_layout(host):
-    """Hosts whose parameters split as (fibre coords, base point)."""
-    if isinstance(host, bis.PathHolonomy):
-        return True
-    if isinstance(host, bis.Restriction):
-        return _is_fibred_layout(host.inner)
-    return False
-
-
-class _Chain:
-    __slots__ = ("kpts", "dens", "wjac", "rows", "ok")
-
-    def __init__(self, kpts, dens, wjac, rows, ok):
-        self.kpts = kpts
-        self.dens = dens
-        self.wjac = wjac
-        self.rows = rows
-        self.ok = ok
-
-
-def _transport(atom, ys, ctx):
-    """Change-of-variables chain for the transposed action of an r-atom.
-
-    For a density on a path-holonomy host the substitution x = flow(xi, y)
-    carries weight |det J(xi, y)|; convolved atoms chain through their
-    intermediate basepoints.
-    """
-    if isinstance(atom, DensityAtom):
-        host = atom.host
-        if not _is_fibred_layout(host):
-            raise NotTransverse(
-                f"adjoint transport undefined on host {host.describe()}"
-            )
-        nodes, w = atom._nodes(ctx)
-        N, Q = len(ys), len(nodes)
-        xi = np.tile(nodes, (N, 1))
-        y_rep = np.repeat(ys, Q, axis=0)
-        params = np.concatenate([xi, y_rep], axis=1)
-        kpts, okr = host.r(params, ctx.flow, allow_escape=True)
-        jac, okj = host.chart_jac_det(xi, y_rep, ctx.flow, allow_escape=True)
-        ok = okr & okj
-        inside = np.all(
-            (y_rep >= atom.base_box[:, 0]) & (y_rep <= atom.base_box[:, 1]), axis=1
-        )
-        dens = np.zeros(N * Q)
-        live = ok & inside
-        if np.any(live):
-            dens[live] = atom.dens_fn(
-                params[live],
-                kpts[live] if atom.needs_rbase else None,
-                y_rep[live] if atom.needs_sbase else None,
-            )
-        rows = np.repeat(np.arange(N), Q)
-        return _Chain(kpts, dens, np.tile(w, N) * jac, rows, ok)
-    if isinstance(atom, ConvolvedAtom):
-        inner = _transport(atom.right, ys, ctx)
-        outer = _transport(atom.left, inner.kpts, ctx)
-        return _Chain(
-            outer.kpts,
-            outer.dens * inner.dens[outer.rows],
-            outer.wjac * inner.wjac[outer.rows],
-            inner.rows[outer.rows],
-            outer.ok & inner.ok[outer.rows],
-        )
-    if isinstance(atom, DiracAtom):
-        raise NotTransverse("Dirac atoms are not transverse on positive-"
-                            "dimensional fibres")
-    raise NotTransverse(f"adjoint transport undefined for {type(atom).__name__}")
-
-
-def _transport_eval(r_atom, k_fn, ys, ctx):
-    from .kernel import _BLOCK_ROWS
-
-    block = max(1, _BLOCK_ROWS // r_atom.node_count(ctx))
-    if len(ys) > block:
-        return np.concatenate(
-            [
-                _transport_eval(r_atom, k_fn, ys[i : i + block], ctx)
-                for i in range(0, len(ys), block)
-            ]
-        )
-    chain = _transport(r_atom, ys, ctx)
-    out = np.zeros(len(ys))
-    contrib = np.zeros(len(chain.rows))
-    contrib[~chain.ok] = np.nan
-    live = chain.ok & (chain.dens != 0.0) & np.isfinite(chain.dens)
-    contrib[chain.ok & ~np.isfinite(chain.dens)] = np.nan
-    if np.any(live):
-        contrib[live] = chain.wjac[live] * chain.dens[live] * k_fn(chain.kpts[live])
-    np.add.at(out, chain.rows, contrib)
-    return out
-
-
 def _adjoint_atom(atom, k_fn, ys, ctx):
-    if isinstance(atom, TransposedAtom):
-        return _transport_eval(atom.inner, k_fn, ys, ctx)
-    if isinstance(atom, DensityAtom):
-        # native source-fibred density: integrate against the range chart
-        host = atom.host
-        if not _is_fibred_layout(host):
-            raise NotTransverse(
-                f"adjoint action undefined on host {host.describe()}"
-            )
-        nodes, w = atom._nodes(ctx)
-        from .kernel import _BLOCK_ROWS
+    """Density of adjoint(atom)(k mu) at ys as a Jacobian-weighted pairing.
 
-        block = max(1, _BLOCK_ROWS // len(nodes))
-        if len(ys) > block:
-            return np.concatenate(
-                [
-                    _adjoint_atom(atom, k_fn, ys[i : i + block], ctx)
-                    for i in range(0, len(ys), block)
-                ]
-            )
-        N, Q = len(ys), len(nodes)
-        xi = np.tile(nodes, (N, 1))
-        y_rep = np.repeat(ys, Q, axis=0)
-        params, okc = host.chart("r", xi, y_rep, ctx.flow, allow_escape=True)
-        k = host.fibre_dim
-        under = params[:, k:]
-        jac, okj = host.chart_jac_det(xi, under, ctx.flow, allow_escape=True)
-        ok = okc & okj
-        inside = np.all(
-            (under >= atom.base_box[:, 0]) & (under <= atom.base_box[:, 1]), axis=1
-        )
-        dens = np.zeros(N * Q)
-        live = ok & inside
-        if np.any(live):
-            dens[live] = atom.dens_fn(
-                params[live],
-                y_rep[live] if atom.needs_rbase else None,
-                under[live] if atom.needs_sbase else None,
-            )
-        contrib = np.zeros(N * Q)
-        contrib[~ok] = np.nan
-        livec = ok & (dens != 0.0) & np.isfinite(dens)
-        contrib[ok & ~np.isfinite(dens)] = np.nan
-        if np.any(livec):
-            with np.errstate(divide="ignore"):
-                contrib[livec] = (
-                    np.tile(w, N)[livec]
-                    * dens[livec]
-                    / jac[livec]
-                    * k_fn(under[livec])
-                )
-        return contrib.reshape(N, Q).sum(axis=1)
+    A transposed range density a^t pairs a over source fibres against
+    |det J| * k(r(p)); a native source density pairs over range fibres
+    against k(s(p)) / |det J|.  Transposed lazy convolutions are rewritten
+    as (a*b)^t = b^t * a^t and nest one adjoint inside the other.
+    """
+    if isinstance(atom, TransposedAtom) and isinstance(atom.inner, ConvolvedAtom):
+        # Pairing the composite directly would recompute the right factor's
+        # Jacobian on every inner row.
+        atom = ConvolvedAtom(atom.inner.right.transposed(),
+                             atom.inner.left.transposed())
     if isinstance(atom, ConvolvedAtom):
         def g(zs):
-            return _adjoint_atom(atom.right, k_fn, np.atleast_2d(zs), ctx.deeper())
+            return _adjoint_atom(atom.right, k_fn, zs, ctx.deeper())
 
         return _adjoint_atom(atom.left, g, ys, ctx)
-    if isinstance(atom, DiracAtom):
-        raise NotTransverse("Dirac atoms are not transverse on positive-"
-                            "dimensional fibres")
-    raise NotTransverse(f"adjoint action undefined for {type(atom).__name__}")
+    side, dens = ("s", atom.inner) if isinstance(atom, TransposedAtom) \
+        else ("r", atom)
+    if not isinstance(dens, DensityAtom):
+        raise NotTransverse(
+            f"adjoint action undefined for {type(dens).__name__}; only smooth "
+            "densities are transverse on positive-dimensional fibres"
+        )
+    host = dens.host
+    if not host.fibred_layout:
+        raise NotTransverse(f"adjoint action undefined on host {host.describe()}")
+    m = host.fibre_dim
+    image = host.r if side == "s" else host.s
+
+    def phi(params, rows):
+        pts, ok = image(params, ctx.flow, allow_escape=True)
+        jac, okj = host.chart_jac_det(params[:, :m], params[:, m:], ctx.flow,
+                                      allow_escape=True)
+        with np.errstate(divide="ignore"):
+            vals = jac * k_fn(pts) if side == "s" else k_fn(pts) / jac
+        return np.where(ok & okj, vals, np.nan)
+
+    return dens.pair(side, ys, phi, ctx)
 
 
 def adjoint_values(kernel: FibredKernel, k, ys, ctx=None, mu_weight=None):

@@ -241,6 +241,9 @@ def suite_smoothing(ws):
 
 
 def suite_transpose(ws):
+    # A consistency check only: both sides reduce to the same nested density
+    # adjoints, so it reads 0.0.  The independent check is
+    # test_adjoint_matches_quadrature_reference_on_S in tests/test_op.py.
     ctx = ws.ctx()
     a = ws.get("kernels", "gauss_T")
     b = ws.get("kernels", "gauss_T2")

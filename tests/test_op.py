@@ -147,6 +147,14 @@ def test_apply_op_grid_and_masking(ws, ctx):
     assert grid.masked_count() > 0  # back-flow leaves [-4, 4] near the edge
     with pytest.raises(DomainEscape):
         oper.apply_op(a, ws.functions["f_S"], [[-2, 2]], (21,), ctx, strict=True)
+    # the adjoint masks the same edge points, for both adjoint forms
+    edge = list(range(0, 6)) + list(range(15, 21))
+    for b in (ker.transpose(a), ker.r_to_s_convert(a, ctx=ctx)):
+        grid = oper.apply_adjoint(b, ws.functions["f_S"], [[-2, 2]], (21,), ctx)
+        assert list(np.flatnonzero(np.isnan(grid.values))) == edge
+        with pytest.raises(DomainEscape):
+            oper.apply_adjoint(b, ws.functions["f_S"], [[-2, 2]], (21,), ctx,
+                               strict=True)
 
 
 def test_support_propagation(ws, ctx):
@@ -216,10 +224,58 @@ def test_mu_independence(ws, ctx):
     assert np.max(np.abs(leb - weighted)) <= 1e-6
 
 
+def test_adjoint_matches_quadrature_reference_on_S(ws, ctx):
+    """Against scipy quad/dblquad with the closed-form flow e^xi y, whose
+    Jacobian is e^xi; |y| <= 0.5 keeps the nested flows inside the domain."""
+    from scipy.integrate import dblquad, quad
+
+    a = ws.kernels["gauss_S"]
+
+    def dens(xi, y):
+        return math.exp(-25 * (xi - 0.4) ** 2) * math.exp(-0.3 * y**2)
+
+    def k(x):
+        return math.exp(-8 * (x - 0.2) ** 2)
+
+    lo, hi = -0.7, 1.5  # xi box of gauss_S
+    tol = dict(epsabs=1e-14, epsrel=1e-14)
+    ys = np.linspace(-0.5, 0.5, 5)
+    single = oper.adjoint_values(ker.transpose(a), ws.functions["f_S"],
+                                 ys[:, None], ctx)
+    nested = oper.adjoint_values(ker.transpose(ker.convolve(a, a, ctx)),
+                                 ws.functions["f_S"], ys[:, None], ctx)
+    for i, y in enumerate(ys):
+        ref = quad(lambda xi: dens(xi, y) * math.exp(xi) * k(math.exp(xi) * y),
+                   lo, hi, **tol)[0]
+        assert abs(single[i] - ref) <= 1e-9
+        ref = dblquad(
+            lambda xi, eta: dens(eta, y) * math.exp(eta)
+            * dens(xi, math.exp(eta) * y) * math.exp(xi)
+            * k(math.exp(xi + eta) * y),
+            lo, hi, lo, hi, **tol,
+        )[0]
+        assert abs(nested[i] - ref) <= 1e-9
+
+
 def test_adjoint_rejects_diracs(ws, ctx):
     b = ker.transpose(ws.kernels["dirac_shift"])
     with pytest.raises(NotTransverse):
         oper.adjoint_values(b, ws.functions["f_T"], np.zeros((1, 1)), ctx)
+    # a density on a translated host: rejected before k is ever evaluated
+    moved = ker.transpose(
+        ker.convolve(ws.kernels["dirac_shift"], ws.kernels["gauss_T"], ctx)
+    )
+
+    def k(pts):
+        raise AssertionError("k evaluated before the host was rejected")
+
+    with pytest.raises(NotTransverse):
+        oper.adjoint_values(moved, k, np.zeros((1, 1)), ctx)
+    empty = np.zeros((0, 1))
+    a = ws.kernels["gauss_T"]
+    assert oper.op_values(a, ws.functions["f_T"], empty, ctx).shape == (0,)
+    assert oper.adjoint_values(ker.transpose(a), ws.functions["f_T"], empty,
+                               ctx).shape == (0,)
 
 
 def test_adjoint_requires_source_side(ws, ctx):
