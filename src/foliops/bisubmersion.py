@@ -58,11 +58,28 @@ __all__ = [
 ]
 
 _OTHER = {"r": "s", "s": "r"}
+_MAP_NAME = {"r": "range", "s": "source"}
+
+# Sampled checks and their tolerances; sampling is seeded with 0 unless noted.
+_BASE_TOL = 1e-9  # slack of Bisection.in_base on the base box
+_NEWTON_TOL = 1e-11  # residual at which general_bisection's inverse stops
+_DIFFEO_SAMPLES = 64  # base points bisection_diffeo validates
+_TRANSLATE_PROBE = 64  # parameters translate() probes for an empty domain
+_IMAGE_SAMPLES = 256  # uniform draws of _sampled_image_box (seed 12345)
+_MORPHISM_SAMPLES = 32  # parameters of the Morphism compatibility check
+_MORPHISM_TOL = 1e-6
+_BRACKET_SAMPLES = 64  # base points of make_addition_morphism's bracket check
+_BRACKET_TOL = 1e-9
 
 
-def _raise_escape(ok, what):
+def _checked(values, ok, allow_escape, what):
+    """``(values, ok)`` with allow_escape; otherwise ``values``, raising
+    DomainEscape if any row escaped."""
+    if allow_escape:
+        return values, ok
     if not np.all(ok):
         raise DomainEscape(f"{what}: {int(np.sum(~ok))} parameter rows escaped")
+    return values
 
 
 class Bisubmersion:
@@ -107,9 +124,10 @@ class Bisubmersion:
         p = np.atleast_2d(params)
         return np.all((p >= box[:, 0] - tol) & (p <= box[:, 1] + tol), axis=1)
 
-    def chart_jac_det(self, xi, under, cfg=None, allow_escape=False):
-        """|det| of the base derivative of the range chart; defined where
-        the term supports r<->s density conversion."""
+    def chart_jac_det(self, xi, under, cfg=None):
+        """(|det|, ok) of the base derivative of the range chart, ``ok``
+        False on escaped rows; defined where the term supports r<->s
+        density conversion."""
         raise NotTransverse(f"{self.describe()} has no canonical chart Jacobian")
 
     # --- bookkeeping ----------------------------------------------------
@@ -154,10 +172,7 @@ class PathHolonomy(Bisubmersion):
         pts, escaped = _flow.exp_flow_batch(
             self.foliation, xi, under, cfg, allow_escape=True
         )
-        if allow_escape:
-            return pts, ~escaped
-        _raise_escape(~escaped, "range map")
-        return pts
+        return _checked(pts, ~escaped, allow_escape, "range map")
 
     def s(self, params, cfg=None, allow_escape=False):
         _, under = self._split(params)
@@ -177,20 +192,13 @@ class PathHolonomy(Bisubmersion):
             )
             params = np.concatenate([xi, under], axis=1)
             ok = ~escaped
-        if allow_escape:
-            return params, ok
-        _raise_escape(ok, f"{side}-fibre chart")
-        return params
+        return _checked(params, ok, allow_escape, f"{side}-fibre chart")
 
-    def chart_jac_det(self, xi, under, cfg=None, allow_escape=False):
+    def chart_jac_det(self, xi, under, cfg=None):
         _, J, escaped = _flow.flow_jacobian_batch(
             self.foliation, xi, under, cfg, allow_escape=True
         )
-        det = np.abs(np.linalg.det(J))
-        if allow_escape:
-            return det, ~escaped
-        _raise_escape(~escaped, "chart Jacobian")
-        return det
+        return np.abs(np.linalg.det(J)), ~escaped
 
     def contains(self, params, tol=1e-7, cfg=None):
         # Under-points may wander into the integration domain: compositions
@@ -215,23 +223,15 @@ class PathHolonomy(Bisubmersion):
         return f"path_holonomy({self.foliation})"
 
 
-class InverseBisubmersion(Bisubmersion):
-    """Same space, range and source swapped."""
+class _OnInner(Bisubmersion):
+    """A term on the parameter space of ``inner``, with its boxes and
+    membership unless a subclass overrides them."""
 
     def __init__(self, inner):
         self.inner = inner
         self.foliation = inner.foliation
         self.param_len = inner.param_len
         self.dim = inner.dim
-
-    def r(self, params, cfg=None, allow_escape=False):
-        return self.inner.s(params, cfg, allow_escape)
-
-    def s(self, params, cfg=None, allow_escape=False):
-        return self.inner.r(params, cfg, allow_escape)
-
-    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
-        return self.inner.chart(_OTHER[side], xi, bases, cfg, allow_escape)
 
     def xi_box(self):
         return self.inner.xi_box()
@@ -241,6 +241,19 @@ class InverseBisubmersion(Bisubmersion):
 
     def contains(self, params, tol=1e-7, cfg=None):
         return self.inner.contains(params, tol, cfg)
+
+
+class InverseBisubmersion(_OnInner):
+    """Same space, range and source swapped."""
+
+    def r(self, params, cfg=None, allow_escape=False):
+        return self.inner.s(params, cfg, allow_escape)
+
+    def s(self, params, cfg=None, allow_escape=False):
+        return self.inner.r(params, cfg, allow_escape)
+
+    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
+        return self.inner.chart(_OTHER[side], xi, bases, cfg, allow_escape)
 
     def key(self):
         return ("inverse", self.inner.key())
@@ -288,10 +301,8 @@ class Composition(Bisubmersion):
             v, ok3 = self.right.chart("r", xr, mid, cfg, allow_escape=True)
         params = np.concatenate([u, v], axis=1)
         ok = ok1 & ok2 & ok3
-        if allow_escape:
-            return params, ok
-        _raise_escape(ok, f"{side}-fibre chart of composition")
-        return params
+        return _checked(params, ok, allow_escape,
+                        f"{side}-fibre chart of composition")
 
     def contains(self, params, tol=1e-7, cfg=None):
         u, v = self.split(params)
@@ -315,17 +326,14 @@ class Composition(Bisubmersion):
         return f"({self.left.describe()} o {self.right.describe()})"
 
 
-class Restriction(Bisubmersion):
+class Restriction(_OnInner):
     """Open sub-bisubmersion cut out by a parameter box."""
 
     def __init__(self, inner, box):
-        self.inner = inner
+        super().__init__(inner)
         self.box = np.asarray(box, float)
         if self.box.shape != (inner.param_len, 2):
             raise DimensionMismatch("restriction box must cover the parameter space")
-        self.foliation = inner.foliation
-        self.param_len = inner.param_len
-        self.dim = inner.dim
         self.fibred_layout = inner.fibred_layout
 
     def r(self, params, cfg=None, allow_escape=False):
@@ -344,8 +352,8 @@ class Restriction(Bisubmersion):
         )
         return inside & self.inner.contains(params, tol, cfg)
 
-    def chart_jac_det(self, xi, under, cfg=None, allow_escape=False):
-        return self.inner.chart_jac_det(xi, under, cfg, allow_escape)
+    def chart_jac_det(self, xi, under, cfg=None):
+        return self.inner.chart_jac_det(xi, under, cfg)
 
     def xi_box(self):
         m = self.inner.fibre_dim
@@ -361,104 +369,66 @@ class Restriction(Bisubmersion):
         return f"restrict({self.inner.describe()})"
 
 
-class TranslateRight(Bisubmersion):
+class Translate(_OnInner):
+    """Translate of ``inner`` by a bisection S on the ``moved`` side.
+
+    The moved map is composed with Phi_S (range) or Phi_S^{-1} (source);
+    the other map and its fibre chart are the inner ones.  The moved
+    side's fibre over x is the inner fibre over the opposite image of x.
+    """
+
+    moved = None  # "r" or "s", set by the subclasses
+    name = None  # "left" or "right"
+
+    def __init__(self, inner, bisection):
+        super().__init__(inner)
+        self.bisection = bisection
+
+    def _diffeo(self, side):
+        """Phi_S composed onto the range map, Phi_S^{-1} onto the source."""
+        return self.bisection.phi if side == "r" else self.bisection.phi_inv
+
+    def _map(self, side, params, cfg, allow_escape):
+        inner_map = getattr(self.inner, side)
+        if side != self.moved:
+            return inner_map(params, cfg, allow_escape)
+        pts, ok1 = inner_map(params, cfg, allow_escape=True)
+        out, ok2 = self._diffeo(side)(pts, cfg, allow_escape=True)
+        return _checked(out, ok1 & ok2, allow_escape,
+                        f"translated {_MAP_NAME[side]} map")
+
+    def r(self, params, cfg=None, allow_escape=False):
+        return self._map("r", params, cfg, allow_escape)
+
+    def s(self, params, cfg=None, allow_escape=False):
+        return self._map("s", params, cfg, allow_escape)
+
+    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
+        bases = np.atleast_2d(np.asarray(bases, float))
+        if side != self.moved:
+            return self.inner.chart(side, xi, bases, cfg, allow_escape)
+        mapped, ok0 = self._diffeo(_OTHER[side])(bases, cfg, allow_escape=True)
+        params, ok1 = self.inner.chart(side, xi, mapped, cfg, allow_escape=True)
+        return _checked(params, ok0 & ok1, allow_escape,
+                        f"{side}-fibre chart of {self.name} translate")
+
+    def key(self):
+        return (f"translate_{self.name}", self.inner.key(), id(self.bisection))
+
+    def describe(self):
+        return f"translate_{self.name}({self.inner.describe()})"
+
+
+class TranslateRight(Translate):
     """U_S: range unchanged, source composed with Phi_S^{-1}."""
 
-    def __init__(self, inner, bisection):
-        self.inner = inner
-        self.bisection = bisection
-        self.foliation = inner.foliation
-        self.param_len = inner.param_len
-        self.dim = inner.dim
-
-    def r(self, params, cfg=None, allow_escape=False):
-        return self.inner.r(params, cfg, allow_escape)
-
-    def s(self, params, cfg=None, allow_escape=False):
-        pts, ok1 = self.inner.s(params, cfg, allow_escape=True)
-        out, ok2 = self.bisection.phi_inv(pts, cfg, allow_escape=True)
-        ok = ok1 & ok2
-        if allow_escape:
-            return out, ok
-        _raise_escape(ok, "translated source map")
-        return out
-
-    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
-        bases = np.atleast_2d(np.asarray(bases, float))
-        if side == "r":
-            return self.inner.chart("r", xi, bases, cfg, allow_escape)
-        mapped, ok0 = self.bisection.phi(bases, cfg, allow_escape=True)
-        params, ok1 = self.inner.chart("s", xi, mapped, cfg, allow_escape=True)
-        ok = ok0 & ok1
-        if allow_escape:
-            return params, ok
-        _raise_escape(ok, "s-fibre chart of right translate")
-        return params
-
-    def xi_box(self):
-        return self.inner.xi_box()
-
-    def param_box(self):
-        return self.inner.param_box()
-
-    def contains(self, params, tol=1e-7, cfg=None):
-        return self.inner.contains(params, tol, cfg)
-
-    def key(self):
-        return ("translate_right", self.inner.key(), id(self.bisection))
-
-    def describe(self):
-        return f"translate_right({self.inner.describe()})"
+    moved, name = "s", "right"
 
 
-class TranslateLeft(Bisubmersion):
+class TranslateLeft(Translate):
     """U^S: source unchanged, range composed with Phi_S."""
 
-    def __init__(self, inner, bisection):
-        self.inner = inner
-        self.bisection = bisection
-        self.foliation = inner.foliation
-        self.param_len = inner.param_len
-        self.dim = inner.dim
-
-    def r(self, params, cfg=None, allow_escape=False):
-        pts, ok1 = self.inner.r(params, cfg, allow_escape=True)
-        out, ok2 = self.bisection.phi(pts, cfg, allow_escape=True)
-        ok = ok1 & ok2
-        if allow_escape:
-            return out, ok
-        _raise_escape(ok, "translated range map")
-        return out
-
-    def s(self, params, cfg=None, allow_escape=False):
-        return self.inner.s(params, cfg, allow_escape)
-
-    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
-        bases = np.atleast_2d(np.asarray(bases, float))
-        if side == "s":
-            return self.inner.chart("s", xi, bases, cfg, allow_escape)
-        mapped, ok0 = self.bisection.phi_inv(bases, cfg, allow_escape=True)
-        params, ok1 = self.inner.chart("r", xi, mapped, cfg, allow_escape=True)
-        ok = ok0 & ok1
-        if allow_escape:
-            return params, ok
-        _raise_escape(ok, "r-fibre chart of left translate")
-        return params
-
-    def xi_box(self):
-        return self.inner.xi_box()
-
-    def param_box(self):
-        return self.inner.param_box()
-
-    def contains(self, params, tol=1e-7, cfg=None):
-        return self.inner.contains(params, tol, cfg)
-
-    def key(self):
-        return ("translate_left", self.inner.key(), id(self.bisection))
-
-    def describe(self):
-        return f"translate_left({self.inner.describe()})"
+    moved, name = "r", "left"
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +458,16 @@ class Bisection:
 
     def phi(self, x, cfg=None, allow_escape=False):
         out, ok = self._phi(np.atleast_2d(np.asarray(x, float)), cfg)
-        if allow_escape:
-            return out, ok
-        _raise_escape(ok, "bisection diffeomorphism")
-        return out
+        return _checked(out, ok, allow_escape, "bisection diffeomorphism")
 
     def phi_inv(self, x, cfg=None, allow_escape=False):
         out, ok = self._phi_inv(np.atleast_2d(np.asarray(x, float)), cfg)
-        if allow_escape:
-            return out, ok
-        _raise_escape(ok, "inverse bisection diffeomorphism")
-        return out
+        return _checked(out, ok, allow_escape, "inverse bisection diffeomorphism")
 
-    def in_base(self, x, tol=1e-9):
+    def in_base(self, x):
         p = np.atleast_2d(np.asarray(x, float))
-        mask = np.all(
-            (p >= self.base_box[:, 0] - tol) & (p <= self.base_box[:, 1] + tol), axis=1
-        )
+        lo, hi = self.base_box[:, 0] - _BASE_TOL, self.base_box[:, 1] + _BASE_TOL
+        mask = np.all((p >= lo) & (p <= hi), axis=1)
         if self._valid is not None:
             mask = mask & self._valid(p)
         return mask
@@ -549,7 +512,7 @@ def identity_bisection(host, base_box=None):
     return constant_bisection(host, np.zeros(m), base_box, label="identity")
 
 
-def general_bisection(host, section_fn, base_box, label="", newton_tol=1e-11):
+def general_bisection(host, section_fn, base_box, label=""):
     """Bisection from an arbitrary section map; inverse by damped Newton."""
     base_box = np.asarray(base_box, float)
 
@@ -568,7 +531,7 @@ def general_bisection(host, section_fn, base_box, label="", newton_tol=1e-11):
         for _ in range(50):
             fy, okf = phi(y, cfg)
             res = fy - targets
-            if np.max(np.linalg.norm(res[okf], axis=1), initial=0.0) < newton_tol:
+            if np.max(np.linalg.norm(res[okf], axis=1), initial=0.0) < _NEWTON_TOL:
                 ok &= okf
                 break
             J = np.empty((len(y), n, n))
@@ -666,16 +629,21 @@ def compose_bisections(S, T):
     )
 
 
-def _sampled_image_box(fn, box, count=256, pad=0.02):
-    """Conservative bounding box of fn(box) from corner + grid samples."""
+def _sample_box(box, rng, count):
+    """``count`` uniform draws from the box, followed by its corners."""
+    box = np.atleast_2d(np.asarray(box, float))
+    pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((count, len(box)))
+    corners = np.array(np.meshgrid(*box, indexing="ij")).reshape(len(box), -1).T
+    return np.concatenate([pts, corners])
+
+
+def _sampled_image_box(fn, box, pad=0.02):
+    """Sampled bounding box of fn(box) from uniform, corner and centre
+    points, padded by ``pad`` of its width plus one."""
     box = np.asarray(box, float)
-    n = len(box)
     rng = np.random.default_rng(12345)
-    pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((count, n))
-    corners = np.array(
-        np.meshgrid(*[box[j] for j in range(n)], indexing="ij")
-    ).reshape(n, -1).T
-    pts = np.concatenate([pts, corners, box.mean(axis=1)[None, :]])
+    pts = np.concatenate([_sample_box(box, rng, _IMAGE_SAMPLES),
+                          box.mean(axis=1)[None, :]])
     vals, ok = fn(pts)
     vals = vals[ok]
     if len(vals) == 0:
@@ -703,21 +671,21 @@ class LocalDiffeo:
         return out[0] if single else out
 
 
-def bisection_diffeo(S, samples=64, cfg=None, seed=0):
+def bisection_diffeo(S, cfg=None):
     """Validate S on sampled base points and return its diffeomorphism.
 
     Checks s o section = id, injectivity of Phi_S and the round trip
     Phi_S^{-1} o Phi_S = id; failure raises NotABisection.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     box = S.base_box
-    pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((samples, len(box)))
+    draws = rng.random((_DIFFEO_SAMPLES, len(box)))
+    pts = box[:, 0] + (box[:, 1] - box[:, 0]) * draws
     sec = S.section(pts)
     back, ok = S.host.s(sec, cfg, allow_escape=True)
     if not np.all(ok) or np.max(np.linalg.norm(back - pts, axis=1)) > 1e-9:
         raise NotABisection("section is not a section of the source map")
-    vals, ok = S.phi(pts, cfg, allow_escape=True)
-    good = ok
+    vals, good = S.phi(pts, cfg, allow_escape=True)
     v = vals[good]
     if len(v) >= 2:
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
@@ -758,16 +726,16 @@ def restrict(U, box) -> Restriction:
     return Restriction(U, box)
 
 
-def translate(U, S, side, probe=64, cfg=None, seed=0):
+def translate(U, S, side, cfg=None):
     """Right- or left-translate of U by the bisection S.
 
-    Raises EmptyTranslate when no sampled parameter of U lands in the
-    translate's domain.
+    Raises EmptyTranslate when none of _TRANSLATE_PROBE sampled parameters
+    of U lands in the translate's domain.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    rng = np.random.default_rng(seed)
-    params = U.sample_params(probe, rng, cfg)
+    rng = np.random.default_rng(0)
+    params = U.sample_params(_TRANSLATE_PROBE, rng, cfg)
     if side == "right":
         pts, ok = U.s(params, cfg, allow_escape=True)
         mask, _ = S.in_range(pts[ok], cfg)
@@ -812,26 +780,24 @@ def fibre_param(U, side, x, cfg=None) -> FibreChart:
 class Morphism:
     """Parameter map intertwining both range and source maps."""
 
-    def __init__(self, source, target, map_fn, label="", check_samples=32,
-                 check_tol=1e-6, cfg=None, seed=0):
+    def __init__(self, source, target, map_fn, label="", cfg=None):
         self.source = source
         self.target = target
         self._map = map_fn
         self.label = label
-        if check_samples:
-            res = self.compatibility_residual(check_samples, cfg=cfg, seed=seed)
-            if res > check_tol:
-                raise BaseMismatch(
-                    f"morphism {label or ''} violates r/s compatibility: "
-                    f"residual {res:.3e}"
-                )
+        res = self.compatibility_residual(_MORPHISM_SAMPLES, cfg=cfg)
+        if res > _MORPHISM_TOL:
+            raise BaseMismatch(
+                f"morphism {label or ''} violates r/s compatibility: "
+                f"residual {res:.3e}"
+            )
 
     def map(self, params):
         return self._map(np.atleast_2d(np.asarray(params, float)))
 
-    def compatibility_residual(self, samples=100, cfg=None, seed=0):
+    def compatibility_residual(self, samples=100, cfg=None):
         """Worst |r_V(map(p)) - r_U(p)| and s-analogue over sampled p."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         params = self.source.sample_params(samples, rng, cfg)
         if len(params) == 0:
             return 0.0
@@ -866,20 +832,21 @@ class AdditionMorphism(Morphism):
         super().__init__(compose(U, U), U, add_map, label="addition", cfg=cfg)
 
 
-def make_addition_morphism(U, samples=64, tol=1e-9, cfg=None, seed=0):
-    """Addition morphism U o U -> U; requires commuting generators."""
+def make_addition_morphism(U, cfg=None):
+    """Addition morphism U o U -> U; requires brackets of the generators
+    below _BRACKET_TOL (relative) at sampled points."""
     if not isinstance(U, PathHolonomy):
         raise BaseMismatch("addition morphism is defined on path-holonomy terms")
     F = U.foliation
-    rng = np.random.default_rng(seed)
-    pts = F.sample_points(samples, rng)
+    rng = np.random.default_rng(0)
+    pts = F.sample_points(_BRACKET_SAMPLES, rng)
     for i in range(F.num_generators):
         for j in range(i + 1, F.num_generators):
             br = lie_bracket(F.generators[i], F.generators[j])
             vals = br(pts)
             scale = 1.0 + np.max(np.linalg.norm(F.generator_matrix(pts), axis=(1, 2)))
             worst = float(np.max(np.linalg.norm(vals, axis=1)))
-            if worst > tol * scale:
+            if worst > _BRACKET_TOL * scale:
                 raise BracketNotZero(
                     f"[X_{i + 1}, X_{j + 1}] has norm {worst:.3e} at sampled points"
                 )

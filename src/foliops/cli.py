@@ -20,7 +20,13 @@ from . import flow as _flow
 from . import kernel as ker
 from . import op as oper
 from .canonical import canonical_workspace
-from .errors import ConfigError, DomainEscape, FoliopsError, QuadratureFailure
+from .errors import (
+    ConfigError,
+    DomainEscape,
+    FoliopsError,
+    QuadratureFailure,
+    StepLimit,
+)
 from .flow import FlowConfig
 from .foliation import leaf_sample
 from .kernel import QuadratureConfig
@@ -33,6 +39,14 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_ESCAPE = 3
 EXIT_QUADRATURE = 4
+EXIT_STEP_LIMIT = 5
+# Library errors not listed here exit with EXIT_CONFIG.
+_EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (DomainEscape, EXIT_ESCAPE),
+    (QuadratureFailure, EXIT_QUADRATURE),
+    (StepLimit, EXIT_STEP_LIMIT),
+)
 
 
 def _fmt(v):
@@ -343,18 +357,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: ConfigError: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DomainEscape as exc:
-        print(f"error: DomainEscape: {exc}", file=sys.stderr)
-        return EXIT_ESCAPE
-    except QuadratureFailure as exc:
-        print(f"error: QuadratureFailure: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
     except FoliopsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)),
+                    EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -171,7 +171,7 @@ def _structured_points(F):
     return np.array(pts)
 
 
-def involutivity_check(F, samples=100, tol=1e-7, seed=0):
+def involutivity_check(F, samples=100, tol=1e-7):
     """Spot-check [X_i, X_j](p) in span{X_k(p)} at sampled points.
 
     A pointwise necessary condition only, not module membership; the
@@ -180,7 +180,7 @@ def involutivity_check(F, samples=100, tol=1e-7, seed=0):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = np.concatenate([_structured_points(F), F.sample_points(samples, rng)])
     m = F.num_generators
     brackets = {}

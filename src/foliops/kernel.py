@@ -20,6 +20,7 @@ are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -140,17 +141,10 @@ def _in_box(points, box, tol=0.0):
 def _as_coeff_fn(c, box):
     """Wrap a ScalarExpr or callable into a box-masked coefficient."""
     if isinstance(c, ScalarExpr):
-        expr = c
-
-        def fn(x):
-            vals = expr(x, check_finite=False)
-            return np.where(_in_box(x, box), vals, 0.0)
-
-        return fn
-    raw = c
+        c = partial(c, check_finite=False)
 
     def fn(x):
-        vals = np.asarray(raw(x), float)
+        vals = np.asarray(c(x), float)
         return np.where(_in_box(x, box), vals, 0.0)
 
     return fn
@@ -212,15 +206,6 @@ class Atom:
 
     def has_dirac(self):
         return False
-
-
-def _sample_box(box, rng, count):
-    box = np.atleast_2d(box)
-    pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((count, len(box)))
-    corners = np.array(
-        np.meshgrid(*[box[j] for j in range(len(box))], indexing="ij")
-    ).reshape(len(box), -1).T
-    return np.concatenate([pts, corners])
 
 
 def _bbox(points, pad_frac=0.02, pad_abs=1e-7):
@@ -313,7 +298,7 @@ class DiracAtom(Atom):
             return None
         S = self.bisection
         rng = np.random.default_rng(7)
-        pts = _sample_box(A, rng, 512)
+        pts = bis._sample_box(A, rng, 512)
         # opposite-side image of each candidate base point
         fwd = S.phi_inv if kernel_side == "r" else S.phi
         opp, ok = fwd(pts, ctx.flow, allow_escape=True)
@@ -375,29 +360,24 @@ class DensityAtom(Atom):
         k = self.host.fibre_dim
         dens = np.zeros(N * Q)
         if np.any(ok):
-            rb = sb = None
-            if self.needs_rbase:
-                if side == "r":
-                    rb = base_rep
+            # Base points the density reads: the fibre's own base on the
+            # paired side, the host's map on the other.
+            ends = {}
+            for end, needed in (("r", self.needs_rbase), ("s", self.needs_sbase)):
+                if not needed:
+                    ends[end] = None
+                elif end == side:
+                    ends[end] = base_rep
                 else:
-                    rb, okr = self.host.r(params, ctx.flow, allow_escape=True)
-                    ok = ok & okr
-            if self.needs_sbase:
-                if side == "s":
-                    sb = base_rep
-                else:
-                    sb, oks = self.host.s(params, ctx.flow, allow_escape=True)
-                    ok = ok & oks
-            under = params[:, k:]
-            inside = _in_box(under, self.base_box)
-            live = ok & inside
+                    ends[end], ok_end = getattr(self.host, end)(
+                        params, ctx.flow, allow_escape=True)
+                    ok = ok & ok_end
+            live = ok & _in_box(params[:, k:], self.base_box)
             if np.any(live):
-                vals = self.dens_fn(
+                dens[live] = self.dens_fn(
                     params[live],
-                    rb[live] if rb is not None else None,
-                    sb[live] if sb is not None else None,
+                    *(None if v is None else v[live] for v in ends.values()),
                 )
-                dens[live] = vals
         contrib = np.zeros(N * Q)
         contrib[~ok] = np.nan
         eval_rows = ok & (dens != 0.0) & np.isfinite(dens)
@@ -416,8 +396,8 @@ class DensityAtom(Atom):
 
     def _param_samples(self, ctx, count=512):
         rng = np.random.default_rng(11)
-        xi = _sample_box(self.xi_box, rng, count)
-        under = _sample_box(self.base_box, rng, count)
+        xi = bis._sample_box(self.xi_box, rng, count)
+        under = bis._sample_box(self.base_box, rng, count)
         k = min(len(xi), len(under))
         return np.concatenate([xi[:k], under[:k]], axis=1)
 
@@ -426,8 +406,7 @@ class DensityAtom(Atom):
 
     def image_box(self, out_side, kernel_side, ctx):
         params = self._param_samples(ctx)
-        fn = self.host.r if out_side == "r" else self.host.s
-        pts, ok = fn(params, ctx.flow, allow_escape=True)
+        pts, ok = getattr(self.host, out_side)(params, ctx.flow, allow_escape=True)
         box = _bbox(pts[ok])
         hint = self._hint(out_side)
         return box if hint is None else _intersect_boxes(box, hint)
@@ -466,34 +445,29 @@ class ConvolvedAtom(Atom):
         return self.left.node_count(ctx) * self.right.node_count(ctx)
 
     def pair(self, side, bases, phi, ctx):
+        # The outer factor is the one fibred over ``side`` of the composite;
+        # each of its rows fixes, through its opposite map, the base of the
+        # inner factor's fibre.  Composite rows are always (left, right).
         inner_ctx = ctx.deeper()
         if side == "r":
+            outer, inner = self.left, self.right
+        else:
+            outer, inner = self.right, self.left
 
-            def phi_out(u_params, u_rows):
-                mids, ok = self.left.host.s(u_params, ctx.flow, allow_escape=True)
+        def phi_out(o_params, o_rows):
+            mids, ok = getattr(outer.host, _OTHER[side])(o_params, ctx.flow,
+                                                         allow_escape=True)
 
-                def phi_in(v_params, v_rows):
-                    full = np.concatenate([u_params[v_rows], v_params], axis=1)
-                    return phi(full, u_rows[v_rows])
+            def phi_in(i_params, i_rows):
+                parts = [o_params[i_rows], i_params]
+                if side == "s":
+                    parts.reverse()
+                return phi(np.concatenate(parts, axis=1), o_rows[i_rows])
 
-                vals = self.right.pair("r", mids, phi_in, inner_ctx)
-                vals = np.where(ok, vals, np.nan)
-                return vals
+            vals = inner.pair(side, mids, phi_in, inner_ctx)
+            return np.where(ok, vals, np.nan)
 
-            return self.left.pair("r", bases, phi_out, inner_ctx)
-
-        def phi_out(v_params, v_rows):
-            mids, ok = self.right.host.r(v_params, ctx.flow, allow_escape=True)
-
-            def phi_in(u_params, u_rows):
-                full = np.concatenate([u_params, v_params[u_rows]], axis=1)
-                return phi(full, v_rows[u_rows])
-
-            vals = self.left.pair("s", mids, phi_in, inner_ctx)
-            vals = np.where(ok, vals, np.nan)
-            return vals
-
-        return self.right.pair("s", bases, phi_out, inner_ctx)
+        return outer.pair(side, bases, phi_out, inner_ctx)
 
     def scaled(self, factor):
         return ConvolvedAtom(self.left.scaled(factor), self.right)
@@ -688,7 +662,7 @@ def dirac(S, c, side="r", coeff_box=None, ctx=None) -> FibredKernel:
                 raise SupportViolation("bisection image could not be sampled")
     coeff_box = np.asarray(coeff_box, float)
     rng = np.random.default_rng(3)
-    probe = _sample_box(coeff_box, rng, 128)
+    probe = bis._sample_box(coeff_box, rng, 128)
     if side == "s":
         good = S.in_base(probe)
     else:
@@ -968,7 +942,7 @@ def r_to_s_convert(a: FibredKernel, mu_weight=None, ctx=None) -> FibredKernel:
                  needs_sb=needs_sb, m=m):
             xi = params[:, :m]
             under = params[:, m:]
-            det, ok = host.chart_jac_det(xi, under, ctx.flow, allow_escape=True)
+            det, ok = host.chart_jac_det(xi, under, ctx.flow)
             rb = None
             if needs_rb or mu_weight is not None:
                 rb, okr = host.r(params, ctx.flow, allow_escape=True)

@@ -184,16 +184,11 @@ def op_values(kernel: FibredKernel, f, points, ctx=None):
     return total
 
 
-def apply_op(kernel, f, out_box, out_res, ctx=None, strict=False):
-    """Evaluate Op(a)f on a regular grid.
-
-    Masked points (fibre chart escaped the integration domain) are NaN in
-    the result; with ``strict`` they raise DomainEscape instead.
-    """
-    ctx = ctx or PairingCtx()
+def _on_grid(values_at, out_box, out_res, strict):
+    """Grid of ``values_at(points)``: non-finite points raise DomainEscape
+    under ``strict``, and infinite values raise QuadratureFailure."""
     out_box = np.atleast_2d(np.asarray(out_box, float))
-    pts = grid_points(out_box, out_res)
-    vals = op_values(kernel, f, pts, ctx)
+    vals = values_at(grid_points(out_box, out_res))
     if strict and not np.all(np.isfinite(vals)):
         raise DomainEscape(
             f"{int(np.sum(~np.isfinite(vals)))} output points escaped"
@@ -201,6 +196,17 @@ def apply_op(kernel, f, out_box, out_res, ctx=None, strict=False):
     if np.any(np.isinf(vals)):
         raise QuadratureFailure("quadrature produced infinite values")
     return GridFunction(out_box, vals.reshape(tuple(out_res)))
+
+
+def apply_op(kernel, f, out_box, out_res, ctx=None, strict=False):
+    """Evaluate Op(a)f on a regular grid.
+
+    Masked points (fibre chart escaped the integration domain) are NaN in
+    the result; with ``strict`` they raise DomainEscape instead.
+    """
+    ctx = ctx or PairingCtx()
+    return _on_grid(lambda pts: op_values(kernel, f, pts, ctx), out_box, out_res,
+                    strict)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +246,7 @@ def _adjoint_atom(atom, k_fn, ys, ctx):
 
     def phi(params, rows):
         pts, ok = image(params, ctx.flow, allow_escape=True)
-        jac, okj = host.chart_jac_det(params[:, :m], params[:, m:], ctx.flow,
-                                      allow_escape=True)
+        jac, okj = host.chart_jac_det(params[:, :m], params[:, m:], ctx.flow)
         with np.errstate(divide="ignore"):
             vals = jac * k_fn(pts) if side == "s" else k_fn(pts) / jac
         return np.where(ok & okj, vals, np.nan)
@@ -275,16 +280,13 @@ def adjoint_values(kernel: FibredKernel, k, ys, ctx=None, mu_weight=None):
 
 def apply_adjoint(kernel, k, out_box, out_res, ctx=None, mu_weight=None,
                   strict=False):
-    """Adjoint action on a density-sampled generalized function, gridded."""
+    """Adjoint action on a density-sampled generalized function, gridded;
+    masking, ``strict`` and infinite values are handled as in apply_op."""
     ctx = ctx or PairingCtx()
-    out_box = np.atleast_2d(np.asarray(out_box, float))
-    pts = grid_points(out_box, out_res)
-    vals = adjoint_values(kernel, k, pts, ctx, mu_weight=mu_weight)
-    if strict and not np.all(np.isfinite(vals)):
-        raise DomainEscape(
-            f"{int(np.sum(~np.isfinite(vals)))} output points escaped"
-        )
-    return GridFunction(out_box, vals.reshape(tuple(out_res)))
+    return _on_grid(
+        lambda pts: adjoint_values(kernel, k, pts, ctx, mu_weight=mu_weight),
+        out_box, out_res, strict,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,10 @@ def _compose_check(ws, ctx, name_a, name_b, f, pts, label, tol=1e-6):
 
 
 def suite_composition(ws):
+    # The two density*density checks read 0.0 by construction: a lazy
+    # convolution pairs as Op(a) of Op(b) on both sides.  The independent
+    # check is test_source_side_convolution_matches_quadrature_reference
+    # in tests/test_op.py.
     ctx = ws.ctx()
     fT = ws.get("functions", "f_T")
     fR = ws.get("functions", "f_R")

@@ -162,6 +162,17 @@ def test_translate_rules(U):
     expected = S.phi(U.r(params))
     assert np.max(np.linalg.norm(left.r(params) - expected, axis=1)) <= 1e-7
 
+    # Each chart parameterizes the fibre of its own side of the translate;
+    # the side a translate leaves unchanged keeps the inner chart.
+    xi = rng.uniform(-1.0, 1.0, size=(30, 1))
+    x = rng.uniform(-1.0, 1.0, size=(30, 2))
+    for tr, kept in ((right, "r"), (left, "s")):
+        for side in ("r", "s"):
+            params = tr.chart(side, xi, x)
+            back = getattr(tr, side)(params)
+            assert np.max(np.linalg.norm(back - x, axis=1)) <= 1e-8
+        assert np.array_equal(tr.chart(kept, xi, x), U.chart(kept, xi, x))
+
 
 def test_translate_by_identity_keeps_maps(U):
     S = identity_bisection(U)

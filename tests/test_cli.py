@@ -73,6 +73,12 @@ def test_unknown_names_exit_2(capsys):
                    "--box", "[[-1,1]]", "--res", "5") == 2
 
 
+def test_step_limit_exit_5(capsys):
+    assert run_cli("flow", "--foliation", "S", "--xi", "1", "--point", "2",
+                   "--ode-max-steps", "1") == 5
+    assert capsys.readouterr().err.startswith("error: StepLimit:")
+
+
 def test_apply_identity_kernel(tmp_path):
     out = tmp_path / "grid.csv"
     code = run_cli("apply", "--kernel", "dirac_identity", "--function", "f_T",

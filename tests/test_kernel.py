@@ -22,6 +22,7 @@ from foliops.bisubmersion import (
 )
 from foliops import kernel as ker
 from foliops import op as oper
+from foliops.canonical import canonical_workspace
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +296,39 @@ def test_pushforward_vs_nested_quadrature_oracle(UT, gauss_kernel, gauss_kernel2
 
     want = np.array([oracle(x) for x in xs[:, 0]])
     assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def test_addition_reduction_order_rule_2d():
+    """On U_C the reduced density is int a(zeta - xi) b(xi) d(xi) over the
+    right factor's xi box, which separates into per-axis scipy quads."""
+    ws = canonical_workspace()
+    ctx = ws.ctx()
+    pi = make_addition_morphism(ws.bisubmersions["U_C"], cfg=ctx.flow)
+    ab = ker.convolve(ws.kernels["gauss_C"], ws.kernels["gauss_C2"], ctx)
+    a_centre, b_centre = (0.2, -0.1), (-0.3, 0.2)
+    b_box = ws.kernels["gauss_C2"].atoms[0].xi_box
+    params = np.array([[0.1, 0.05, 0.3, -0.2],
+                       [-0.4, 0.3, -1.0, 0.5],
+                       [0.6, -0.5, 0.8, 1.1]])
+
+    def reference(zeta):
+        out = 1.0
+        for j in range(2):
+            out *= quad(
+                lambda xi: math.exp(-10 * (zeta[j] - xi - a_centre[j]) ** 2
+                                    - 10 * (xi - b_centre[j]) ** 2),
+                *b_box[j], epsabs=1e-14, epsrel=1e-13,
+            )[0]
+        return out
+
+    want = np.array([reference(p[:2]) for p in params])
+    errors = []
+    for q in (12, 20, 32):
+        (atom,) = ker.pushforward(pi, ab, ctx, quad_order=q).atoms
+        assert isinstance(atom, ker.DensityAtom)
+        errors.append(np.max(np.abs(atom.dens_fn(params, None, None) - want)))
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] <= 1e-10
 
 
 def test_pushforward_host_mismatch(UT, gauss_kernel):

@@ -9,6 +9,7 @@ from foliops.errors import (
     DomainEscape,
     InsufficientLeafSampling,
     NotTransverse,
+    QuadratureFailure,
     SideMismatch,
 )
 from foliops.expr import parse_field, parse_scalar
@@ -112,6 +113,28 @@ def test_homomorphism_on_grids(ws, ctx):
     lhs = oper.op_values(ker.convolve(a, b, ctx), f, pts, ctx)
     rhs = oper.op_values(a, lambda q: oper.op_values(b, f, q, ctx), pts, ctx)
     assert np.max(np.abs(lhs - rhs)) <= 1e-6
+
+
+def test_source_side_convolution_matches_quadrature_reference(ws, ctx):
+    """Op((b^t * a^t)^t) f pairs the lazy convolution over source fibres;
+    against scipy dblquad with the closed-form translation flow x - xi."""
+    from scipy.integrate import dblquad
+
+    a, b = ws.kernels["gauss_T"], ws.kernels["gauss_T2"]
+    k = ker.transpose(ker.convolve(ker.transpose(b), ker.transpose(a), ctx))
+    (atom,) = k.atoms
+    assert isinstance(atom, ker.TransposedAtom)
+    assert isinstance(atom.inner, ker.ConvolvedAtom)
+    xs = np.array([-0.5, 0.2, 0.9])
+    got = oper.op_values(k, ws.functions["f_T"], xs[:, None], ctx)
+    for x, value in zip(xs, got):
+        ref = dblquad(
+            lambda xi, eta: math.exp(-25 * (eta - 0.3) ** 2)
+            * math.exp(-20 * (xi + 0.2) ** 2)
+            * math.exp(-1.2 * (x - eta - xi - 0.5) ** 2),
+            -0.8, 1.4, -1.4, 1.0, epsabs=1e-14, epsrel=1e-14,
+        )[0]
+        assert abs(value - ref) <= 1e-9
 
 
 def test_quadrature_order_doubling(ws):
@@ -255,6 +278,24 @@ def test_adjoint_matches_quadrature_reference_on_S(ws, ctx):
             lo, hi, lo, hi, **tol,
         )[0]
         assert abs(nested[i] - ref) <= 1e-9
+
+
+def test_apply_adjoint_rejects_infinite_values(ws, ctx):
+    """A reference weight vanishing on the grid divides by zero; like
+    apply_op, the gridded adjoint raises instead of returning inf."""
+    b = ker.transpose(ws.kernels["gauss_T"])
+
+    def weight(p):
+        return np.atleast_2d(p)[:, 0] ** 2
+
+    pts = oper.grid_points(np.array([[-1.0, 1.0]]), (5,))
+    with np.errstate(divide="ignore"):
+        vals = oper.adjoint_values(b, ws.functions["f_T"], pts, ctx,
+                                   mu_weight=weight)
+        assert np.isinf(vals[2]) and np.all(np.isfinite(np.delete(vals, 2)))
+        with pytest.raises(QuadratureFailure):
+            oper.apply_adjoint(b, ws.functions["f_T"], [[-1.0, 1.0]], (5,), ctx,
+                               mu_weight=weight)
 
 
 def test_adjoint_rejects_diracs(ws, ctx):
