@@ -65,5 +65,6 @@ class InsufficientLeafSampling(FoliopsError):
     """A fibre point is farther than the leaf mesh from every sample."""
 
 
-class ConfigError(FoliopsError):
-    """Workspace configuration is malformed or has unresolved references."""
+class ConfigError(FoliopsError, ValueError):
+    """Workspace configuration or a numerical setting is malformed, or a
+    reference is unresolved."""

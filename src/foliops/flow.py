@@ -1,25 +1,47 @@
 """Unit-time flows of generator combinations, their inverses and Jacobians.
 
 The map realized here sends (xi, x) to the time-1 state of the initial
-value problem y' = sum_i xi_i X_i(y), y(0) = x.  Everything is built on
-one batched Dormand-Prince 5(4) integrator: a whole batch of
-trajectories marches in lockstep, with the step size controlled by the
-worst scaled error over still-active rows.  That keeps the per-step cost
-at a handful of numpy calls even for the ~10^5-row batches produced by
-fibre quadrature.
+value problem y' = sum_i xi_i X_i(y), y(0) = x.  There are two backends,
+chosen from the generators themselves:
 
-Flow Jacobians are integrated from the variational equation
-J' = (sum_i xi_i DX_i(y)) J alongside the trajectory; finite differences
-are kept in the test suite only, as an oracle.
+* Affine families (every generator Jacobian entry is a constant node, so
+  X_i(y) = A_i y + b_i) take the exact flow.  With G(xi) the augmented
+  matrix [[sum xi_i A_i, sum xi_i b_i], [0, 0]], the flow is the affine
+  map of expm(G) (scipy's scaling and squaring, Al-Mohy & Higham 2009),
+  its Jacobian is the linear block, and the back flow uses -G.  One
+  ``expm`` is taken per distinct xi row; fibre quadrature tiles a few
+  nodes over many base points, and that period is found in O(N).  No
+  steps are taken, so tolerances and the step budget do not apply.
+* Every other family takes one batched Dormand-Prince 5(4) integrator: a
+  whole batch of trajectories marches in lockstep, with the step size
+  controlled by the worst scaled error over still-active rows.  That
+  keeps the per-step cost at a handful of numpy calls even for the
+  ~10^5-row batches produced by fibre quadrature.  Its Jacobians are
+  integrated from the variational equation J' = (sum_i xi_i DX_i(y)) J
+  alongside the trajectory; finite differences are kept in the test
+  suite only, as an oracle.
+
+A row escapes when its trajectory leaves the escape box or turns
+non-finite.  DP45 checks the state after each accepted step.  The exact
+backend checks the start and the endpoint of every row and, on rows that
+two bounds do not already keep inside the box, the path at t = k/64.  The
+rule is sampled: an excursion between two samples goes unseen.
+The bounds are the log-norm ball |y(t)| <= e^{mu+} (|x| + |g|), with mu
+the largest eigenvalue of the symmetric part of the linear block and g
+the constant part, and the chord bound: y(t) stays within
+|G_A|_F e^{|G_A|_F} |G_A x + g| / 8 of the segment from x to y(1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .errors import DomainEscape, StepLimit
+from .errors import ConfigError, DomainEscape, StepLimit
+from .expr import Const
 
 __all__ = ["FlowConfig", "exp_flow", "back_flow", "flow_jacobian",
            "exp_flow_batch", "back_flow_batch", "flow_jacobian_batch"]
@@ -51,13 +73,18 @@ class FlowConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        for tol in (self.abs_tol, self.rel_tol):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ConfigError(
+                    f"flow tolerances must be finite and positive, got {tol}")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 DEFAULT_FLOW = FlowConfig()
+
+# The exact backend samples escape along candidate paths at t = k/_PATH_SAMPLES.
+_PATH_SAMPLES = 64
 
 
 def _combined_rhs(foliation, xi, with_jacobian):
@@ -83,6 +110,121 @@ def _combined_rhs(foliation, xi, with_jacobian):
 
 
 def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
+    """Unit-time flow of the batch; returns (Y, J|None, escaped)."""
+    N, n = x.shape
+    if not np.any(np.abs(xi) > 0):
+        J = np.tile(np.eye(n), (N, 1, 1)) if with_jacobian else None
+        return x.copy(), J, np.zeros(N, dtype=bool)
+    parts = _affine_parts(foliation)
+    if parts is None:
+        return _dp45(foliation, xi, x, cfg, direction, with_jacobian)
+    return _affine_flow(foliation, *parts, direction * xi, x, with_jacobian)
+
+
+def _affine_parts(foliation):
+    """(A, b) with X_i(y) = A[i] y + b[i], or None unless every X_i is affine."""
+    A = []
+    for g in foliation.generators:
+        rows = g.jacobian_exprs()
+        if not all(isinstance(e.node, Const) for row in rows for e in row):
+            return None
+        A.append([[e.node.value for e in row] for row in rows])
+    origin = np.zeros((1, foliation.dim))
+    b = np.stack([g(origin, check_finite=False)[0] for g in foliation.generators])
+    return np.array(A, dtype=float), b
+
+
+def _distinct_rows(xi):
+    """(reps, inv) with xi == reps[inv]; inv is None when xi is reps tiled.
+
+    Fibre quadrature passes its nodes tiled over base points, so the
+    period is the first repeat of row 0; only a batch that is not whole
+    tiles of it is sorted.
+    """
+    N = len(xi)
+    if N == 1:
+        return xi, None
+    repeats = np.flatnonzero(np.all(xi[1:] == xi[0], axis=1))
+    if len(repeats):
+        Q = int(repeats[0]) + 1
+        if N % Q == 0 and np.array_equal(xi[Q:], xi[:-Q]):
+            return xi[:Q], None
+    reps, inv = np.unique(xi, axis=0, return_inverse=True)
+    return reps, inv.reshape(-1)
+
+
+def _affine_map(E, y):
+    """Points y (..., n) through augmented affine maps E (..., n+1, n+1)."""
+    n = y.shape[-1]
+    return E[..., :n, n] + sum(y[..., j, None] * E[..., :n, j] for j in range(n))
+
+
+# Row reductions below loop over the few columns: numpy reduces a short
+# trailing axis several times slower than it combines whole columns.
+def _outside(Y, lo, hi):
+    """Rows outside [lo, hi] or non-finite (NaN fails both comparisons)."""
+    inside = True
+    for k in range(Y.shape[-1]):
+        inside = inside & (lo[k] <= Y[..., k]) & (Y[..., k] <= hi[k])
+    return ~inside
+
+
+def _row_norm(Y):
+    return np.sqrt(sum(Y[..., k] ** 2 for k in range(Y.shape[-1])))
+
+
+def _affine_flow(foliation, A, b, xi, x, with_jacobian):
+    """Exact unit-time flow of sum_i xi_i (A_i y + b_i); xi carries the sign."""
+    N, n = x.shape
+    lo, hi = foliation.escape_box.T
+    reps, inv = _distinct_rows(xi)
+    # Per-distinct arrays broadcast against the rows viewed as (tiles, Q).
+    Q = len(reps) if inv is None else N
+    spread = (lambda a: a) if inv is None else (lambda a: a[inv])
+    x3 = x.reshape(-1, Q, n)
+    bad = ~np.all(np.isfinite(reps), axis=1)
+    reps = np.where(bad[:, None], 0.0, reps)  # DP45 leaves such rows at x
+    G = np.zeros((len(reps), n + 1, n + 1))
+    G[:, :n, :n] = np.einsum("dm,mij->dij", reps, A)
+    G[:, :n, n] = reps @ b
+    E = expm(G)
+    Y3 = _affine_map(spread(E), x3)
+    escaped = (spread(bad) | _outside(x3, lo, hi) | _outside(Y3, lo, hi)).reshape(N)
+    Y = Y3.reshape(N, n)
+
+    # Rows that neither bound keeps inside get their path sampled.
+    GA, g = G[:, :n, :n], G[:, :n, n]
+    mu = np.linalg.eigvalsh((GA + GA.transpose(0, 2, 1)) / 2)[:, -1]
+    radius = spread(np.exp(np.maximum(mu, 0.0))) * (_row_norm(x3) + spread(_row_norm(g)))
+    in_ball = (radius < np.min(np.minimum(hi, -lo))).reshape(N)
+    rows = np.flatnonzero(~escaped & ~in_ball)
+    d = rows % Q if inv is None else inv[rows]
+    norm = np.linalg.norm(GA, axis=(1, 2))
+    chord = (norm * np.exp(norm))[d] / 8 * _row_norm(_affine_map(G[d], x[rows]))
+    margin = np.min(np.minimum(np.minimum(x[rows] - lo, hi - x[rows]),
+                               np.minimum(Y[rows] - lo, hi - Y[rows])), axis=1)
+    near = ~(chord < margin)
+    escaped[rows[near]] = _sampled_escape(G, d[near], x[rows[near]], lo, hi)
+
+    J = None
+    if with_jacobian:
+        J = np.broadcast_to(spread(E[:, :n, :n]), (N // Q, Q, n, n)).reshape(N, n, n)
+    return Y, J, escaped
+
+
+def _sampled_escape(G, d, x, lo, hi):
+    """Rows x that leave [lo, hi] at some t = k/_PATH_SAMPLES under expm(t G[d])."""
+    out = np.zeros(len(x), dtype=bool)
+    if len(x):
+        dist, sub = np.unique(d, return_inverse=True)
+        step = expm(G[dist] / _PATH_SAMPLES)[sub]
+        for _ in range(_PATH_SAMPLES - 1):
+            x = _affine_map(step, x)
+            out |= _outside(x, lo, hi)
+    return out
+
+
+def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
     """Lockstep adaptive DP45 over the batch; returns (Y, J|None, escaped)."""
     N, n = x.shape
     state = x.copy()
@@ -92,10 +234,6 @@ def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
     escaped = np.zeros(N, dtype=bool)
     lo = foliation.escape_box[:, 0]
     hi = foliation.escape_box[:, 1]
-
-    if not np.any(np.abs(xi) > 0):
-        J = np.tile(np.eye(n), (N, 1, 1)) if with_jacobian else None
-        return x.copy(), J, escaped
 
     rhs = _combined_rhs(foliation, direction * xi, with_jacobian)
 
@@ -180,7 +318,10 @@ def back_flow_batch(foliation, xi, x, cfg=None, allow_escape=False):
 
 
 def flow_jacobian_batch(foliation, xi, x, cfg=None, allow_escape=False):
-    """Jacobians d exp_flow(xi, .)/dx for a batch, via the variational equation."""
+    """Jacobians d exp_flow(xi, .)/dx for a batch.
+
+    Exact for affine families; otherwise from the variational equation.
+    """
     Y, J, escaped = _flow_batch(foliation, xi, x, cfg, allow_escape, +1.0,
                                 True, "flow")
     return (Y, J, escaped) if allow_escape else (Y, J)

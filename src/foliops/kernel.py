@@ -28,6 +28,7 @@ from . import bisubmersion as bis
 from . import flow as _flow
 from .errors import (
     BaseMismatch,
+    ConfigError,
     HostMismatch,
     NotTransverse,
     QuadratureFailure,
@@ -71,7 +72,7 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if self.order < 2 or self.order_highdim < 2:
-            raise ValueError("quadrature order must be >= 2")
+            raise ConfigError("quadrature order must be >= 2")
 
     def order_for(self, fibre_dim):
         return self.order if fibre_dim <= 1 else self.order_highdim

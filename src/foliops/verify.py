@@ -22,7 +22,8 @@ from . import kernel as ker
 from . import op as oper
 from .canonical import LEAF_SWEEP_COUNT, bump_fn, canonical_workspace
 from .errors import BracketNotZero
-from .foliation import involutivity_check, leaf_sweep
+from .expr import parse_field
+from .foliation import SingularFoliation, involutivity_check, leaf_sweep
 from .kernel import gauss_nodes
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "report_to_json"]
@@ -69,7 +70,14 @@ def suite_flows(ws):
         "rotation flow exp((pi/2),(1,0)) = (0,1)",
         float(np.linalg.norm(w - np.array([0.0, 1.0]))), 1e-8,
     )
-    return [r1, r2]
+    # The canonical families are affine and take the exact flow; this
+    # non-affine field keeps the general integrator under check.
+    Q = SingularFoliation(dim=1, chart_box=[[-2.0, 2.0]],
+                          generators=[parse_field("[x1^2]", 1)], xi_radius=[1.0])
+    u = _flow.exp_flow(Q, [0.5], [1.0], ctx.flow)
+    r3 = CheckResult.bounded("quadratic flow exp((0.5),1) = 1/(1-0.5) = 2",
+                             abs(u[0] - 2.0), 1e-8)
+    return [r1, r2, r3]
 
 
 # --- 2. translation operators ---------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 from foliops.verify import SUITES, run_suites
 
 _EXPECTED_MIN_CHECKS = {
-    "flows": 2,
+    "flows": 3,
     "translation": 1,
     "composition": 6,
     "associativity": 1,

@@ -73,10 +73,25 @@ def test_unknown_names_exit_2(capsys):
                    "--box", "[[-1,1]]", "--res", "5") == 2
 
 
-def test_step_limit_exit_5(capsys):
-    assert run_cli("flow", "--foliation", "S", "--xi", "1", "--point", "2",
-                   "--ode-max-steps", "1") == 5
+def test_step_limit_exit_5(tmp_path, capsys):
+    # Affine families take the exact flow and no steps, so the field is not.
+    cfg = tmp_path / "quadratic.json"
+    cfg.write_text(json.dumps({"foliations": {"Q": {
+        "dim": 1, "box": [[-2, 2]], "generators": ["[x1^2]"], "xi_radius": [1.0]}}}))
+    assert run_cli("flow", "--config", str(cfg), "--foliation", "Q",
+                   "--xi", "0.5", "--point", "1", "--ode-max-steps", "1") == 5
     assert capsys.readouterr().err.startswith("error: StepLimit:")
+
+
+@pytest.mark.parametrize("setting", [("--ode-tol", "nan"), ("--ode-tol", "-1"),
+                                     ("--ode-tol", "inf"), ("--ode-max-steps", "0"),
+                                     ("--quad-order", "1")])
+def test_bad_numerical_settings_exit_2(setting, capsys):
+    assert run_cli("flow", "--foliation", "S", "--xi", "1", "--point", "2",
+                   *setting) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
+    assert run_cli("apply", "--kernel", "gauss_R", "--function", "f_R",
+                   "--box", "[[-1,1],[-1,1]]", "--res", "3,3", *setting) == 2
 
 
 def test_apply_identity_kernel(tmp_path):
@@ -153,6 +168,7 @@ def test_verify_single_suite(tmp_path):
     assert {e["check"] for e in report} == {
         "scaling flow exp((1),2) = 2e",
         "rotation flow exp((pi/2),(1,0)) = (0,1)",
+        "quadratic flow exp((0.5),1) = 1/(1-0.5) = 2",
     }
 
 

@@ -1,15 +1,24 @@
-"""Flows: closed forms, group laws, variational Jacobians, escapes."""
+"""Flows: closed forms, group laws, variational Jacobians, escapes.
+
+Affine families take the exact backend through the public entry points;
+the closed-form tests run them and the DP45 integrator, called directly,
+side by side.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from foliops.errors import DomainEscape, StepLimit
+from foliops.canonical import canonical_workspace
+from foliops.errors import ConfigError, DomainEscape, StepLimit
 from foliops.expr import parse_field
 from foliops.flow import (
+    DEFAULT_FLOW,
     FlowConfig,
+    _dp45,
     back_flow,
+    back_flow_batch,
     exp_flow,
     exp_flow_batch,
     flow_jacobian,
@@ -18,6 +27,29 @@ from foliops.flow import (
 from foliops.foliation import SingularFoliation
 
 TWO_E = 5.436563656918090  # 2 * e, closed-form solution of y' = y from 2
+FAMILIES = ["T", "R", "S", "C", "noninvolutive"]
+
+
+def _dp45_batch(direction, with_jacobian):
+    """A batch entry point run through the DP45 integrator directly."""
+
+    def run(F, xi, x):
+        Y, J, escaped = _dp45(F, np.atleast_2d(np.asarray(xi, float)),
+                              np.atleast_2d(np.asarray(x, float)), DEFAULT_FLOW,
+                              direction, with_jacobian)
+        assert not np.any(escaped)
+        return (Y, J) if with_jacobian else Y
+
+    return run
+
+
+# (flow, back flow, flow Jacobian) per backend; the public entry points take
+# the exact backend for the affine families below.
+BACKENDS = {
+    "exact": (exp_flow_batch, back_flow_batch, flow_jacobian_batch),
+    "dp45": (_dp45_batch(1.0, False), _dp45_batch(-1.0, False),
+             _dp45_batch(1.0, True)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -34,39 +66,56 @@ def rotation():
                              xi_radius=[2.5])
 
 
+@pytest.fixture(scope="module")
+def quadratic():
+    """Non-affine: y' = xi y^2 flows x to x / (1 - xi x)."""
+    return SingularFoliation(dim=1, chart_box=[[-2, 2]],
+                             generators=[parse_field("[x1^2]", 1)],
+                             xi_radius=[1.0])
+
+
+@pytest.fixture(scope="module")
+def canonical():
+    return canonical_workspace().foliations
+
+
 def test_scaling_closed_form(scaling):
-    assert abs(exp_flow(scaling, [1.0], [2.0])[0] - TWO_E) <= 1e-8
+    for name, (fwd, _, _) in BACKENDS.items():
+        assert abs(fwd(scaling, [1.0], [2.0])[0, 0] - TWO_E) <= 1e-8, name
 
 
 def test_zero_xi_is_identity(rotation):
     x = np.array([0.7, -1.1])
     assert np.array_equal(exp_flow(rotation, [0.0], x), x)
+    for name, (fwd, _, _) in BACKENDS.items():
+        assert np.array_equal(fwd(rotation, [0.0], x)[0], x), name
 
 
 def test_rotation_closed_form(rotation):
-    v = exp_flow(rotation, [math.pi / 2], [1.0, 0.0])
-    assert np.linalg.norm(v - [0.0, 1.0]) <= 1e-8
+    for name, (fwd, _, _) in BACKENDS.items():
+        v = fwd(rotation, [math.pi / 2], [1.0, 0.0])[0]
+        assert np.linalg.norm(v - [0.0, 1.0]) <= 1e-8, name
 
 
 def test_back_flow_inverts(scaling):
-    x = back_flow(scaling, [1.0], [TWO_E])
-    assert abs(x[0] - 2.0) <= 1e-8
+    assert abs(back_flow(scaling, [1.0], [TWO_E])[0] - 2.0) <= 1e-8
+    for name, (_, back, _) in BACKENDS.items():
+        assert abs(back(scaling, [1.0], [TWO_E])[0, 0] - 2.0) <= 1e-8, name
 
 
 def test_back_flow_rotation(rotation):
-    v = back_flow(rotation, [math.pi / 2], [0.0, 1.0])
-    assert np.linalg.norm(v - [1.0, 0.0]) <= 1e-8
+    for name, (_, back, _) in BACKENDS.items():
+        v = back(rotation, [math.pi / 2], [0.0, 1.0])[0]
+        assert np.linalg.norm(v - [1.0, 0.0]) <= 1e-8, name
 
 
 def test_back_flow_round_trip_many(rotation):
-    from foliops.flow import back_flow_batch
-
     rng = np.random.default_rng(7)
     xi = rng.uniform(-1.5, 1.5, size=(100, 1))
     x = rng.uniform(-1.2, 1.2, size=(100, 2))
-    fwd = exp_flow_batch(rotation, xi, x)
-    rt = back_flow_batch(rotation, xi, fwd)
-    assert np.max(np.linalg.norm(rt - x, axis=1)) <= 1e-7
+    for name, (fwd, back, _) in BACKENDS.items():
+        rt = back(rotation, xi, fwd(rotation, xi, x))
+        assert np.max(np.linalg.norm(rt - x, axis=1)) <= 1e-7, name
 
 
 def test_group_law_single_generator(scaling):
@@ -74,27 +123,31 @@ def test_group_law_single_generator(scaling):
     for _ in range(20):
         s, t = rng.uniform(-0.7, 0.7, size=2)
         x = rng.uniform(-1.5, 1.5, size=1)
-        one = exp_flow(scaling, [s + t], x)
-        two = exp_flow(scaling, [s], exp_flow(scaling, [t], x))
-        assert np.linalg.norm(one - two) <= 1e-7
+        for name, (fwd, _, _) in BACKENDS.items():
+            one = fwd(scaling, [s + t], x)
+            two = fwd(scaling, [s], fwd(scaling, [t], x))
+            assert np.linalg.norm(one - two) <= 1e-7, name
 
 
 def test_flow_jacobian_identity(rotation):
-    J = flow_jacobian(rotation, [0.0], [0.5, 0.5])
-    assert np.array_equal(J, np.eye(2))
+    assert np.array_equal(flow_jacobian(rotation, [0.0], [0.5, 0.5]), np.eye(2))
+    for name, (_, _, jac) in BACKENDS.items():
+        assert np.array_equal(jac(rotation, [0.0], [0.5, 0.5])[1][0], np.eye(2)), name
 
 
 def test_flow_jacobian_scaling_closed_form(scaling):
-    J = flow_jacobian(scaling, [1.0], [0.5])
-    assert abs(J[0, 0] - math.e) <= 1e-8
+    for name, (_, _, jac) in BACKENDS.items():
+        J = jac(scaling, [1.0], [0.5])[1][0]
+        assert abs(J[0, 0] - math.e) <= 1e-8, name
 
 
 def test_flow_jacobian_rotation_closed_form(rotation):
     th = 0.8
-    J = flow_jacobian(rotation, [th], [1.0, 0.2])
     R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    assert np.max(np.abs(J - R)) <= 1e-8
-    assert abs(np.linalg.det(J) - 1.0) <= 1e-8
+    for name, (_, _, jac) in BACKENDS.items():
+        J = jac(rotation, [th], [1.0, 0.2])[1][0]
+        assert np.max(np.abs(J - R)) <= 1e-8, name
+        assert abs(np.linalg.det(J) - 1.0) <= 1e-8, name
 
 
 def _fd_flow_jacobian(F, xi, x, h=1e-6):
@@ -126,11 +179,72 @@ def test_jacobian_determinant_positive(rotation, scaling):
     rng = np.random.default_rng(5)
     xi = rng.uniform(-1.5, 1.5, size=(50, 1))
     x = rng.uniform(-1.5, 1.5, size=(50, 2))
-    _, J = flow_jacobian_batch(rotation, xi, x)
-    assert np.all(np.linalg.det(J) > 0)
     xs = rng.uniform(-1.5, 1.5, size=(50, 1))
-    _, Js = flow_jacobian_batch(scaling, xi, xs)
-    assert np.all(np.linalg.det(Js) > 0)
+    for name, (_, _, jac) in BACKENDS.items():
+        _, J = jac(rotation, xi, x)
+        assert np.all(np.linalg.det(J) > 0), name
+        _, Js = jac(scaling, xi, xs)
+        assert np.all(np.linalg.det(Js) > 0), name
+
+
+def _closed_form(name, xi, x):
+    """Hand-written time-1 flows of the canonical families and their Jacobians."""
+    N, n = x.shape
+    a, b = xi[:, 0], xi[:, -1]
+    if name in ("T", "C"):
+        return x + xi, np.broadcast_to(np.eye(n), (N, n, n))
+    if name == "S":
+        return np.exp(a)[:, None] * x, np.exp(a)[:, None, None]
+    if name == "R":
+        c, s = np.cos(a), np.sin(a)
+        J = np.stack([np.stack([c, -s], 1), np.stack([s, c], 1)], 1)
+        return np.einsum("rij,rj->ri", J, x), J
+    # noninvolutive {[1, 0], [0, x1]}: the generators do not commute
+    Y = np.stack([x[:, 0] + a, x[:, 1] + b * x[:, 0] + a * b / 2], 1)
+    one, zero = np.ones(N), np.zeros(N)
+    J = np.stack([np.stack([one, zero], 1), np.stack([b, one], 1)], 1)
+    return Y, J
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_closed_form_references(canonical, name):
+    F = canonical[name]
+    rng = np.random.default_rng(17)
+    xi = rng.uniform(-1, 1, (500, F.num_generators)) * F.xi_radius
+    x = rng.uniform(F.chart_box[:, 0], F.chart_box[:, 1], (500, F.dim))
+    want, want_J = _closed_form(name, xi, x)
+    Y, J = flow_jacobian_batch(F, xi, x)
+    assert np.max(np.abs(exp_flow_batch(F, xi, x) - want)) <= 1e-12
+    assert np.max(np.abs(Y - want)) <= 1e-12
+    assert np.max(np.abs(J - want_J)) <= 1e-12
+    back = back_flow_batch(F, xi, x)
+    assert np.max(np.abs(back - _closed_form(name, -xi, x)[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_exact_backend_matches_dp45(canonical, name):
+    F = canonical[name]
+    rng = np.random.default_rng(23)
+    lo, hi = F.escape_box[:, 0], F.escape_box[:, 1]
+    xi = rng.uniform(-1, 1, (1000, F.num_generators)) * F.xi_radius
+    x = rng.uniform(lo, hi, (1000, F.dim))
+    if name == "R":
+        # Leaves [-8, 8]^2 mid-arc and ends inside, at (7.90, 3.26).
+        xi = np.vstack([xi, [[0.75]]])
+        x = np.vstack([x, [[8.0, -3.0]]])
+    Y, J, escaped = flow_jacobian_batch(F, xi, x, allow_escape=True)
+    Yd, Jd, escaped_d = _dp45(F, xi, x, DEFAULT_FLOW, 1.0, True)
+    assert np.array_equal(escaped, escaped_d)
+    assert 0 < np.sum(escaped) < len(x)
+    ok = ~escaped
+    assert np.max(np.abs(Y - Yd)[ok]) <= 1e-9
+    assert np.max(np.abs(J - Jd)[ok]) <= 1e-8
+    B, escaped_b = back_flow_batch(F, xi, x, allow_escape=True)
+    Bd, _, escaped_bd = _dp45(F, xi, x, DEFAULT_FLOW, -1.0, False)
+    assert np.array_equal(escaped_b, escaped_bd)
+    assert np.max(np.abs(B - Bd)[~escaped_b]) <= 1e-9
+    if name == "R":
+        assert escaped[-1]
 
 
 def test_domain_escape(scaling):
@@ -141,10 +255,24 @@ def test_domain_escape(scaling):
         exp_flow(scaling, [2.0], [2.0])
 
 
-def test_step_limit(scaling):
+def test_step_limit(quadratic):
     cfg = FlowConfig(abs_tol=1e-13, rel_tol=1e-13, max_steps=2)
     with pytest.raises(StepLimit):
-        exp_flow(scaling, [1.0], [1.0], cfg)
+        exp_flow(quadratic, [0.5], [1.0], cfg)
+
+
+def test_affine_flow_ignores_step_budget(scaling):
+    cfg = FlowConfig(max_steps=1)
+    assert abs(exp_flow(scaling, [1.0], [2.0], cfg)[0] - TWO_E) <= 1e-14
+    assert abs(flow_jacobian(scaling, [1.0], [2.0], cfg)[0, 0] - math.e) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [dict(abs_tol=float("nan")),
+                                 dict(rel_tol=float("inf")),
+                                 dict(abs_tol=-1.0), dict(max_steps=0)])
+def test_flow_config_rejects_bad_settings(bad):
+    with pytest.raises(ConfigError):
+        FlowConfig(**bad)
 
 
 def test_batched_escape_mask(scaling):
