@@ -511,9 +511,9 @@ class VectorFieldExpr:
         squeeze = X.ndim == 1
         if squeeze:
             X = X[None, :]
-        vals = np.stack(
-            [c(X, check_finite=check_finite) for c in self.components], axis=-1
-        )
+        vals = np.empty(X.shape[:-1] + (self.dim,))
+        for i, c in enumerate(self.components):
+            vals[..., i] = c(X, check_finite=check_finite)
         return vals[0] if squeeze else vals
 
     def jacobian_exprs(self):
@@ -529,14 +529,10 @@ class VectorFieldExpr:
         squeeze = X.ndim == 1
         if squeeze:
             X = X[None, :]
-        rows = self.jacobian_exprs()
-        J = np.stack(
-            [
-                np.stack([e(X, check_finite=check_finite) for e in row], axis=-1)
-                for row in rows
-            ],
-            axis=-2,
-        )
+        J = np.empty(X.shape[:-1] + (self.dim, self.dim))
+        for i, row in enumerate(self.jacobian_exprs()):
+            for j, e in enumerate(row):
+                J[..., i, j] = e(X, check_finite=check_finite)
         return J[0] if squeeze else J
 
     def __str__(self):

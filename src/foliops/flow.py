@@ -16,7 +16,12 @@ chosen from the generators themselves:
   whole batch of trajectories marches in lockstep, with the step size
   controlled by the worst scaled error over still-active rows.  That
   keeps the per-step cost at a handful of numpy calls even for the
-  ~10^5-row batches produced by fibre quadrature.  Its Jacobians are
+  ~10^5-row batches produced by fibre quadrature.  The last stage is
+  taken at the 5th-order solution, so it is the next step's first stage
+  (FSAL, Hairer-Norsett-Wanner II.5), and a rejected step keeps its
+  first stage too: each attempt costs six field evaluations.  The seven
+  stages live in buffers allocated once per call and are combined in
+  place, term by term in tableau order.  Its Jacobians are
   integrated from the variational equation J' = (sum_i xi_i DX_i(y)) J
   alongside the trajectory; finite differences are kept in the test
   suite only, as an oracle.
@@ -58,7 +63,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -87,24 +91,34 @@ DEFAULT_FLOW = FlowConfig()
 _PATH_SAMPLES = 64
 
 
-def _combined_rhs(foliation, xi, with_jacobian):
-    """RHS closure over a (N, n [+ n*n]) state batch; xi is (N, m)."""
-    n = foliation.dim
+def _field_rhs(foliation, xi, with_jacobian):
+    """RHS writing d/dt of a (N, n [+ n*n]) state batch into ``out``; xi is (N, m).
 
-    def rhs(state, active):
+    Each generator is evaluated through ``VectorFieldExpr`` once per call and
+    accumulated as xi_j X_j(Y); the variational term A J, with
+    A = sum_j xi_j DX_j(Y), is summed over the columns of A.
+    """
+    n = foliation.dim
+    gens = foliation.generators
+    xi2 = [xi[:, j, None] for j in range(len(gens))]
+    xi3 = [c[:, :, None] for c in xi2]
+
+    def rhs(state, out):
         Y = state[:, :n]
-        gen_vals = np.stack([g(Y, check_finite=False) for g in foliation.generators])
-        dY = np.einsum("jn,jnk->nk", xi.T, gen_vals)
-        if not with_jacobian:
-            return dY
-        J = state[:, n:].reshape(-1, n, n)
-        A = np.einsum(
-            "jn,jnkl->nkl",
-            xi.T,
-            np.stack([g.jacobian_at(Y, check_finite=False) for g in foliation.generators]),
-        )
-        dJ = np.einsum("nkl,nlp->nkp", A, J)
-        return np.concatenate([dY, dJ.reshape(-1, n * n)], axis=1)
+        dY = out[:, :n]
+        np.multiply(gens[0](Y, check_finite=False), xi2[0], out=dY)
+        for g, c in zip(gens[1:], xi2[1:]):
+            dY += c * g(Y, check_finite=False)
+        if with_jacobian:
+            A = gens[0].jacobian_at(Y, check_finite=False)
+            A *= xi3[0]
+            for g, c in zip(gens[1:], xi3[1:]):
+                A += c * g.jacobian_at(Y, check_finite=False)
+            J = state[:, n:].reshape(-1, n, n)
+            dJ = out[:, n:].reshape(-1, n, n)  # a view: the slice splits evenly
+            np.multiply(A[:, :, 0, None], J[:, None, 0, :], out=dJ)
+            for col in range(1, n):
+                dJ += A[:, :, col, None] * J[:, None, col, :]
 
     return rhs
 
@@ -112,7 +126,7 @@ def _combined_rhs(foliation, xi, with_jacobian):
 def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
     """Unit-time flow of the batch; returns (Y, J|None, escaped)."""
     N, n = x.shape
-    if not np.any(np.abs(xi) > 0):
+    if not np.any(xi != 0):  # NaN rows go on to a backend and escape
         J = np.tile(np.eye(n), (N, 1, 1)) if with_jacobian else None
         return x.copy(), J, np.zeros(N, dtype=bool)
     parts = _affine_parts(foliation)
@@ -224,23 +238,33 @@ def _sampled_escape(G, d, x, lo, hi):
     return out
 
 
+def _combine(out, coeffs, k, part):
+    """out = sum_j coeffs[j] k[j], summed from +0.0 in order; ``part`` is scratch."""
+    out.fill(0.0)
+    for a, kj in zip(coeffs, k):
+        np.multiply(kj, a, out=part)
+        out += part
+
+
 def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
     """Lockstep adaptive DP45 over the batch; returns (Y, J|None, escaped)."""
     N, n = x.shape
-    state = x.copy()
+    width = n + n * n if with_jacobian else n
+    state = np.empty((N, width))
+    state[:, :n] = x
     if with_jacobian:
-        eye = np.tile(np.eye(n).reshape(1, -1), (N, 1))
-        state = np.concatenate([state, eye], axis=1)
+        state[:, n:] = np.eye(n).reshape(-1)
     escaped = np.zeros(N, dtype=bool)
-    lo = foliation.escape_box[:, 0]
-    hi = foliation.escape_box[:, 1]
+    lo, hi = foliation.escape_box.T
 
-    rhs = _combined_rhs(foliation, direction * xi, with_jacobian)
+    rhs = _field_rhs(foliation, direction * xi, with_jacobian)
+    k = list(np.empty((7, N, width)))
+    stage, y4, part, scale = np.empty((4, N, width))
+    rhs(state, k[0])
 
     t = 0.0
     h = 0.05
     attempts = 0
-    k = [None] * 7
     while t < 1.0:
         attempts += 1
         if attempts > cfg.max_steps:
@@ -248,33 +272,47 @@ def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
                 f"integrator exceeded {cfg.max_steps} step attempts at t={t:.6f}"
             )
         h = min(h, 1.0 - t)
-        k[0] = rhs(state, ~escaped)
         for s in range(1, 7):
-            incr = np.zeros_like(state)
-            for j, a in enumerate(_A[s]):
-                incr += a * k[j]
-            k[s] = rhs(state + h * incr, ~escaped)
-        y5 = state + h * sum(b * ki for b, ki in zip(_B5, k))
-        y4 = state + h * sum(b * ki for b, ki in zip(_B4, k))
+            _combine(stage, _A[s], k, part)
+            stage *= h
+            stage += state
+            rhs(stage, k[s])
+        # _A[6] holds the 5th-order weights (their weight on k[6] is zero), so
+        # the last stage point is the 5th-order solution and k[6] is the
+        # field there (FSAL).
+        y5 = stage
+        _combine(y4, _B4, k, part)
+        y4 *= h
+        y4 += state
 
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(state), np.abs(y5))
+        np.abs(state, out=scale)
+        np.maximum(scale, np.abs(y5, out=part), out=scale)
+        scale *= cfg.rel_tol
+        scale += cfg.abs_tol
         with np.errstate(invalid="ignore"):
-            err_rows = np.max(np.abs(y5 - y4) / scale, axis=1)
-        err_rows = np.where(escaped, 0.0, err_rows)
+            np.subtract(y5, y4, out=part)
+            np.abs(part, out=part)
+            part /= scale
+            err_rows = part[:, 0].copy()
+            for col in range(1, width):
+                np.maximum(err_rows, part[:, col], out=err_rows)
+        err_rows[escaped] = 0.0
         bad = ~np.isfinite(err_rows)
         if np.any(bad):
             escaped |= bad
-            err_rows = np.where(bad, 0.0, err_rows)
+            err_rows[bad] = 0.0
         err = float(np.max(err_rows)) if len(err_rows) else 0.0
 
         if err <= 1.0:
-            state = np.where(escaped[:, None], state, y5)
+            np.copyto(state, y5, where=~escaped[:, None])
             t += h
-            pos = state[:, :n]
-            out = np.any((pos < lo) | (pos > hi) | ~np.isfinite(pos), axis=1)
-            escaped |= out
+            escaped |= _outside(state[:, :n], lo, hi)
             if np.all(escaped):
                 break
+            k[0], k[6] = k[6], k[0]
+            # Escaped rows are frozen; a zero first stage keeps their
+            # discarded stages from compounding step after step.
+            k[0][escaped] = 0.0
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         else:
             h *= max(0.2, 0.9 * err ** -0.2)

@@ -135,8 +135,7 @@ def gauss_nodes(box, order):
 
 
 def _in_box(points, box, tol=0.0):
-    p = np.atleast_2d(points)
-    return np.all((p >= box[:, 0] - tol) & (p <= box[:, 1] + tol), axis=1)
+    return ~_flow._outside(np.atleast_2d(points), box[:, 0] - tol, box[:, 1] + tol)
 
 
 def _as_coeff_fn(c, box):

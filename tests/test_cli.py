@@ -34,6 +34,13 @@ def test_flow_command(tmp_path):
     assert abs(data["jacobian"][0][0] - math.e) <= 1e-8
 
 
+@pytest.mark.parametrize("foliation, xi", [("R", "nan"), ("C", "nan,1")])
+def test_flow_nan_xi_exit_3(foliation, xi, capsys):
+    assert run_cli("flow", "--foliation", foliation, "--xi", xi,
+                   "--point", "1,0") == 3
+    assert capsys.readouterr().err.startswith("error: DomainEscape:")
+
+
 def test_leaf_command_circle(tmp_path):
     out = tmp_path / "leaf.csv"
     svg = tmp_path / "leaf.svg"

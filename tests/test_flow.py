@@ -12,7 +12,7 @@ import pytest
 
 from foliops.canonical import canonical_workspace
 from foliops.errors import ConfigError, DomainEscape, StepLimit
-from foliops.expr import parse_field
+from foliops.expr import VectorFieldExpr, parse_field
 from foliops.flow import (
     DEFAULT_FLOW,
     FlowConfig,
@@ -175,6 +175,21 @@ def test_flow_jacobian_vs_finite_differences():
         assert np.max(np.abs(J - Jfd)) <= 1e-7 * (1 + np.max(np.abs(J)))
 
 
+def test_flow_jacobian_batch_two_generators_vs_finite_differences():
+    # Two generators with non-constant DX: A = xi_1 DX_1 + xi_2 DX_2 in A J.
+    F = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                          generators=[parse_field("[x2, sin(x1)]", 2),
+                                      parse_field("[x1*x2, 0]", 2)],
+                          xi_radius=[1.0, 1.0])
+    rng = np.random.default_rng(13)
+    xi = rng.uniform(-0.8, 0.8, size=(10, 2))
+    x = rng.uniform(-1.0, 1.0, size=(10, 2))
+    _, J = flow_jacobian_batch(F, xi, x)
+    for i in range(len(x)):
+        Jfd = _fd_flow_jacobian(F, xi[i], x[i])
+        assert np.max(np.abs(J[i] - Jfd)) <= 1e-7 * (1 + np.max(np.abs(J[i])))
+
+
 def test_jacobian_determinant_positive(rotation, scaling):
     rng = np.random.default_rng(5)
     xi = rng.uniform(-1.5, 1.5, size=(50, 1))
@@ -255,6 +270,57 @@ def test_domain_escape(scaling):
         exp_flow(scaling, [2.0], [2.0])
 
 
+def test_runaway_row_is_masked(quadratic):
+    # y' = xi y^2 from x blows up at t = 1 / (xi x): only the third row does
+    # so before t = 1 (at t = 2/3).
+    x = np.array([[1.0], [0.5], [1.5], [1.2]])
+    xi = np.array([[0.5], [0.9], [1.0], [-0.7]])
+    Y, J, escaped = flow_jacobian_batch(quadratic, xi, x, allow_escape=True)
+    assert escaped.tolist() == [False, False, True, False]
+    ok = ~escaped
+    d = 1 - xi[ok] * x[ok]
+    assert np.max(np.abs(Y[ok] - x[ok] / d)) <= 1e-9
+    assert np.max(np.abs(J[ok][:, :, 0] - 1 / d**2)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_escaped_row_stays_quiet(quadratic):
+    # Row 0 leaves [-8, 8] at t = 0.40, then row 1 lets the step grow; the
+    # frozen row's discarded stages must not overflow.
+    Y, J, escaped = flow_jacobian_batch(quadratic, [[1.0], [0.1]], [[1.9], [0.1]],
+                                        allow_escape=True)
+    assert escaped.tolist() == [True, False]
+    assert abs(Y[1, 0] - 0.1 / 0.99) <= 1e-9
+    assert abs(J[1, 0, 0] - 1 / 0.99**2) <= 1e-9
+
+
+# From x = 1.2 with xi = -0.7 one of the 25 step attempts is rejected.
+@pytest.mark.parametrize("xi, x", [(0.5, 1.0), (-0.7, 1.2)])
+def test_dp45_reuses_last_stage(quadratic, monkeypatch, xi, x):
+    """One field evaluation to start, then six per step attempt (FSAL)."""
+    calls = []
+    field_call = VectorFieldExpr.__call__
+
+    def counted(self, points, check_finite=True):
+        calls.append(1)
+        return field_call(self, points, check_finite)
+
+    monkeypatch.setattr(VectorFieldExpr, "__call__", counted)
+    xi, x = np.array([[xi]]), np.array([[x]])
+    # Budgets of 1, 2, ... attempts; the first that suffices ends the loop.
+    for attempts in range(1, 100):
+        calls.clear()
+        try:
+            _dp45(quadratic, xi, x, FlowConfig(max_steps=attempts), 1.0, False)
+            finished = True
+        except StepLimit:
+            finished = False
+        assert len(calls) == 1 + 6 * attempts
+        if finished:
+            break
+    assert finished and attempts > 1
+
+
 def test_step_limit(quadratic):
     cfg = FlowConfig(abs_tol=1e-13, rel_tol=1e-13, max_steps=2)
     with pytest.raises(StepLimit):
@@ -273,6 +339,13 @@ def test_affine_flow_ignores_step_budget(scaling):
 def test_flow_config_rejects_bad_settings(bad):
     with pytest.raises(ConfigError):
         FlowConfig(**bad)
+
+
+def test_nan_xi_escapes(canonical):
+    for name, xi in (("R", [[np.nan]]), ("C", [[np.nan, 1.0]])):
+        _, escaped = exp_flow_batch(canonical[name], xi, [[1.0, 0.0]],
+                                    allow_escape=True)
+        assert escaped.tolist() == [True], name
 
 
 def test_batched_escape_mask(scaling):
