@@ -287,7 +287,8 @@ def _add_common(p):
     p.add_argument("--out", default="-", help="output path (default stdout)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ode-tol", type=float, default=None)
-    p.add_argument("--ode-max-steps", type=int, default=None)
+    p.add_argument("--ode-max-steps", type=int, default=None,
+                   help="step attempts allowed per flow trajectory")
     p.add_argument("--quad-order", type=int, default=None)
     p.add_argument("--strict", action="store_true",
                    help="fail hard on escaped points instead of masking")

@@ -12,19 +12,23 @@ chosen from the generators themselves:
   ``expm`` is taken per distinct xi row; fibre quadrature tiles a few
   nodes over many base points, and that period is found in O(N).  No
   steps are taken, so tolerances and the step budget do not apply.
-* Every other family takes one batched Dormand-Prince 5(4) integrator: a
-  whole batch of trajectories marches in lockstep, with the step size
-  controlled by the worst scaled error over still-active rows.  That
-  keeps the per-step cost at a handful of numpy calls even for the
-  ~10^5-row batches produced by fibre quadrature.  The last stage is
-  taken at the 5th-order solution, so it is the next step's first stage
-  (FSAL, Hairer-Norsett-Wanner II.5), and a rejected step keeps its
-  first stage too: each attempt costs six field evaluations.  The seven
-  stages live in buffers allocated once per call and are combined in
-  place, term by term in tableau order.  Its Jacobians are
-  integrated from the variational equation J' = (sum_i xi_i DX_i(y)) J
-  alongside the trajectory; finite differences are kept in the test
-  suite only, as an oracle.
+* Every other family takes one batched Dormand-Prince 5(4) integrator
+  with step control per row (Hairer-Norsett-Wanner II.4): each
+  trajectory has its own time and step size, accepts or rejects its own
+  steps, and leaves the batch when it reaches t = 1 or escapes.  Each
+  attempt runs a handful of numpy calls over the rows still active,
+  kept compacted at the front of buffers allocated once per call.  A row
+  of a ~10^5-row batch from fibre quadrature takes the attempts it needs
+  itself, not those of the batch's hardest row, and its result is the
+  same bits alone or in any batch.
+  The last stage is taken at the 5th-order solution, so it is the next
+  step's first stage (FSAL, Hairer-Norsett-Wanner II.5), and a rejected
+  step keeps its first stage too: each attempt costs six field
+  evaluations.  The step budget counts the attempts of each trajectory.
+  Jacobians are integrated from the variational equation
+  J' = (sum_i xi_i DX_i(y)) J alongside the trajectory and move with
+  their row; finite differences are kept in the test suite only, as an
+  oracle.
 
 A row escapes when its trajectory leaves the escape box or turns
 non-finite.  DP45 checks the state after each accepted step.  The exact
@@ -63,14 +67,16 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Error weights: the 5th-order weights _A[6] minus the 4th-order ones.
+_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Tolerances and budget for the embedded RK 4(5) integrator."""
+    """Tolerances and per-trajectory step-attempt budget for the embedded
+    RK 4(5) integrator."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -91,29 +97,28 @@ DEFAULT_FLOW = FlowConfig()
 _PATH_SAMPLES = 64
 
 
-def _field_rhs(foliation, xi, with_jacobian):
-    """RHS writing d/dt of a (N, n [+ n*n]) state batch into ``out``; xi is (N, m).
+def _field_rhs(foliation, with_jacobian):
+    """RHS writing d/dt of a (M, n [+ n*n]) state batch into ``out``.
 
-    Each generator is evaluated through ``VectorFieldExpr`` once per call and
-    accumulated as xi_j X_j(Y); the variational term A J, with
-    A = sum_j xi_j DX_j(Y), is summed over the columns of A.
+    ``xi`` holds the batch's (M, m) rows.  Each generator is evaluated
+    through ``VectorFieldExpr`` once per call and accumulated as
+    xi_j X_j(Y); the variational term A J, with A = sum_j xi_j DX_j(Y), is
+    summed over the columns of A.
     """
     n = foliation.dim
     gens = foliation.generators
-    xi2 = [xi[:, j, None] for j in range(len(gens))]
-    xi3 = [c[:, :, None] for c in xi2]
 
-    def rhs(state, out):
+    def rhs(state, xi, out):
         Y = state[:, :n]
         dY = out[:, :n]
-        np.multiply(gens[0](Y, check_finite=False), xi2[0], out=dY)
-        for g, c in zip(gens[1:], xi2[1:]):
-            dY += c * g(Y, check_finite=False)
+        np.multiply(gens[0](Y, check_finite=False), xi[:, 0, None], out=dY)
+        for j in range(1, len(gens)):
+            dY += xi[:, j, None] * gens[j](Y, check_finite=False)
         if with_jacobian:
             A = gens[0].jacobian_at(Y, check_finite=False)
-            A *= xi3[0]
-            for g, c in zip(gens[1:], xi3[1:]):
-                A += c * g.jacobian_at(Y, check_finite=False)
+            A *= xi[:, 0, None, None]
+            for j in range(1, len(gens)):
+                A += xi[:, j, None, None] * gens[j].jacobian_at(Y, check_finite=False)
             J = state[:, n:].reshape(-1, n, n)
             dJ = out[:, n:].reshape(-1, n, n)  # a view: the slice splits evenly
             np.multiply(A[:, :, 0, None], J[:, None, 0, :], out=dJ)
@@ -239,15 +244,24 @@ def _sampled_escape(G, d, x, lo, hi):
 
 
 def _combine(out, coeffs, k, part):
-    """out = sum_j coeffs[j] k[j], summed from +0.0 in order; ``part`` is scratch."""
-    out.fill(0.0)
-    for a, kj in zip(coeffs, k):
-        np.multiply(kj, a, out=part)
-        out += part
+    """out = sum_j coeffs[j] k[j] in order, skipping zero weights; ``part`` is scratch."""
+    np.multiply(k[0], coeffs[0], out=out)
+    for a, kj in zip(coeffs[1:], k[1:]):
+        if a:
+            np.multiply(kj, a, out=part)
+            out += part
 
 
 def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
-    """Lockstep adaptive DP45 over the batch; returns (Y, J|None, escaped)."""
+    """Adaptive DP45 with a step size per row; returns (Y, J|None, escaped).
+
+    Each row has its own time t and step h.  The M rows still active lead
+    every work buffer; a row that reaches t = 1 or escapes moves behind
+    them and is not touched again.  Every operation acts on each row
+    alone, so a row's result is the same bits alone or in any batch.
+    Rows only ever leave, so the loop count is the attempt count of every
+    active row, and the step budget applies to it.
+    """
     N, n = x.shape
     width = n + n * n if with_jacobian else n
     state = np.empty((N, width))
@@ -256,69 +270,89 @@ def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
         state[:, n:] = np.eye(n).reshape(-1)
     escaped = np.zeros(N, dtype=bool)
     lo, hi = foliation.escape_box.T
+    rhs = _field_rhs(foliation, with_jacobian)
 
-    rhs = _field_rhs(foliation, direction * xi, with_jacobian)
+    # Work buffers, allocated once.
     k = list(np.empty((7, N, width)))
-    stage, y4, part, scale = np.empty((4, N, width))
-    rhs(state, k[0])
+    stage, part = np.empty((2, N, width))
+    rows = np.arange(N)  # original index of each row of ``state``
+    xis = direction * xi
+    t, h, err, fac = np.zeros((4, N))
+    h.fill(0.05)
+    accepted, leaving = np.empty((2, N), dtype=bool)
+    rhs(state, xis, k[0])
 
-    t = 0.0
-    h = 0.05
+    M = N
     attempts = 0
-    while t < 1.0:
+    while M:
         attempts += 1
         if attempts > cfg.max_steps:
+            i = rows[0]
             raise StepLimit(
-                f"integrator exceeded {cfg.max_steps} step attempts at t={t:.6f}"
+                f"integrator exceeded {cfg.max_steps} step attempts on the row "
+                f"from {x[i]} with xi={xi[i]} at t={t[0]:.6f}"
             )
-        h = min(h, 1.0 - t)
+        st, y5, pt = state[:M], stage[:M], part[:M]
+        ks = [kj[:M] for kj in k]
+        tm, hm, em, fm, acc, lv = (a[:M] for a in (t, h, err, fac, accepted, leaving))
+        np.subtract(1.0, tm, out=fm)
+        np.minimum(hm, fm, out=hm)
+        hcol = hm[:, None]
         for s in range(1, 7):
-            _combine(stage, _A[s], k, part)
-            stage *= h
-            stage += state
-            rhs(stage, k[s])
+            _combine(y5, _A[s], ks, ks[s])  # k[s] is free until rhs fills it
+            y5 *= hcol
+            y5 += st
+            rhs(y5, xis[:M], ks[s])
         # _A[6] holds the 5th-order weights (their weight on k[6] is zero), so
         # the last stage point is the 5th-order solution and k[6] is the
         # field there (FSAL).
-        y5 = stage
-        _combine(y4, _B4, k, part)
-        y4 *= h
-        y4 += state
 
-        np.abs(state, out=scale)
-        np.maximum(scale, np.abs(y5, out=part), out=scale)
-        scale *= cfg.rel_tol
-        scale += cfg.abs_tol
+        # Scaled error of the 4th-order solution, max over columns.  Only
+        # k[0] and k[6] outlive the attempt, and k[1] has weight zero in
+        # _A[6] and _E, so k[1] and k[2] serve as scratch from here on.
+        d = ks[1]
+        _combine(d, _E, ks, pt)
+        d *= hcol
+        np.abs(d, out=d)
+        np.abs(st, out=pt)
+        np.maximum(pt, np.abs(y5, out=ks[2]), out=pt)
+        pt *= cfg.rel_tol
+        pt += cfg.abs_tol
         with np.errstate(invalid="ignore"):
-            np.subtract(y5, y4, out=part)
-            np.abs(part, out=part)
-            part /= scale
-            err_rows = part[:, 0].copy()
+            d /= pt
+            np.copyto(em, d[:, 0])
             for col in range(1, width):
-                np.maximum(err_rows, part[:, col], out=err_rows)
-        err_rows[escaped] = 0.0
-        bad = ~np.isfinite(err_rows)
-        if np.any(bad):
-            escaped |= bad
-            err_rows[bad] = 0.0
-        err = float(np.max(err_rows)) if len(err_rows) else 0.0
+                np.maximum(em, d[:, col], out=em)
 
-        if err <= 1.0:
-            np.copyto(state, y5, where=~escaped[:, None])
-            t += h
-            escaped |= _outside(state[:, :n], lo, hi)
-            if np.all(escaped):
-                break
-            k[0], k[6] = k[6], k[0]
-            # Escaped rows are frozen; a zero first stage keeps their
-            # discarded stages from compounding step after step.
-            k[0][escaped] = 0.0
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
-        else:
-            h *= max(0.2, 0.9 * err ** -0.2)
+        # Accepted rows advance and take k[6] as their first stage; rejected
+        # rows keep their state and first stage.
+        np.less_equal(em, 1.0, out=acc)
+        np.copyto(st, y5, where=acc[:, None])
+        np.add(tm, hm, out=tm, where=acc)
+        k[0], k[6] = k[6], k[0]
+        np.copyto(k[0][:M], k[6][:M], where=~acc[:, None])
+        # A non-finite error or an accepted step out of the box escapes.
+        np.isfinite(em, out=lv)
+        np.logical_not(lv, out=lv)
+        lv |= acc & _outside(st[:, :n], lo, hi)
+        escaped[rows[:M]] = lv
+        with np.errstate(divide="ignore"):
+            np.power(em, -0.2, out=fm)
+        fm *= 0.9
+        np.clip(fm, 0.2, 5.0, out=fm)
+        hm *= fm
 
-    Y = state[:, :n]
-    J = state[:, n:].reshape(N, n, n) if with_jacobian else None
+        lv |= tm >= 1.0
+        if np.any(lv):
+            order = np.argsort(lv, kind="stable")  # staying rows first
+            for a in (state, k[0], xis, t, h, rows):
+                a[:M] = a[:M][order]
+            M -= int(np.count_nonzero(lv))
+
+    out = np.empty_like(state)
+    out[rows] = state
+    Y = out[:, :n]
+    J = out[:, n:].reshape(N, n, n) if with_jacobian else None
     return Y, J, escaped
 
 

@@ -8,13 +8,14 @@ the generator matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import flow as _flow
-from .errors import DimensionMismatch, DomainEscape
+from .errors import ConfigError, DimensionMismatch
 from .expr import VectorFieldExpr, lie_bracket, parse_field
 
 __all__ = [
@@ -35,8 +36,9 @@ _RANK_CUTOFF = 1e-8
 class SingularFoliation:
     """Chart box M0, generating fields X_1..X_m and the xi box around 0.
 
-    ``escape_factor`` inflates the chart box into the integration domain:
-    flows are allowed to wander there, and raise DomainEscape beyond it.
+    ``escape_factor`` (finite, >= 1) inflates the chart box into the
+    integration domain: flows are allowed to wander there, and raise
+    DomainEscape beyond it.
     The chart box itself hosts foliation data and output grids.
     """
 
@@ -63,8 +65,14 @@ class SingularFoliation:
                 )
         if len(self.xi_radius) != len(self.generators):
             raise DimensionMismatch("xi_radius must have one entry per generator")
-        if np.any(self.xi_radius <= 0):
-            raise ValueError("xi_radius must be positive componentwise")
+        if not np.all(np.isfinite(self.xi_radius) & (self.xi_radius > 0)):
+            raise ConfigError(
+                f"xi_radius must be finite and positive, got {self.xi_radius}")
+        # A factor below 1 (or NaN) would put the chart box itself outside
+        # the integration domain, and every flow row would escape.
+        if not (math.isfinite(self.escape_factor) and self.escape_factor >= 1):
+            raise ConfigError(
+                f"escape_factor must be finite and >= 1, got {self.escape_factor}")
 
     @property
     def num_generators(self):
@@ -221,9 +229,13 @@ def leaf_dimension(F, x) -> int:
 def leaf_sample(F, x0, budget=400, cfg=None, mesh=1e-3, seed=0):
     """Breadth-first leaf exploration with random xi draws.
 
-    Applies exp_flow with xi drawn uniformly in the xi box, composing
-    words up to ``budget`` flow attempts; points closer than ``mesh`` to
-    an existing sample are dropped.  Escapes are recorded, not fatal.
+    Each queued point gets a fan of up to 8 flows with xi drawn uniformly
+    in the xi box, composing words up to ``budget`` flow attempts; points
+    closer than ``mesh`` to an existing sample are dropped.  Escapes are
+    recorded, not fatal.  The fans of all points queued so far go through
+    one batched flow call, and the new points are then de-duplicated in
+    draw order.  A flow row's result does not depend on its batch mates,
+    so the points are those one-row flows would give.
     """
     x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng(seed)
@@ -234,15 +246,23 @@ def leaf_sample(F, x0, budget=400, cfg=None, mesh=1e-3, seed=0):
     attempts = 0
     qpos = 0
     while attempts < budget and qpos < len(queue):
-        idx = queue[qpos]
-        qpos += 1
-        fan = min(8, budget - attempts)
-        for _ in range(fan):
-            attempts += 1
-            xi = rng.uniform(-F.xi_radius, F.xi_radius)
-            try:
-                p = _flow.exp_flow(F, xi, points[idx], cfg)
-            except DomainEscape:
+        # Points found from this frontier queue up behind it, so no fan of
+        # the frontier starts from one: all its fans go in one flow call.
+        starts, xis = [], []
+        for idx in queue[qpos:]:
+            if attempts >= budget:
+                break
+            qpos += 1
+            fan = min(8, budget - attempts)
+            attempts += fan
+            for _ in range(fan):
+                starts.append(idx)
+                xis.append(rng.uniform(-F.xi_radius, F.xi_radius))
+        ends, escaped = _flow.exp_flow_batch(
+            F, np.array(xis), np.array([points[i] for i in starts]), cfg,
+            allow_escape=True)
+        for idx, xi, p, esc in zip(starts, xis, ends, escaped):
+            if esc:
                 escapes += 1
                 continue
             d = np.min(np.linalg.norm(np.asarray(points) - p, axis=1))

@@ -101,6 +101,21 @@ def test_bad_numerical_settings_exit_2(setting, capsys):
                    "--box", "[[-1,1],[-1,1]]", "--res", "3,3", *setting) == 2
 
 
+@pytest.mark.parametrize("bad", [{"escape_factor": float("nan")},
+                                 {"escape_factor": -1.0}, {"escape_factor": 0.0},
+                                 {"xi_radius": [float("nan")]},
+                                 {"xi_radius": [float("inf")]}])
+def test_bad_foliation_config_exit_2(tmp_path, capsys, bad):
+    # Such values once made every flow row escape, so the run exited 3.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"foliations": {"Q": {
+        "dim": 1, "box": [[-2, 2]], "generators": ["[x1^2]"], "xi_radius": [1.0],
+        **bad}}}))
+    assert run_cli("flow", "--config", str(cfg), "--foliation", "Q",
+                   "--xi", "0.1", "--point", "0.5") == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
 def test_apply_identity_kernel(tmp_path):
     out = tmp_path / "grid.csv"
     code = run_cli("apply", "--kernel", "dirac_identity", "--function", "f_T",

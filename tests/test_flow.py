@@ -75,6 +75,13 @@ def quadratic():
 
 
 @pytest.fixture(scope="module")
+def pendulum():
+    return SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                             generators=[parse_field("[x2, -sin(x1)]", 2)],
+                             xi_radius=[1.0])
+
+
+@pytest.fixture(scope="module")
 def canonical():
     return canonical_workspace().foliations
 
@@ -294,37 +301,89 @@ def test_escaped_row_stays_quiet(quadratic):
     assert abs(J[1, 0, 0] - 1 / 0.99**2) <= 1e-9
 
 
+def _counting_rows(monkeypatch):
+    """Record the number of rows of every generator field evaluation."""
+    rows = []
+    field_call = VectorFieldExpr.__call__
+
+    def counted(self, points, check_finite=True):
+        rows.append(len(points))
+        return field_call(self, points, check_finite)
+
+    monkeypatch.setattr(VectorFieldExpr, "__call__", counted)
+    return rows
+
+
+def _attempts_needed(F, xi, x, rows):
+    """Step attempts one row needs: the smallest budget that lets it finish.
+
+    Checks on the way that each budget b costs 1 + 6 b field evaluations.
+    """
+    for attempts in range(1, 100):
+        rows.clear()
+        try:
+            _dp45(F, np.array([[xi]]), np.array([[x]]),
+                  FlowConfig(max_steps=attempts), 1.0, False)
+            finished = True
+        except StepLimit:
+            finished = False
+        assert rows == [1] * (1 + 6 * attempts)
+        if finished:
+            return attempts
+    raise AssertionError("row did not finish within 99 attempts")
+
+
 # From x = 1.2 with xi = -0.7 one of the 25 step attempts is rejected.
 @pytest.mark.parametrize("xi, x", [(0.5, 1.0), (-0.7, 1.2)])
 def test_dp45_reuses_last_stage(quadratic, monkeypatch, xi, x):
     """One field evaluation to start, then six per step attempt (FSAL)."""
-    calls = []
-    field_call = VectorFieldExpr.__call__
+    rows = _counting_rows(monkeypatch)
+    assert _attempts_needed(quadratic, xi, x, rows) > 1
 
-    def counted(self, points, check_finite=True):
-        calls.append(1)
-        return field_call(self, points, check_finite)
 
-    monkeypatch.setattr(VectorFieldExpr, "__call__", counted)
-    xi, x = np.array([[xi]]), np.array([[x]])
-    # Budgets of 1, 2, ... attempts; the first that suffices ends the loop.
-    for attempts in range(1, 100):
-        calls.clear()
-        try:
-            _dp45(quadratic, xi, x, FlowConfig(max_steps=attempts), 1.0, False)
-            finished = True
-        except StepLimit:
-            finished = False
-        assert len(calls) == 1 + 6 * attempts
-        if finished:
-            break
-    assert finished and attempts > 1
+def test_dp45_counts_attempts_per_row(quadratic, monkeypatch):
+    """N field rows to start, then six per attempt of each row: a row that
+    finishes leaves the batch, so it costs what it costs alone."""
+    rows = _counting_rows(monkeypatch)
+    starts = [(0.5, 1.0), (-0.7, 1.2)]
+    needed = [_attempts_needed(quadratic, xi, x, rows) for xi, x in starts]
+    assert needed[0] != needed[1]
+    rows.clear()
+    xi, x = np.array(starts).T
+    _dp45(quadratic, xi[:, None], x[:, None], DEFAULT_FLOW, 1.0, False)
+    assert sum(rows) == len(starts) + 6 * sum(needed)
+
+
+def test_dp45_row_independent_of_batch(pendulum):
+    """Each row of a mixed batch has the bits it has when flowed alone."""
+    rng = np.random.default_rng(31)
+    xi = rng.uniform(-2.5, 2.5, (40, 1))
+    x = rng.uniform(-3.0, 3.0, (40, 2))
+    # Rows 0-2: xi = 0; a step rejected twice; an escape past x1 = 8.
+    xi[:3] = [[0.0], [-1.0], [2.5]]
+    x[:3] = [[0.7, -0.4], [0.3, -1.2], [7.0, 3.0]]
+    fwd = exp_flow_batch(pendulum, xi, x, allow_escape=True)
+    back = back_flow_batch(pendulum, xi, x, allow_escape=True)
+    jac = flow_jacobian_batch(pendulum, xi, x, allow_escape=True)
+    assert fwd[1][2] and not np.any(fwd[1][:2])
+    for i in range(len(x)):
+        one = slice(i, i + 1)
+        for entry, batch in ((exp_flow_batch, fwd), (back_flow_batch, back),
+                             (flow_jacobian_batch, jac)):
+            alone = entry(pendulum, xi[one], x[one], allow_escape=True)
+            for a, b in zip(alone, batch):
+                assert a.tobytes() == b[one].tobytes(), (entry.__name__, i)
 
 
 def test_step_limit(quadratic):
     cfg = FlowConfig(abs_tol=1e-13, rel_tol=1e-13, max_steps=2)
     with pytest.raises(StepLimit):
         exp_flow(quadratic, [0.5], [1.0], cfg)
+    # At 1e-13 the first row finishes in 3 attempts and the second needs
+    # about a hundred; the message names the row that ran out.
+    cfg = FlowConfig(abs_tol=1e-13, rel_tol=1e-13, max_steps=3)
+    with pytest.raises(StepLimit, match=r"from \[1\.\] with xi=\[0\.5\] at t=0\.\d{6}$"):
+        exp_flow_batch(quadratic, [[0.1], [0.5]], [[0.1], [1.0]], cfg)
 
 
 def test_affine_flow_ignores_step_budget(scaling):

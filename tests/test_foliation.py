@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from foliops import flow as _flow
 from foliops.errors import DimensionMismatch
 from foliops.expr import parse_field
 from foliops.foliation import (
@@ -106,12 +107,30 @@ def test_leaf_sample_horizontal_line():
 
 
 def test_leaf_replay_reachability(rotation):
-    leaf = leaf_sample(rotation, [1.0, 0.0], budget=120, seed=2)
+    """Batched fans give the points of one-row flows: replay is exact."""
+    pendulum = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                                 generators=[parse_field("[x2, -sin(x1)]", 2)],
+                                 xi_radius=[1.0])
     rng = np.random.default_rng(0)
-    for idx in rng.choice(len(leaf.points), size=min(10, len(leaf.points)),
-                          replace=False):
-        replayed = leaf.replay(int(idx))
-        assert np.linalg.norm(replayed - leaf.points[idx]) <= 1e-6
+    for F in (rotation, pendulum):
+        leaf = leaf_sample(F, [1.0, 0.0], budget=120, seed=2)
+        assert max(len(w) for w in leaf.words) >= 2
+        for idx in rng.choice(len(leaf.points), size=min(10, len(leaf.points)),
+                              replace=False):
+            assert np.array_equal(leaf.replay(int(idx)), leaf.points[idx])
+
+
+def test_leaf_sample_batches_fans(rotation, monkeypatch):
+    rows = []
+    batch = _flow.exp_flow_batch
+
+    def counted(F, xi, x, *args, **kw):
+        rows.append(len(x))
+        return batch(F, xi, x, *args, **kw)
+
+    monkeypatch.setattr(_flow, "exp_flow_batch", counted)
+    leaf_sample(rotation, [1.0, 0.0], budget=123, seed=2)
+    assert sum(rows) == 123 and len(rows) <= 123 / 8
 
 
 def test_leaf_dimension_examples(rotation, plane):
