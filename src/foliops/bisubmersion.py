@@ -217,7 +217,7 @@ class PathHolonomy(Bisubmersion):
         return np.concatenate([self.foliation.xi_box, self.foliation.chart_box])
 
     def key(self):
-        return ("path_holonomy", id(self.foliation))
+        return ("path_holonomy", self.foliation.key())
 
     def describe(self):
         return f"path_holonomy({self.foliation})"
@@ -413,7 +413,7 @@ class Translate(_OnInner):
                         f"{side}-fibre chart of {self.name} translate")
 
     def key(self):
-        return (f"translate_{self.name}", self.inner.key(), id(self.bisection))
+        return (f"translate_{self.name}", self.inner.key(), self.bisection.key())
 
     def describe(self):
         return f"translate_{self.name}({self.inner.describe()})"
@@ -444,14 +444,20 @@ class Bisection:
     """
 
     def __init__(self, host, base_box, section_fn, phi_fn, phi_inv_fn, label="",
-                 valid_fn=None):
+                 valid_fn=None, key=None):
         self.host = host
         self.base_box = np.asarray(base_box, float)
         self._section = section_fn
         self._phi = phi_fn
         self._phi_inv = phi_inv_fn
         self._valid = valid_fn
+        self._key = key
         self.label = label
+
+    def key(self):
+        """Structural for constant bisections; otherwise the object itself,
+        held by the key so that it cannot be reused after collection."""
+        return self._key if self._key is not None else ("object", self)
 
     def section(self, x):
         return self._section(np.atleast_2d(np.asarray(x, float)))
@@ -503,8 +509,10 @@ def constant_bisection(host, xi0, base_box=None, label=""):
         pts, esc = _flow.back_flow_batch(F, np.tile(xi0, (len(x), 1)), x, cfg, True)
         return pts, ~esc
 
+    key = ("constant", host.key(), xi0.tobytes(),
+           np.asarray(base_box, float).tobytes())
     return Bisection(host, base_box, section, phi, phi_inv,
-                     label=label or f"xi0={xi0.tolist()}")
+                     label=label or f"xi0={xi0.tolist()}", key=key)
 
 
 def identity_bisection(host, base_box=None):

@@ -30,10 +30,12 @@ chosen from the generators themselves:
   their row; finite differences are kept in the test suite only, as an
   oracle.
 
-A row escapes when its trajectory leaves the escape box or turns
-non-finite.  DP45 checks the state after each accepted step.  The exact
-backend checks the start and the endpoint of every row and, on rows that
-two bounds do not already keep inside the box, the path at t = k/64.  The
+A row escapes when its start lies outside the escape box or is not
+finite, or when its trajectory leaves the box or turns non-finite.  Every
+path checks the start the same way (a zero xi row too, whose flow is the
+identity).  DP45 then checks the state after each accepted step.  The
+exact backend checks the endpoint of every row and, on rows that two
+bounds do not already keep inside the box, the path at t = k/64.  The
 rule is sampled: an excursion between two samples goes unseen.
 The bounds are the log-norm ball |y(t)| <= e^{mu+} (|x| + |g|), with mu
 the largest eigenvalue of the symmetric part of the linear block and g
@@ -133,7 +135,7 @@ def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
     N, n = x.shape
     if not np.any(xi != 0):  # NaN rows go on to a backend and escape
         J = np.tile(np.eye(n), (N, 1, 1)) if with_jacobian else None
-        return x.copy(), J, np.zeros(N, dtype=bool)
+        return x.copy(), J, _outside(x, *foliation.escape_box.T)
     parts = _affine_parts(foliation)
     if parts is None:
         return _dp45(foliation, xi, x, cfg, direction, with_jacobian)
@@ -257,32 +259,34 @@ def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
 
     Each row has its own time t and step h.  The M rows still active lead
     every work buffer; a row that reaches t = 1 or escapes moves behind
-    them and is not touched again.  Every operation acts on each row
-    alone, so a row's result is the same bits alone or in any batch.
+    them and is not touched again.  A row that starts outside the escape
+    box, or not finite, escapes before the first step and stays at x.
+    Every operation acts on each row alone, so a row's result is the same
+    bits alone or in any batch.
     Rows only ever leave, so the loop count is the attempt count of every
     active row, and the step budget applies to it.
     """
     N, n = x.shape
+    lo, hi = foliation.escape_box.T
+    escaped = _outside(x, lo, hi)
+    rows = np.argsort(escaped, kind="stable")  # original index of each row of state
+    M = N - int(np.count_nonzero(escaped))
     width = n + n * n if with_jacobian else n
     state = np.empty((N, width))
-    state[:, :n] = x
+    state[:, :n] = x[rows]
     if with_jacobian:
         state[:, n:] = np.eye(n).reshape(-1)
-    escaped = np.zeros(N, dtype=bool)
-    lo, hi = foliation.escape_box.T
     rhs = _field_rhs(foliation, with_jacobian)
 
     # Work buffers, allocated once.
     k = list(np.empty((7, N, width)))
     stage, part = np.empty((2, N, width))
-    rows = np.arange(N)  # original index of each row of ``state``
-    xis = direction * xi
+    xis = direction * xi[rows]
     t, h, err, fac = np.zeros((4, N))
     h.fill(0.05)
     accepted, leaving = np.empty((2, N), dtype=bool)
-    rhs(state, xis, k[0])
+    rhs(state[:M], xis[:M], k[0][:M])
 
-    M = N
     attempts = 0
     while M:
         attempts += 1

@@ -91,6 +91,12 @@ class SingularFoliation:
             [mid - self.escape_factor * half, mid + self.escape_factor * half], axis=1
         )
 
+    def key(self):
+        """Structural identity: equal for foliations built from equal data."""
+        return (self.dim, self.chart_box.tobytes(),
+                tuple(str(g) for g in self.generators),
+                self.xi_radius.tobytes(), float(self.escape_factor))
+
     def generator_matrix(self, points):
         """Columns X_1(p)..X_m(p); shape (..., n, m)."""
         pts = np.atleast_2d(np.asarray(points, float))
@@ -239,7 +245,11 @@ def leaf_sample(F, x0, budget=400, cfg=None, mesh=1e-3, seed=0):
     """
     x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng(seed)
-    points = [x0]
+    # Every kept point is the basepoint or the end of one attempt, so the
+    # samples fit a buffer of budget + 1 rows; ``count`` of them are filled.
+    points = np.empty((max(int(budget), 0) + 1, x0.size))
+    points[0] = x0
+    count = 1
     words = [[]]
     escapes = 0
     queue = [0]
@@ -259,23 +269,23 @@ def leaf_sample(F, x0, budget=400, cfg=None, mesh=1e-3, seed=0):
                 starts.append(idx)
                 xis.append(rng.uniform(-F.xi_radius, F.xi_radius))
         ends, escaped = _flow.exp_flow_batch(
-            F, np.array(xis), np.array([points[i] for i in starts]), cfg,
-            allow_escape=True)
+            F, np.array(xis), points[starts], cfg, allow_escape=True)
         for idx, xi, p, esc in zip(starts, xis, ends, escaped):
             if esc:
                 escapes += 1
                 continue
-            d = np.min(np.linalg.norm(np.asarray(points) - p, axis=1))
+            d = np.min(np.linalg.norm(points[:count] - p, axis=1))
             if d >= mesh:
-                points.append(p)
+                points[count] = p
                 words.append(words[idx] + [xi])
-                queue.append(len(points) - 1)
+                queue.append(count)
+                count += 1
         if qpos >= len(queue) and attempts < budget:
             qpos = 0  # rescan from the basepoint when the frontier empties
     return LeafSample(
         foliation=F,
         basepoint=x0,
-        points=np.asarray(points),
+        points=points[:count].copy(),
         words=words,
         mesh=mesh,
         leaf_dim=leaf_dimension(F, x0),

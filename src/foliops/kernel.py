@@ -19,6 +19,9 @@ are exact.
 
 from __future__ import annotations
 
+import hashlib
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -40,6 +43,7 @@ from .expr import ScalarExpr
 __all__ = [
     "QuadratureConfig",
     "PairingCtx",
+    "PlanStore",
     "FibredKernel",
     "DiracAtom",
     "DensityAtom",
@@ -81,34 +85,103 @@ class QuadratureConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 
+# Row budget for one quadrature batch; larger pairings are block-processed.
+_BLOCK_ROWS = 600_000
+
+# Bytes of plan arrays one store keeps; the least recently used plan goes
+# first.  It holds the 2-D fibre plan of a 41 x 41 grid at order 20 (31 MB).
+_PLAN_BUDGET = 64 * 2**20
+
+
+def _nbytes(blocks):
+    return sum(b.nbytes for b in blocks)
+
+
+def _plan_key(side, bases, ctx):
+    """The part of a plan's key that is not its atom."""
+    digest = hashlib.blake2b(np.ascontiguousarray(bases).data,
+                             digest_size=16).digest()
+    return (side, bases.shape, digest, ctx.quad, ctx.flow)
+
+
+class PlanStore:
+    """Fibre-quadrature plans of top-level pairings, keyed by the atom and
+    ``(side, bases shape, bases digest, quadrature, flow config)``.
+
+    The atom enters the key by a weak reference: a plan is dropped once
+    its atom is collected, and a later atom at the same address cannot
+    match it (a dead reference equals only itself).  Past ``budget``
+    bytes the least recently used plans are dropped.
+    """
+
+    def __init__(self):
+        self.budget = _PLAN_BUDGET
+        self.nbytes = 0
+        self._plans = OrderedDict()  # (atom ref, *key) -> (blocks, nbytes)
+        self._dead = []  # references of collected atoms, swept on next use
+
+    def __len__(self):
+        self._sweep()
+        return len(self._plans)
+
+    def get(self, atom, key):
+        self._sweep()
+        key = (weakref.ref(atom),) + key
+        entry = self._plans.get(key)
+        if entry is None:
+            return None
+        self._plans.move_to_end(key)
+        return entry[0]
+
+    def put(self, atom, key, blocks):
+        self._sweep()
+        old = self._plans.pop((weakref.ref(atom),) + key, None)
+        if old is not None:
+            self.nbytes -= old[1]
+        size = _nbytes(blocks)
+        self._plans[(weakref.ref(atom, self._dead.append),) + key] = \
+            (tuple(blocks), size)
+        self.nbytes += size
+        while self.nbytes > self.budget:
+            self.nbytes -= self._plans.popitem(last=False)[1][1]
+
+    def _sweep(self):
+        # Collection only queues the reference: a callback that changed
+        # the table could run in the middle of another operation on it.
+        while self._dead:
+            ref = self._dead.pop()
+            for key in [k for k in self._plans if k[0] is ref]:
+                self.nbytes -= self._plans.pop(key)[1]
+
+
 @dataclass
 class PairingCtx:
     quad: QuadratureConfig = field(default_factory=lambda: DEFAULT_QUAD)
     flow: object = None  # FlowConfig or None for the default
     depth: int = 0
     diag: list = None  # optional sink for (out_rows, f_points) records
+    plans: PlanStore = field(default_factory=PlanStore, repr=False)
 
     def deeper(self):
         if self.depth + 1 > self.quad.nesting_limit:
             raise QuadratureFailure(
                 f"convolution nesting exceeded {self.quad.nesting_limit}"
             )
-        return PairingCtx(self.quad, self.flow, self.depth + 1, self.diag)
+        return PairingCtx(self.quad, self.flow, self.depth + 1, self.diag,
+                          self.plans)
 
 
-# Row budget for one quadrature batch; larger pairings are block-processed.
-_BLOCK_ROWS = 600_000
+def _row_slices(n_rows, nodes_per_row):
+    """Row slices of at most _BLOCK_ROWS quadrature rows; zero rows still
+    make one (empty) slice."""
+    block = max(1, _BLOCK_ROWS // nodes_per_row)
+    return [slice(i, i + block) for i in range(0, max(n_rows, 1), block)]
 
 
 def _in_row_blocks(n_rows, nodes_per_row, block_fn):
-    """Concatenate ``block_fn(rows)`` over row slices of at most _BLOCK_ROWS
-    quadrature rows; zero rows still make one (empty) call."""
-    block = max(1, _BLOCK_ROWS // nodes_per_row)
-    if n_rows <= block:
-        return block_fn(slice(0, n_rows))
-    return np.concatenate(
-        [block_fn(slice(i, i + block)) for i in range(0, n_rows, block)]
-    )
+    """Concatenate ``block_fn(rows)`` over the row slices."""
+    parts = [block_fn(rows) for rows in _row_slices(n_rows, nodes_per_row)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 _GL_CACHE = {}
@@ -308,6 +381,34 @@ class DiracAtom(Atom):
         return _bbox(opp[keep])
 
 
+class _PlanBlock:
+    """One row block of a fibre-quadrature plan: what pairing N base rows
+    against Q nodes needs besides the test function.
+
+    ``live`` marks the N x Q nodes whose weight x density ``wd`` is
+    nonzero and finite, ``params`` and ``rows`` are their parameter rows
+    and base-row indices, and ``nan`` holds the flat indices of the nodes
+    whose chart escaped or whose density is not finite.  The arrays are
+    read-only, since stored plans serve many calls.
+    """
+
+    def __init__(self, Q, live, nan, params, rows, wd):
+        self.Q = Q
+        self.arrays = (live, nan, params, rows, wd)
+        for a in self.arrays:
+            a.setflags(write=False)
+        self.nbytes = sum(a.nbytes for a in self.arrays)
+
+    def execute(self, phi):
+        """Row sums of weight x density x phi, NaN where a node escaped."""
+        live, nan, params, rows, wd = self.arrays
+        contrib = np.zeros(len(live))
+        contrib[nan] = np.nan
+        if len(rows):
+            contrib[live] = wd * phi(params, rows)
+        return contrib.reshape(-1, self.Q).sum(axis=1)
+
+
 class DensityAtom(Atom):
     """Smooth fibred density against the canonical chart measure d(xi).
 
@@ -342,51 +443,78 @@ class DensityAtom(Atom):
         return len(self._nodes(ctx)[0])
 
     def pair(self, side, bases, phi, ctx):
-        bases = np.atleast_2d(np.asarray(bases, float))
-        return _in_row_blocks(
-            len(bases), self.node_count(ctx),
-            lambda rows: self._pair_block(side, bases[rows], phi, ctx, rows.start),
-        )
+        """Fetch or build the plan of (self, side, bases) and execute it.
 
-    def _pair_block(self, side, bases, phi, ctx, row_offset):
-        N = len(bases)
+        Only top-level plans are stored: nested pairings see new mid points
+        on every call.  An unstored plan is built one row block at a time,
+        and each block is dropped once executed.
+        """
+        bases = np.atleast_2d(np.asarray(bases, float))
+        key = blocks = None
+        if ctx.depth == 0:
+            key = _plan_key(side, bases, ctx)
+            blocks = ctx.plans.get(self, key)
+        keep = blocks is None and key is not None
+        if blocks is None:
+            blocks = self._plan_blocks(side, bases, ctx)
+        sums, kept = [], []
+        for block in blocks:
+            sums.append(block.execute(phi))
+            if keep:
+                kept.append(block)
+                keep = _nbytes(kept) <= ctx.plans.budget
+        if keep:
+            ctx.plans.put(self, key, kept)
+        return sums[0] if len(sums) == 1 else np.concatenate(sums)
+
+    def _plan_blocks(self, side, bases, ctx):
         nodes, weights = self._nodes(ctx)
-        Q = len(nodes)
-        xi_rep = np.tile(nodes, (N, 1))
+        for rows in _row_slices(len(bases), len(nodes)):
+            yield self._plan_block(side, bases[rows], nodes, weights, ctx,
+                                   rows.start)
+
+    def _plan_block(self, side, bases, nodes, weights, ctx, row_offset):
+        N, Q = len(bases), len(nodes)
         base_rep = np.repeat(bases, Q, axis=0)
-        rows = np.repeat(np.arange(N) + row_offset, Q)
-        params, ok = self.host.chart(side, xi_rep, base_rep, ctx.flow,
-                                     allow_escape=True)
-        k = self.host.fibre_dim
-        dens = np.zeros(N * Q)
-        if np.any(ok):
-            # Base points the density reads: the fibre's own base on the
-            # paired side, the host's map on the other.
-            ends = {}
-            for end, needed in (("r", self.needs_rbase), ("s", self.needs_sbase)):
-                if not needed:
-                    ends[end] = None
-                elif end == side:
-                    ends[end] = base_rep
-                else:
-                    ends[end], ok_end = getattr(self.host, end)(
-                        params, ctx.flow, allow_escape=True)
-                    ok = ok & ok_end
-            live = ok & _in_box(params[:, k:], self.base_box)
-            if np.any(live):
-                dens[live] = self.dens_fn(
-                    params[live],
-                    *(None if v is None else v[live] for v in ends.values()),
-                )
-        contrib = np.zeros(N * Q)
-        contrib[~ok] = np.nan
-        eval_rows = ok & (dens != 0.0) & np.isfinite(dens)
-        contrib[ok & ~np.isfinite(dens)] = np.nan
-        if np.any(eval_rows):
-            pv = phi(params[eval_rows], rows[eval_rows])
-            contrib[eval_rows] = weights[np.flatnonzero(eval_rows) % Q] \
-                * dens[eval_rows] * pv
-        return contrib.reshape(N, Q).sum(axis=1)
+        params, ok = self.host.chart(side, np.tile(nodes, (N, 1)), base_rep,
+                                     ctx.flow, allow_escape=True)
+        dens, ok = self._densities(side, params, ok, base_rep, ctx)
+        del base_rep
+        finite = np.isfinite(dens)
+        nan = np.flatnonzero(~(ok & finite))
+        live = ok & finite & (dens != 0.0)
+        idx = np.flatnonzero(live)
+        wd = weights[idx % Q] * dens[idx]
+        del dens, finite
+        if len(idx) < len(params):
+            params = params[idx]
+        return _PlanBlock(Q, live, nan, params, idx // Q + row_offset, wd)
+
+    def _densities(self, side, params, ok, base_rep, ctx):
+        """(density, ok) on the chart rows; zero off the base box and where
+        the chart escaped, and ``ok`` also False where a base map escaped."""
+        dens = np.zeros(len(params))
+        if not np.any(ok):
+            return dens, ok
+        # Base points the density reads: the fibre's own base on the
+        # paired side, the host's map on the other.
+        ends = {}
+        for end, needed in (("r", self.needs_rbase), ("s", self.needs_sbase)):
+            if not needed:
+                ends[end] = None
+            elif end == side:
+                ends[end] = base_rep
+            else:
+                ends[end], ok_end = getattr(self.host, end)(
+                    params, ctx.flow, allow_escape=True)
+                ok = ok & ok_end
+        live = ok & _in_box(params[:, self.host.fibre_dim:], self.base_box)
+        if np.any(live):
+            dens[live] = self.dens_fn(
+                params[live],
+                *(None if v is None else v[live] for v in ends.values()),
+            )
+        return dens, ok
 
     def scaled(self, factor):
         return DensityAtom(self.host, _scaled_fn(self.dens_fn, factor, 3),

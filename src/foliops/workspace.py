@@ -33,6 +33,10 @@ class Workspace:
     functions: dict = field(default_factory=dict)
     flow_cfg: FlowConfig = None
     quad_cfg: QuadratureConfig = None
+    # One plan store for every context this workspace hands out, so that
+    # repeated pairings of one kernel on one point set share their plan.
+    plans: ker.PlanStore = field(default_factory=ker.PlanStore, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self):
         if self.flow_cfg is None:
@@ -41,7 +45,7 @@ class Workspace:
             self.quad_cfg = QuadratureConfig()
 
     def ctx(self, diag=None):
-        return ker.PairingCtx(self.quad_cfg, self.flow_cfg, 0, diag)
+        return ker.PairingCtx(self.quad_cfg, self.flow_cfg, 0, diag, self.plans)
 
     def get(self, registry, name):
         table = getattr(self, registry)

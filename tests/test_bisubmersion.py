@@ -12,7 +12,10 @@ from foliops.errors import (
     NotABisection,
 )
 from foliops.expr import parse_field
+from foliops.canonical import canonical_workspace
 from foliops.foliation import SingularFoliation
+from foliops import bisubmersion as bis
+from foliops import kernel as ker
 from foliops.bisubmersion import (
     Composition,
     bisection_diffeo,
@@ -282,3 +285,41 @@ def test_not_a_bisection(U):
     S = general_bisection(U, broken, U.foliation.chart_box)
     with pytest.raises(NotABisection):
         bisection_diffeo(S)
+
+
+def test_structural_keys_match_across_loads():
+    """Two loads of the canonical config give equal keys and same_term
+    hosts, translates included; a changed generator does not."""
+    one, two = canonical_workspace(), canonical_workspace()
+    for name in one.bisubmersions:
+        U, V = one.bisubmersions[name], two.bisubmersions[name]
+        assert U is not V and U.key() == V.key() and U.same_term(V), name
+    for name in one.bisections:
+        assert one.bisections[name].key() == two.bisections[name].key(), name
+    for ws in (one, two):
+        ws.kernels["dr"] = ker.convolve(ws.kernels["dirac_rot90"],
+                                        ws.kernels["gauss_R"], ws.ctx())
+    hosts = [ws.kernels["dr"].atoms[0].host for ws in (one, two)]
+    assert isinstance(hosts[0], bis.TranslateLeft)
+    assert hosts[0].same_term(hosts[1])
+
+    F = one.foliations["R"]
+    G = SingularFoliation(dim=2, chart_box=F.chart_box,
+                          generators=[parse_field("[-x2, 2*x1]", 2)],
+                          xi_radius=F.xi_radius)
+    U, W = one.bisubmersions["U_R"], make_path_holonomy(G)
+    assert U.key() != W.key() and not U.same_term(W)
+    S = constant_bisection(U, [0.5])
+    assert S.key() == constant_bisection(two.bisubmersions["U_R"], [0.5]).key()
+    assert S.key() != constant_bisection(W, [0.5]).key()
+    assert S.key() != constant_bisection(U, [0.6]).key()
+
+
+def test_other_bisections_keep_object_identity(U):
+    S = general_bisection(U, lambda x: np.concatenate(
+        [np.full((len(x), 1), 0.3), x], axis=1), [[-1, 1], [-1, 1]])
+    T = general_bisection(U, lambda x: np.concatenate(
+        [np.full((len(x), 1), 0.3), x], axis=1), [[-1, 1], [-1, 1]])
+    assert S.key() == S.key() and S.key() != T.key()
+    assert S.key()[1] is S  # held, so the key cannot outlive the bisection
+    assert not translate(U, S, "left").same_term(translate(U, T, "left"))

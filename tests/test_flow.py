@@ -413,3 +413,33 @@ def test_batched_escape_mask(scaling):
     pts, escaped = exp_flow_batch(scaling, xi, x, allow_escape=True)
     assert not escaped[0] and escaped[1]
     assert abs(pts[0, 0] - math.exp(0.1)) <= 1e-8
+
+
+@pytest.mark.parametrize("field", ["[x2, -sin(x1)]", "[x2, 0]"])
+def test_start_outside_box_escapes_on_both_backends(field):
+    """One start rule: DP45 (pendulum) and the exact flow ([x2, 0]) both
+    flag a row that starts outside [-8, 8]^2, also where it would re-enter
+    in its first step, and a zero-xi row; they keep rows that start inside."""
+    F = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                          generators=[parse_field(field, 2)], xi_radius=[1.0])
+    xi = [[1.0], [1.0], [0.0], [1.0]]
+    x = [[8.05, -3.0], [1.0, 0.0], [9.0, 0.0], [np.nan, 0.0]]
+    for entry in (exp_flow_batch, back_flow_batch, flow_jacobian_batch):
+        escaped = entry(F, xi, x, allow_escape=True)[-1]
+        assert escaped.tolist() == [True, False, True, True], entry.__name__
+    for xi_row in ([[0.0]], [[1.0]]):
+        _, escaped = exp_flow_batch(F, xi_row, [[8.05, -3.0]], allow_escape=True)
+        assert escaped.tolist() == [True]
+
+
+def test_dp45_start_rule_keeps_other_rows(pendulum):
+    """A row that escapes at its start leaves the others' bits alone."""
+    xi = np.array([[0.7], [1.0], [-0.4]])
+    x = np.array([[0.5, 0.2], [8.05, -3.0], [-1.0, 0.3]])
+    Y, J, escaped = _dp45(pendulum, xi, x, DEFAULT_FLOW, 1.0, True)
+    assert escaped.tolist() == [False, True, False]
+    assert np.array_equal(Y[1], x[1])
+    for i in (0, 2):
+        Yi, Ji, _ = _dp45(pendulum, xi[i:i + 1], x[i:i + 1], DEFAULT_FLOW, 1.0, True)
+        assert Yi.tobytes() == Y[i:i + 1].tobytes()
+        assert Ji.tobytes() == J[i:i + 1].tobytes()

@@ -174,3 +174,20 @@ def test_json_round_trip(plane):
     pts = np.random.default_rng(4).uniform(-1, 1, size=(10, 2))
     for g0, g1 in zip(plane.generators, again.generators):
         assert np.array_equal(g0(pts), g1(pts))
+
+
+def test_leaf_sample_fills_its_buffer_with_distinct_points():
+    """Commuting plane generators make every attempt a new point: the leaf
+    takes budget + 1 samples, each at least a mesh from all earlier ones."""
+    F = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                          generators=[parse_field("[1, 0]", 2),
+                                      parse_field("[0, 1]", 2)],
+                          xi_radius=[1.0, 1.0])
+    leaf = leaf_sample(F, [0.2, -0.1], budget=64, mesh=1e-3, seed=5)
+    assert leaf.points.shape == (65, 2) and leaf.escapes == 0
+    gaps = np.linalg.norm(leaf.points[:, None] - leaf.points[None], axis=2)
+    assert np.min(gaps[np.triu_indices(65, 1)]) >= 1e-3
+    assert np.array_equal(leaf.replay(64), leaf.points[64])
+    # A mesh wider than the leaf keeps the basepoint alone.
+    wide = leaf_sample(F, [0.2, -0.1], budget=64, mesh=100.0, seed=5)
+    assert np.array_equal(wide.points, [[0.2, -0.1]])
