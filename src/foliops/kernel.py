@@ -43,7 +43,6 @@ from .expr import ScalarExpr
 __all__ = [
     "QuadratureConfig",
     "PairingCtx",
-    "PlanStore",
     "FibredKernel",
     "DiracAtom",
     "DensityAtom",
@@ -108,24 +107,26 @@ class PlanStore:
     """Fibre-quadrature plans of top-level pairings, keyed by the atom and
     ``(side, bases shape, bases digest, quadrature, flow config)``.
 
-    The atom enters the key by a weak reference: a plan is dropped once
-    its atom is collected, and a later atom at the same address cannot
-    match it (a dead reference equals only itself).  Past ``budget``
-    bytes the least recently used plans are dropped.
+    The atom enters the key by a weak reference: the plans of a collected
+    atom are dropped on the store's next use, and a later atom at the same
+    address cannot match them (a dead reference equals only itself).  Past
+    _PLAN_BUDGET bytes the least recently used plans are dropped.
     """
 
     def __init__(self):
-        self.budget = _PLAN_BUDGET
-        self.nbytes = 0
         self._plans = OrderedDict()  # (atom ref, *key) -> (blocks, nbytes)
-        self._dead = []  # references of collected atoms, swept on next use
 
     def __len__(self):
-        self._sweep()
+        self._drop_dead()
         return len(self._plans)
 
+    @property
+    def nbytes(self):
+        self._drop_dead()
+        return sum(size for _, size in self._plans.values())
+
     def get(self, atom, key):
-        self._sweep()
+        self._drop_dead()
         key = (weakref.ref(atom),) + key
         entry = self._plans.get(key)
         if entry is None:
@@ -134,24 +135,14 @@ class PlanStore:
         return entry[0]
 
     def put(self, atom, key, blocks):
-        self._sweep()
-        old = self._plans.pop((weakref.ref(atom),) + key, None)
-        if old is not None:
-            self.nbytes -= old[1]
-        size = _nbytes(blocks)
-        self._plans[(weakref.ref(atom, self._dead.append),) + key] = \
-            (tuple(blocks), size)
-        self.nbytes += size
-        while self.nbytes > self.budget:
-            self.nbytes -= self._plans.popitem(last=False)[1][1]
+        self._drop_dead()
+        self._plans[(weakref.ref(atom),) + key] = (tuple(blocks), _nbytes(blocks))
+        while self.nbytes > _PLAN_BUDGET:
+            self._plans.popitem(last=False)
 
-    def _sweep(self):
-        # Collection only queues the reference: a callback that changed
-        # the table could run in the middle of another operation on it.
-        while self._dead:
-            ref = self._dead.pop()
-            for key in [k for k in self._plans if k[0] is ref]:
-                self.nbytes -= self._plans.pop(key)[1]
+    def _drop_dead(self):
+        for key in [k for k in self._plans if k[0]() is None]:
+            del self._plans[key]
 
 
 @dataclass
@@ -447,23 +438,26 @@ class DensityAtom(Atom):
 
         Only top-level plans are stored: nested pairings see new mid points
         on every call.  An unstored plan is built one row block at a time,
-        and each block is dropped once executed.
+        and each block is dropped once executed; a plan that outgrows
+        _PLAN_BUDGET drops the blocks it kept so far.
         """
         bases = np.atleast_2d(np.asarray(bases, float))
         key = blocks = None
         if ctx.depth == 0:
             key = _plan_key(side, bases, ctx)
             blocks = ctx.plans.get(self, key)
-        keep = blocks is None and key is not None
+        kept = [] if blocks is None and key is not None else None
         if blocks is None:
             blocks = self._plan_blocks(side, bases, ctx)
-        sums, kept = [], []
+        sums = []
         for block in blocks:
             sums.append(block.execute(phi))
-            if keep:
+            if kept is not None:
                 kept.append(block)
-                keep = _nbytes(kept) <= ctx.plans.budget
-        if keep:
+                if _nbytes(kept) > _PLAN_BUDGET:
+                    kept = None  # too big to store
+            del block  # an unkept block goes before the next is built
+        if kept is not None:
             ctx.plans.put(self, key, kept)
         return sums[0] if len(sums) == 1 else np.concatenate(sums)
 

@@ -2,6 +2,7 @@
 a reused plan gives the bits of a cold pairing."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -164,17 +165,17 @@ def test_plan_arrays_are_read_only(ws):
     assert again.tobytes() == cold.tobytes()
 
 
-def test_budget_drops_least_recently_used(ws):
+def test_budget_drops_least_recently_used(ws, monkeypatch):
     atom = ws.get("kernels", "gauss_R").atoms[0]
     sets = [_grid(9) + 0.01 * i for i in range(3)]
     probe = ker.PlanStore()
     atom.pair("r", sets[0], lambda p, r: np.ones(len(p)),
               ker.PairingCtx(plans=probe))
     size = probe.nbytes
+    monkeypatch.setattr(ker, "_PLAN_BUDGET", 2 * size)
     store = ker.PlanStore()
-    store.budget = 2 * size
 
-    def pair(i):
+    def pair(i, store=store):
         atom.pair("r", sets[i], lambda p, r: np.ones(len(p)),
                   ker.PairingCtx(plans=store))
 
@@ -191,11 +192,48 @@ def test_budget_drops_least_recently_used(ws):
     assert store.nbytes == 2 * size and len(store) == 2
     assert held() == [0, 2]
     # A plan larger than the whole budget is executed but never stored.
+    monkeypatch.setattr(ker, "_PLAN_BUDGET", size - 1)
     small = ker.PlanStore()
-    small.budget = size - 1
-    atom.pair("r", sets[0], lambda p, r: np.ones(len(p)),
-              ker.PairingCtx(plans=small))
+    pair(0, small)
     assert len(small) == 0 and small.nbytes == 0
+
+
+def test_unkept_plan_holds_one_block_at_a_time(ws, monkeypatch):
+    """Once a plan outgrows the budget, each block is freed before the
+    next one is built; nested pairings never keep a block."""
+    atom = ws.get("kernels", "gauss_R").atoms[0]
+    pts = _grid(9)  # 81 rows x 32 nodes, in 81 // 8 + 1 = 11 blocks of 8 rows
+    monkeypatch.setattr(ker, "_BLOCK_ROWS", 8 * 32)
+    alive, seen = [], []
+    init = ker._PlanBlock.__init__
+
+    def counted(self, *args):
+        seen.append(sum(ref() is not None for ref in alive))
+        init(self, *args)
+        alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(ker._PlanBlock, "__init__", counted)
+    cold = atom.pair("r", pts, lambda p, r: p[:, 1], ker.PairingCtx())
+    one_block = _nbytes_of_first(atom, pts)
+    store = ker.PlanStore()
+    for budget, ctx in ((0, ker.PairingCtx(plans=store)),
+                        (3 * one_block, ker.PairingCtx(plans=store)),
+                        (None, ker.PairingCtx().deeper())):
+        if budget is not None:
+            monkeypatch.setattr(ker, "_PLAN_BUDGET", budget)
+        alive.clear()
+        seen.clear()
+        got = atom.pair("r", pts, lambda p, r: p[:, 1], ctx)
+        assert got.tobytes() == cold.tobytes()
+        assert len(seen) == 11 and len(store) == 0
+        # Blocks kept before the plan went over the budget die with it.
+        assert max(seen[4:]) == 0 and sum(r() is not None for r in alive) == 0
+
+
+def _nbytes_of_first(atom, pts):
+    store = ker.PlanStore()
+    atom.pair("r", pts[:8], lambda p, r: p[:, 1], ker.PairingCtx(plans=store))
+    return store.nbytes
 
 
 def test_plan_dies_with_its_atom(ws):
