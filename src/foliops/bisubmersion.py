@@ -175,10 +175,11 @@ class PathHolonomy(Bisubmersion):
         return _checked(pts, ~escaped, allow_escape, "range map")
 
     def s(self, params, cfg=None, allow_escape=False):
+        # A view of the base columns: a plan keeps no copy of them.
         _, under = self._split(params)
         if allow_escape:
-            return under.copy(), np.ones(len(under), dtype=bool)
-        return under.copy()
+            return under, np.ones(len(under), dtype=bool)
+        return under
 
     def chart(self, side, xi, bases, cfg=None, allow_escape=False):
         xi = np.atleast_2d(np.asarray(xi, float))

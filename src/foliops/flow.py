@@ -20,7 +20,9 @@ chosen from the generators themselves:
   kept compacted at the front of buffers allocated once per call.  A row
   of a ~10^5-row batch from fibre quadrature takes the attempts it needs
   itself, not those of the batch's hardest row, and its result is the
-  same bits alone or in any batch.
+  same bits alone or in any batch.  So a run of bitwise equal (xi, x)
+  rows is integrated once and its result copied to the run; fibre
+  quadrature makes such runs when it repeats a base point over its nodes.
   The last stage is taken at the 5th-order solution, so it is the next
   step's first stage (FSAL, Hairer-Norsett-Wanner II.5), and a rejected
   step keeps its first stage too: each attempt costs six field
@@ -137,9 +139,21 @@ def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
         J = np.tile(np.eye(n), (N, 1, 1)) if with_jacobian else None
         return x.copy(), J, _outside(x, *foliation.escape_box.T)
     parts = _affine_parts(foliation)
-    if parts is None:
+    if parts is not None:
+        return _affine_flow(foliation, *parts, direction * xi, x, with_jacobian)
+    # Runs of bitwise equal (xi, x) rows, found without a sort, are
+    # integrated once: fibre quadrature repeats base points over its nodes.
+    new = np.zeros(N, dtype=bool)
+    new[0] = True
+    for col in (*xi.T, *x.T):
+        bits = col.view(np.uint64)
+        new[1:] |= bits[1:] != bits[:-1]
+    if np.all(new):
         return _dp45(foliation, xi, x, cfg, direction, with_jacobian)
-    return _affine_flow(foliation, *parts, direction * xi, x, with_jacobian)
+    first, run = np.flatnonzero(new), np.cumsum(new) - 1
+    Y, J, escaped = _dp45(foliation, xi[first], x[first], cfg, direction,
+                          with_jacobian)
+    return Y[run], None if J is None else J[run], escaped[run]
 
 
 def _affine_parts(foliation):
@@ -282,7 +296,7 @@ def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
     k = list(np.empty((7, N, width)))
     stage, part = np.empty((2, N, width))
     xis = direction * xi[rows]
-    t, h, err, fac = np.zeros((4, N))
+    t, h, err = np.zeros((3, N))
     h.fill(0.05)
     accepted, leaving = np.empty((2, N), dtype=bool)
     rhs(state[:M], xis[:M], k[0][:M])
@@ -298,9 +312,9 @@ def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
             )
         st, y5, pt = state[:M], stage[:M], part[:M]
         ks = [kj[:M] for kj in k]
-        tm, hm, em, fm, acc, lv = (a[:M] for a in (t, h, err, fac, accepted, leaving))
-        np.subtract(1.0, tm, out=fm)
-        np.minimum(hm, fm, out=hm)
+        tm, hm, em, acc, lv = (a[:M] for a in (t, h, err, accepted, leaving))
+        np.subtract(1.0, tm, out=em)  # em is scratch until the error fills it
+        np.minimum(hm, em, out=hm)
         hcol = hm[:, None]
         for s in range(1, 7):
             _combine(y5, _A[s], ks, ks[s])  # k[s] is free until rhs fills it
@@ -341,10 +355,10 @@ def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
         lv |= acc & _outside(st[:, :n], lo, hi)
         escaped[rows[:M]] = lv
         with np.errstate(divide="ignore"):
-            np.power(em, -0.2, out=fm)
-        fm *= 0.9
-        np.clip(fm, 0.2, 5.0, out=fm)
-        hm *= fm
+            np.power(em, -0.2, out=em)  # the step factor
+        em *= 0.9
+        np.clip(em, 0.2, 5.0, out=em)
+        hm *= em
 
         lv |= tm >= 1.0
         if np.any(lv):

@@ -14,7 +14,8 @@ parameter space, fibrewise over base points:
 
 Pairings return one value per base point, with NaN marking points whose
 fibre chart escaped the integration domain; zeros outside support boxes
-are exact.
+are exact.  A stored fibre-quadrature plan keeps what of an ``Integrand``
+does not depend on the test function.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -43,6 +44,7 @@ from .expr import ScalarExpr
 __all__ = [
     "QuadratureConfig",
     "PairingCtx",
+    "Integrand",
     "FibredKernel",
     "DiracAtom",
     "DensityAtom",
@@ -87,8 +89,9 @@ DEFAULT_QUAD = QuadratureConfig()
 # Row budget for one quadrature batch; larger pairings are block-processed.
 _BLOCK_ROWS = 600_000
 
-# Bytes of plan arrays one store keeps; the least recently used plan goes
-# first.  It holds the 2-D fibre plan of a 41 x 41 grid at order 20 (31 MB).
+# Bytes of plan arrays (geometry included) one store keeps; the least
+# recently used plan goes first.  It holds the 2-D fibre plan of a 41 x 41
+# grid at order 20.
 _PLAN_BUDGET = 64 * 2**20
 
 
@@ -104,8 +107,8 @@ def _plan_key(side, bases, ctx):
 
 
 class PlanStore:
-    """Fibre-quadrature plans of top-level pairings, keyed by the atom and
-    ``(side, bases shape, bases digest, quadrature, flow config)``.
+    """Fibre-quadrature plans of pairings on a caller's points, keyed by the
+    atom and ``(side, bases shape, bases digest, quadrature, flow config)``.
 
     The atom enters the key by a weak reference: the plans of a collected
     atom are dropped on the store's next use, and a later atom at the same
@@ -151,15 +154,16 @@ class PairingCtx:
     flow: object = None  # FlowConfig or None for the default
     depth: int = 0
     diag: list = None  # optional sink for (out_rows, f_points) records
+    # None for pairings that keep no plans
     plans: PlanStore = field(default_factory=PlanStore, repr=False)
 
     def deeper(self):
+        """One convolution level down; nested pairings keep no plans."""
         if self.depth + 1 > self.quad.nesting_limit:
             raise QuadratureFailure(
                 f"convolution nesting exceeded {self.quad.nesting_limit}"
             )
-        return PairingCtx(self.quad, self.flow, self.depth + 1, self.diag,
-                          self.plans)
+        return PairingCtx(self.quad, self.flow, self.depth + 1, self.diag, None)
 
 
 def _row_slices(n_rows, nodes_per_row):
@@ -239,6 +243,24 @@ def _scaled_fn(fn, factor, nargs):
 # Atoms
 
 
+class Integrand:
+    """``phi(params, rows)`` split into ``geometry(params, rows)``, a tuple
+    of arrays that does not depend on the test function (where it is read,
+    a weight such as |det J|, an ok mask), and ``gather(params, rows,
+    geom)``, which reads the test function there.  A plan keeps each
+    geometry under ``key``, naming the integrand and the host whose maps
+    it reads.
+    """
+
+    def __init__(self, geometry, gather, key):
+        self.geometry = geometry
+        self.gather = gather
+        self.key = key
+
+    def __call__(self, params, rows):
+        return self.gather(params, rows, self.geometry(params, rows))
+
+
 class Atom:
     host = None
 
@@ -246,7 +268,9 @@ class Atom:
         """(atom, phi)(x) for each base row; NaN marks escaped points.
 
         ``phi(params, rows)`` receives parameter rows of the host together
-        with the index of the base row each came from.
+        with the index of the base row each came from.  A plain function is
+        run whole on every call; an Integrand lets a stored plan keep its
+        geometry.
         """
         raise NotImplementedError
 
@@ -378,9 +402,10 @@ class _PlanBlock:
 
     ``live`` marks the N x Q nodes whose weight x density ``wd`` is
     nonzero and finite, ``params`` and ``rows`` are their parameter rows
-    and base-row indices, and ``nan`` holds the flat indices of the nodes
-    whose chart escaped or whose density is not finite.  The arrays are
-    read-only, since stored plans serve many calls.
+    and base-row indices, ``nan`` holds the flat indices of the nodes
+    whose chart escaped or whose density is not finite, and ``geometry``
+    maps an integrand's key to its geometry on ``params``.  The arrays
+    are read-only, since stored plans serve many calls.
     """
 
     def __init__(self, Q, live, nan, params, rows, wd):
@@ -388,7 +413,14 @@ class _PlanBlock:
         self.arrays = (live, nan, params, rows, wd)
         for a in self.arrays:
             a.setflags(write=False)
-        self.nbytes = sum(a.nbytes for a in self.arrays)
+        self.geometry = {}
+
+    @property
+    def nbytes(self):  # a geometry array that views ``params`` costs none
+        params = self.arrays[2]
+        return _nbytes(self.arrays) + sum(
+            a.nbytes for geom in self.geometry.values() for a in geom
+            if not np.may_share_memory(a, params))
 
     def execute(self, phi):
         """Row sums of weight x density x phi, NaN where a node escaped."""
@@ -396,7 +428,16 @@ class _PlanBlock:
         contrib = np.zeros(len(live))
         contrib[nan] = np.nan
         if len(rows):
-            contrib[live] = wd * phi(params, rows)
+            if not isinstance(phi, Integrand):
+                vals = phi(params, rows)
+            else:
+                key = phi.key
+                if key not in self.geometry:
+                    self.geometry[key] = phi.geometry(params, rows)
+                    for a in self.geometry[key]:
+                        a.setflags(write=False)
+                vals = phi.gather(params, rows, self.geometry[key])
+            contrib[live] = wd * vals
         return contrib.reshape(-1, self.Q).sum(axis=1)
 
 
@@ -436,27 +477,30 @@ class DensityAtom(Atom):
     def pair(self, side, bases, phi, ctx):
         """Fetch or build the plan of (self, side, bases) and execute it.
 
-        Only top-level plans are stored: nested pairings see new mid points
-        on every call.  An unstored plan is built one row block at a time,
-        and each block is dropped once executed; a plan that outgrows
-        _PLAN_BUDGET drops the blocks it kept so far.
+        Plans are kept in ``ctx.plans``; nested pairings, which see new mid
+        points on every call, have none.  An unstored plan is built one row
+        block at a time, and each block is dropped once executed; a plan
+        that outgrows _PLAN_BUDGET drops the blocks it kept so far.  A hit
+        is stored again, to count the geometry it added.
         """
         bases = np.atleast_2d(np.asarray(bases, float))
         key = blocks = None
-        if ctx.depth == 0:
+        if ctx.plans is not None:
             key = _plan_key(side, bases, ctx)
             blocks = ctx.plans.get(self, key)
-        kept = [] if blocks is None and key is not None else None
-        if blocks is None:
-            blocks = self._plan_blocks(side, bases, ctx)
-        sums = []
-        for block in blocks:
-            sums.append(block.execute(phi))
-            if kept is not None:
-                kept.append(block)
-                if _nbytes(kept) > _PLAN_BUDGET:
-                    kept = None  # too big to store
-            del block  # an unkept block goes before the next is built
+        if blocks is not None:
+            sums = [block.execute(phi) for block in blocks]
+            kept = blocks
+        else:
+            kept = [] if key is not None else None
+            sums = []
+            for block in self._plan_blocks(side, bases, ctx):
+                sums.append(block.execute(phi))
+                if kept is not None:
+                    kept.append(block)
+                    if _nbytes(kept) > _PLAN_BUDGET:
+                        kept = None  # too big to store
+                del block  # an unkept block goes before the next is built
         if kept is not None:
             ctx.plans.put(self, key, kept)
         return sums[0] if len(sums) == 1 else np.concatenate(sums)
@@ -475,14 +519,15 @@ class DensityAtom(Atom):
         dens, ok = self._densities(side, params, ok, base_rep, ctx)
         del base_rep
         finite = np.isfinite(dens)
-        nan = np.flatnonzero(~(ok & finite))
+        nan = np.flatnonzero(~(ok & finite)).astype(np.int32)
         live = ok & finite & (dens != 0.0)
         idx = np.flatnonzero(live)
         wd = weights[idx % Q] * dens[idx]
         del dens, finite
         if len(idx) < len(params):
             params = params[idx]
-        return _PlanBlock(Q, live, nan, params, idx // Q + row_offset, wd)
+        rows = (idx // Q + row_offset).astype(np.int32)
+        return _PlanBlock(Q, live, nan, params, rows, wd)
 
     def _densities(self, side, params, ok, base_rep, ctx):
         """(density, ok) on the chart rows; zero off the base box and where
@@ -570,26 +615,30 @@ class ConvolvedAtom(Atom):
         # The outer factor is the one fibred over ``side`` of the composite;
         # each of its rows fixes, through its opposite map, the base of the
         # inner factor's fibre.  Composite rows are always (left, right).
+        # The outer pairing is on the caller's points: it keeps its plan in
+        # the caller's store, one level down as the nesting limit counts it.
         inner_ctx = ctx.deeper()
         if side == "r":
             outer, inner = self.left, self.right
         else:
             outer, inner = self.right, self.left
+        opposite = getattr(outer.host, _OTHER[side])
 
-        def phi_out(o_params, o_rows):
-            mids, ok = getattr(outer.host, _OTHER[side])(o_params, ctx.flow,
-                                                         allow_escape=True)
+        def mids(o_params, o_rows):
+            return opposite(o_params, ctx.flow, allow_escape=True)
 
+        def gather(o_params, o_rows, geom):
             def phi_in(i_params, i_rows):
                 parts = [o_params[i_rows], i_params]
                 if side == "s":
                     parts.reverse()
                 return phi(np.concatenate(parts, axis=1), o_rows[i_rows])
 
-            vals = inner.pair(side, mids, phi_in, inner_ctx)
-            return np.where(ok, vals, np.nan)
+            vals = inner.pair(side, geom[0], phi_in, inner_ctx)
+            return np.where(geom[1], vals, np.nan)
 
-        return outer.pair(side, bases, phi_out, inner_ctx)
+        phi_out = Integrand(mids, gather, ("mids", _OTHER[side], outer.host.key()))
+        return outer.pair(side, bases, phi_out, replace(inner_ctx, plans=ctx.plans))
 
     def scaled(self, factor):
         return ConvolvedAtom(self.left.scaled(factor), self.right)
@@ -621,6 +670,8 @@ class PushedAtom(Atom):
         return self.inner.node_count(ctx)
 
     def pair(self, side, bases, phi, ctx):
+        # Morphisms have no structural key, so the pulled integrand has no
+        # geometry to keep.
         def phi_pulled(params, rows):
             return phi(self.morphism.map(params), rows)
 

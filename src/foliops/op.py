@@ -10,6 +10,8 @@ with a test function weighted by the flow Jacobian, so it is only
 defined for smooth densities on hosts laid out as (fibre, base).  As for
 Op, a point is masked only where an escaped chart meets a nonzero
 density.
+Both pair through an ``Integrand``: a reused plan keeps the points where
+f or k is read, |det J| and the ok mask, and evaluates only f or k.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .kernel import (
     ConvolvedAtom,
     DensityAtom,
     FibredKernel,
+    Integrand,
     PairingCtx,
     QuadratureConfig,
     TransposedAtom,
@@ -172,14 +175,17 @@ def op_values(kernel: FibredKernel, f, points, ctx=None):
     for atom in kernel.atoms:
         host = atom.host
 
-        def phi(params, rows, host=host):
-            spts, ok = host.s(params, ctx.flow, allow_escape=True)
-            vals = f_fn(spts)
-            vals = np.where(ok, vals, np.nan)
+        def sources(params, rows, host=host):
+            return host.s(params, ctx.flow, allow_escape=True)
+
+        def gather(params, rows, geom):
+            spts, ok = geom
+            vals = np.where(ok, f_fn(spts), np.nan)
             if ctx.diag is not None:
                 ctx.diag.append((points[rows], spts))
             return vals
 
+        phi = Integrand(sources, gather, ("op", host.key()))
         total = total + atom.pair("r", points, phi, ctx)
     return total
 
@@ -244,13 +250,18 @@ def _adjoint_atom(atom, k_fn, ys, ctx):
     m = host.fibre_dim
     image = host.r if side == "s" else host.s
 
-    def phi(params, rows):
+    def geometry(params, rows):
         pts, ok = image(params, ctx.flow, allow_escape=True)
         jac, okj = host.chart_jac_det(params[:, :m], params[:, m:], ctx.flow)
+        return pts, jac, ok & okj
+
+    def gather(params, rows, geom):
+        pts, jac, ok = geom
         with np.errstate(divide="ignore"):
             vals = jac * k_fn(pts) if side == "s" else k_fn(pts) / jac
-        return np.where(ok & okj, vals, np.nan)
+        return np.where(ok, vals, np.nan)
 
+    phi = Integrand(geometry, gather, ("adjoint", side, host.key()))
     return dens.pair(side, ys, phi, ctx)
 
 

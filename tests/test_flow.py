@@ -380,10 +380,13 @@ def test_step_limit(quadratic):
     with pytest.raises(StepLimit):
         exp_flow(quadratic, [0.5], [1.0], cfg)
     # At 1e-13 the first row finishes in 3 attempts and the second needs
-    # about a hundred; the message names the row that ran out.
+    # about a hundred; the message names the row that ran out, also when
+    # each row is repeated (runs are integrated once).
     cfg = FlowConfig(abs_tol=1e-13, rel_tol=1e-13, max_steps=3)
-    with pytest.raises(StepLimit, match=r"from \[1\.\] with xi=\[0\.5\] at t=0\.\d{6}$"):
-        exp_flow_batch(quadratic, [[0.1], [0.5]], [[0.1], [1.0]], cfg)
+    for copies in (1, 3):
+        with pytest.raises(StepLimit, match=r"from \[1\.\] with xi=\[0\.5\] at t=0\.\d{6}$"):
+            exp_flow_batch(quadratic, [[0.1]] * copies + [[0.5]] * copies,
+                           [[0.1]] * copies + [[1.0]] * copies, cfg)
 
 
 def test_affine_flow_ignores_step_budget(scaling):
@@ -443,3 +446,39 @@ def test_dp45_start_rule_keeps_other_rows(pendulum):
         Yi, Ji, _ = _dp45(pendulum, xi[i:i + 1], x[i:i + 1], DEFAULT_FLOW, 1.0, True)
         assert Yi.tobytes() == Y[i:i + 1].tobytes()
         assert Ji.tobytes() == J[i:i + 1].tobytes()
+
+
+def _runs_batch():
+    """Runs of repeated (xi, x) rows as fibre quadrature makes them, among
+    single rows: a start outside the box, a NaN xi, a zero xi, and two
+    rows that differ only in x."""
+    xi = [[0.7]] * 3 + [[1.0]] * 2 + [[np.nan]] * 2 + [[0.0]] * 2 + [[-0.4]] \
+        + [[0.7]] * 2 + [[0.7]]
+    x = [[0.5, 0.2]] * 3 + [[8.05, -3.0]] * 2 + [[0.1, 0.1]] * 2 \
+        + [[0.3, -0.6]] * 2 + [[-1.0, 0.3]] + [[0.5, 0.2]] * 2 + [[0.5, 0.25]]
+    return np.array(xi), np.array(x)
+
+
+def test_repeated_rows_match_one_row_flows(pendulum):
+    xi, x = _runs_batch()
+    for entry in (exp_flow_batch, back_flow_batch, flow_jacobian_batch):
+        batch = entry(pendulum, xi, x, allow_escape=True)
+        assert batch[-1].tolist() == [False] * 3 + [True] * 4 + [False] * 6
+        for i in range(len(x)):
+            one = slice(i, i + 1)
+            alone = entry(pendulum, xi[one], x[one], allow_escape=True)
+            for a, b in zip(alone, batch):
+                assert a.tobytes() == b[one].tobytes(), (entry.__name__, i)
+
+
+def test_field_is_evaluated_on_distinct_rows_only(pendulum, monkeypatch):
+    """Each run is integrated once: the batch costs the field evaluations
+    of its first rows flowed alone, as one batch."""
+    xi, x = _runs_batch()
+    firsts = [0, 3, 5, 7, 9, 10, 12]
+    rows = _counting_rows(monkeypatch)
+    exp_flow_batch(pendulum, xi, x, allow_escape=True)
+    batch = list(rows)
+    rows.clear()
+    exp_flow_batch(pendulum, xi[firsts], x[firsts], allow_escape=True)
+    assert batch == rows and rows[0] == 6  # 7 runs, one starts outside the box

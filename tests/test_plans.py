@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from foliops import bisubmersion as bis
+from foliops import flow
 from foliops import kernel as ker
 from foliops import op as oper
 from foliops.canonical import canonical_workspace
+from foliops.errors import QuadratureFailure
+from foliops.expr import parse_field, parse_scalar
 from foliops.flow import FlowConfig
-from foliops.foliation import leaf_sweep
+from foliops.foliation import SingularFoliation, leaf_sweep
+from foliops.workspace import Workspace
 
 GRID = [[-2.0, 2.0], [-2.0, 2.0]]
 
@@ -43,6 +47,19 @@ def _chart_calls(monkeypatch):
     return calls
 
 
+def _flow_rows(monkeypatch):
+    """Count the rows of every flow integration (either backend)."""
+    rows = []
+    integrate = flow._integrate
+
+    def counted(foliation, xi, x, *args):
+        rows.append(len(x))
+        return integrate(foliation, xi, x, *args)
+
+    monkeypatch.setattr(flow, "_integrate", counted)
+    return rows
+
+
 def _blocks(store):
     """Every stored block of every plan."""
     return [b for blocks, _ in store._plans.values() for b in blocks]
@@ -64,12 +81,14 @@ def test_plan_hit_matches_cold_pairing(ws, name, res):
         assert len(_blocks(ws.plans)) == 2
 
 
-def test_adjoint_plan_hit_matches_cold_pairing(ws):
+def test_adjoint_plan_hit_matches_cold_pairing(ws, monkeypatch):
     kernel = ker.transpose(ws.get("kernels", "gauss_R"))
     ys = _grid(21)
     k = _f(-0.2)
     cold = oper.adjoint_values(kernel, k, ys, ws.ctx())
+    rows = _flow_rows(monkeypatch)
     hit = oper.adjoint_values(kernel, k, ys, ws.ctx())
+    assert rows == []  # the plan keeps the flowed points and |det J|
     fresh = oper.adjoint_values(kernel, k, ys, ker.PairingCtx(ws.quad_cfg,
                                                                ws.flow_cfg))
     assert len(ws.plans) == 1
@@ -135,15 +154,19 @@ def test_key_changes_miss(ws, monkeypatch):
 
 
 def test_nested_pairings_are_not_stored(ws):
+    """A lazy convolution keeps the plan of its outer pairing, whose bases
+    are the caller's points, and none of its inner pairings."""
     a, b = ws.get("kernels", "gauss_R"), ws.get("kernels", "gauss_R2")
     ctx = ws.ctx()
     ab = ker.convolve(a, b, ctx)
     assert all(isinstance(x, ker.ConvolvedAtom) for x in ab.atoms)
-    oper.op_values(ab, _f(0.0), _grid(5), ctx)
-    assert len(ws.plans) == 0
+    pts = _grid(5)
+    oper.op_values(ab, _f(0.0), pts, ctx)
     atom = a.atoms[0]
-    atom.pair("r", _grid(5), lambda p, r: np.ones(len(p)), ctx.deeper())
-    assert len(ws.plans) == 0
+    assert len(ws.plans) == 1
+    assert ws.plans.get(atom, ker._plan_key("r", pts, ctx)) is not None
+    atom.pair("r", pts + 0.5, lambda p, r: np.ones(len(p)), ctx.deeper())
+    assert len(ws.plans) == 1
 
 
 def test_plan_arrays_are_read_only(ws):
@@ -245,3 +268,109 @@ def test_plan_dies_with_its_atom(ws):
     del dr
     gc.collect()
     assert len(ws.plans) == 0 and ws.plans.nbytes == 0
+
+
+def _pendulum_ws():
+    """A workspace whose flows all go through DP45."""
+    F = SingularFoliation(dim=2, chart_box=GRID,
+                          generators=[parse_field("[x2, -sin(x1)]", 2)],
+                          xi_radius=[1.0])
+    U = bis.make_path_holonomy(F)
+    a = ker.density(U, parse_scalar("exp(-20*x1^2-0.1*(x2^2+x3^2))", 3),
+                    xi_box=[[-1.0, 1.0]])
+    return Workspace(foliations={"P": F}, bisubmersions={"U": U},
+                     kernels={"a": a})
+
+
+def test_adjoint_plan_hit_runs_no_dp45_flow(monkeypatch):
+    """As on the affine canonical R: a hit reads the flowed points and
+    |det J| kept in the plan, here where they came from DP45."""
+    ws = _pendulum_ws()
+    kernel = ker.transpose(ws.get("kernels", "a"))
+    ys = _grid(7)
+    k = _f(-0.2)
+    cold = oper.adjoint_values(kernel, k, ys, ws.ctx())
+    rows = _flow_rows(monkeypatch)
+    hit = oper.adjoint_values(kernel, k, ys, ws.ctx())
+    assert rows == []
+    fresh = oper.adjoint_values(kernel, k, ys, ker.PairingCtx(ws.quad_cfg,
+                                                               ws.flow_cfg))
+    assert rows  # the cold pairing flows
+    assert hit.tobytes() == cold.tobytes() == fresh.tobytes()
+
+
+def test_integrands_never_share_a_geometry(ws):
+    """Op(a^t) and the adjoint of a^t both pair a over source fibres on the
+    same points, so they share a plan; each keeps its own geometry, keyed
+    by the integrand and the host it reads, and each gives the bits of a
+    cold pairing.  On S the two differ by |det J| = e^xi."""
+    a = ws.get("kernels", "gauss_S")
+    op_kernel = ker.transpose(ker.FibredKernel("s", a.atoms))
+    adj_kernel = ker.transpose(a)
+    pts = np.linspace(-2.0, 2.0, 9)[:, None]
+
+    def f(p):
+        return np.exp(-((p[:, 0] - 0.4) ** 2))
+
+    cold = ker.PairingCtx(ws.quad_cfg, ws.flow_cfg)
+    for _ in range(2):
+        op = oper.op_values(op_kernel, f, pts, ws.ctx())
+        adj = oper.adjoint_values(adj_kernel, f, pts, ws.ctx())
+        assert op.tobytes() == oper.op_values(op_kernel, f, pts, cold).tobytes()
+        assert adj.tobytes() == oper.adjoint_values(adj_kernel, f, pts,
+                                                    cold).tobytes()
+    assert not np.allclose(op, adj)
+    (block,) = _blocks(ws.plans)
+    host = a.atoms[0].host
+    assert set(block.geometry) == {("op", bis.invert(host).key()),
+                                   ("adjoint", "s", host.key())}
+
+
+def test_diag_is_recorded_on_hits(ws):
+    kernel = ws.get("kernels", "gauss_R")
+    pts = _grid(5)
+    records = []
+    for _ in range(2):
+        diag = []
+        oper.op_values(kernel, _f(0.0), pts, ws.ctx(diag=diag))
+        records.append(diag)
+    assert len(ws.plans) == 1 and records[0]
+    assert len(records[1]) == len(records[0])
+    for (o0, f0), (o1, f1) in zip(*records):
+        assert o0.tobytes() == o1.tobytes() and f0.tobytes() == f1.tobytes()
+
+
+def test_plan_keeps_no_copy_of_the_source_points(ws):
+    """On a path-holonomy host the source map is the base columns: Op's
+    geometry is a view of the plan's parameter rows and costs one ok byte
+    per node."""
+    kernel = ws.get("kernels", "gauss_R")
+    oper.op_values(kernel, _f(0.0), _grid(9), ws.ctx())
+    (block,) = _blocks(ws.plans)
+    ((spts, ok),) = block.geometry.values()
+    live, nan, params, rows, wd = block.arrays
+    assert np.shares_memory(spts, params)
+    assert rows.dtype == nan.dtype == np.int32
+    assert block.nbytes == sum(x.nbytes for x in block.arrays) + ok.nbytes
+
+
+@pytest.mark.parametrize("nest", ["left", "right"])
+def test_nesting_limit_depth_is_unchanged(ws, nest):
+    """Keeping the outer plan of a lazy convolution leaves the nesting
+    depth where it was: a limit of 2 pairs two nested convolutions and
+    raises on three, nested on either side."""
+    a, b = ws.get("kernels", "gauss_R"), ws.get("kernels", "gauss_R2")
+    quad = ker.QuadratureConfig(order=4, nesting_limit=2)
+
+    def ctx():
+        return ker.PairingCtx(quad, ws.flow_cfg, plans=ws.plans)
+
+    chain = a
+    for count in (1, 2, 3):
+        chain = (ker.convolve(chain, b, ctx()) if nest == "left"
+                 else ker.convolve(b, chain, ctx()))
+        if count < 3:
+            vals = oper.op_values(chain, _f(0.0), _grid(3), ctx())
+            assert np.all(np.isfinite(vals))
+    with pytest.raises(QuadratureFailure, match="nesting exceeded 2"):
+        oper.op_values(chain, _f(0.0), _grid(3), ctx())
