@@ -125,9 +125,9 @@ class Bisubmersion:
         return np.all((p >= box[:, 0] - tol) & (p <= box[:, 1] + tol), axis=1)
 
     def chart_jac_det(self, xi, under, cfg=None):
-        """(|det|, ok) of the base derivative of the range chart, ``ok``
-        False on escaped rows; defined where the term supports r<->s
-        density conversion."""
+        """(range points, |det|, ok) of the range map at (xi, under) and of
+        its base derivative, both from one flow, ``ok`` False on escaped
+        rows; defined where the term supports r<->s density conversion."""
         raise NotTransverse(f"{self.describe()} has no canonical chart Jacobian")
 
     # --- bookkeeping ----------------------------------------------------
@@ -196,10 +196,10 @@ class PathHolonomy(Bisubmersion):
         return _checked(params, ok, allow_escape, f"{side}-fibre chart")
 
     def chart_jac_det(self, xi, under, cfg=None):
-        _, J, escaped = _flow.flow_jacobian_batch(
+        pts, J, escaped = _flow.flow_jacobian_batch(
             self.foliation, xi, under, cfg, allow_escape=True
         )
-        return np.abs(np.linalg.det(J)), ~escaped
+        return pts, np.abs(np.linalg.det(J)), ~escaped
 
     def contains(self, params, tol=1e-7, cfg=None):
         # Under-points may wander into the integration domain: compositions

@@ -53,13 +53,27 @@ def _fmt(v):
     return "nan" if not np.isfinite(v) else repr(float(v))
 
 
-def _parse_vector(text):
-    return np.array([float(t) for t in text.split(",") if t.strip() != ""])
+def _parse_vector(text, dim, what, kind=float):
+    """Comma-separated numbers; ConfigError unless there are ``dim``."""
+    try:
+        vec = np.array([kind(t) for t in text.split(",") if t.strip() != ""])
+    except ValueError as exc:
+        raise ConfigError(f"{what} {text!r} is not a list of numbers") from exc
+    if len(vec) != dim:
+        raise ConfigError(f"{what} has {len(vec)} entries, expected {dim}")
+    return vec
 
 
-def _parse_box(text):
-    box = np.asarray(json.loads(text), float)
-    return np.atleast_2d(box)
+def _parse_box(text, dim):
+    try:
+        box = np.atleast_2d(np.asarray(json.loads(text), float))
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"--box {text!r} is not a JSON list of [lo, hi]") from exc
+    if box.shape != (dim, 2):
+        raise ConfigError(f"--box has shape {box.shape}, expected ({dim}, 2)")
+    if not np.all(box[:, 0] < box[:, 1]):
+        raise ConfigError("--box needs lo < hi on every axis")
+    return box
 
 
 def _write(path, text):
@@ -179,9 +193,7 @@ def cmd_info(args):
 def cmd_leaf(args):
     ws = _workspace(args)
     F = ws.get("foliations", args.foliation)
-    x0 = _parse_vector(args.point)
-    if len(x0) != F.dim:
-        raise ConfigError(f"point has dim {len(x0)}, foliation has {F.dim}")
+    x0 = _parse_vector(args.point, F.dim, "--point")
     if not np.all((x0 >= F.chart_box[:, 0]) & (x0 <= F.chart_box[:, 1])):
         raise ConfigError("point lies outside the chart box")
     leaf = leaf_sample(F, x0, budget=args.budget, cfg=ws.flow_cfg,
@@ -203,8 +215,8 @@ def cmd_leaf(args):
 def cmd_flow(args):
     ws = _workspace(args)
     F = ws.get("foliations", args.foliation)
-    xi = _parse_vector(args.xi)
-    x = _parse_vector(args.point)
+    xi = _parse_vector(args.xi, F.num_generators, "--xi")
+    x = _parse_vector(args.point, F.dim, "--point")
     result = {"point": [float(v) for v in _flow.exp_flow(F, xi, x, ws.flow_cfg)]}
     if args.jacobian:
         J = _flow.flow_jacobian(F, xi, x, ws.flow_cfg)
@@ -219,8 +231,10 @@ def _resolve_kernel(ws, name):
 
 def _apply_and_emit(ws, kernel, fname, args):
     f = ws.get("functions", fname)
-    box = _parse_box(args.box)
-    res = tuple(int(t) for t in args.res.split(","))
+    box = _parse_box(args.box, kernel.foliation.dim)
+    res = tuple(_parse_vector(args.res, len(box), "--res", int))
+    if min(res) < 2:
+        raise ConfigError("--res must be at least 2 per axis")
     grid = oper.apply_op(kernel, f, box, res, ws.ctx(), strict=args.strict)
     masked = grid.masked_count()
     _write(args.out, grid.to_csv())

@@ -473,14 +473,6 @@ class ScalarExpr:
         return ScalarExpr(_neg(self.node), self.dim)
 
 
-def const(value: float, dim: int) -> ScalarExpr:
-    return ScalarExpr(Const(float(value)), dim)
-
-
-def var(i: int, dim: int) -> ScalarExpr:
-    return ScalarExpr(Var(i), dim)
-
-
 class VectorFieldExpr:
     """A vector field on R^dim with one ScalarExpr per component."""
 

@@ -218,25 +218,20 @@ def _as_coeff_fn(c, box):
     return fn
 
 
-def _as_dens_fn(a, fibre_dim, base_box):
-    """Wrap a ScalarExpr over (xi, base) params into a masked density;
-    callables ``a(params, rbase, sbase)`` pass through."""
+def _as_dens_fn(a):
+    """A ScalarExpr over (xi, base) params or a callable ``a(params)`` as
+    a density ``fn(params, rbase)``; DensityAtom masks it by its base box.
+
+    ``rbase`` holds the range base of each row for the densities that
+    read it (``DensityAtom.needs_rbase``) and is None for the others.
+    """
     if isinstance(a, ScalarExpr):
-        expr = a
-
-        def fn(params, rbase, sbase):
-            vals = expr(params, check_finite=False)
-            under = params[:, fibre_dim:]
-            return np.where(_in_box(under, base_box), vals, 0.0)
-
-        return fn
-    return a
+        return lambda params, rbase: a(params, check_finite=False)
+    return lambda params, rbase: a(params)
 
 
-def _scaled_fn(fn, factor, nargs):
-    if nargs == 1:
-        return lambda x: factor * fn(x)
-    return lambda p, rb, sb: factor * fn(p, rb, sb)
+def _scaled_fn(fn, factor):
+    return lambda *args: factor * fn(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +287,6 @@ class Atom:
     def node_count(self, ctx):
         return 1
 
-    def has_dirac(self):
-        return False
-
 
 def _bbox(points, pad_frac=0.02, pad_abs=1e-7):
     if points is None or len(points) == 0:
@@ -328,9 +320,6 @@ class DiracAtom(Atom):
         self.coeff_fn = coeff_fn
         self.coeff_box = np.asarray(coeff_box, float)
 
-    def has_dirac(self):
-        return True
-
     def pair(self, side, bases, phi, ctx):
         S = self.bisection
         bases = np.atleast_2d(np.asarray(bases, float))
@@ -355,7 +344,7 @@ class DiracAtom(Atom):
         return out
 
     def scaled(self, factor):
-        return DiracAtom(self.bisection, _scaled_fn(self.coeff_fn, factor, 1),
+        return DiracAtom(self.bisection, _scaled_fn(self.coeff_fn, factor),
                          self.coeff_box)
 
     def _base_set(self, kernel_side, ctx):
@@ -444,20 +433,22 @@ class _PlanBlock:
 class DensityAtom(Atom):
     """Smooth fibred density against the canonical chart measure d(xi).
 
-    ``r_hint``/``s_hint`` are optional conservative boxes for the r/s
-    images, tighter than what parameter-box sampling alone can see (used
-    when a translation rule folds a coefficient into the density).
+    ``dens_fn(params, rbase)`` is evaluated only on chart rows whose base
+    lies in ``base_box``; ``rbase`` is the rows' range base when
+    ``needs_rbase`` is set (by the translation and reduction rules) and
+    None otherwise.  ``r_hint``/``s_hint`` are optional conservative boxes
+    for the r/s images, tighter than what parameter-box sampling alone
+    can see (used when a translation rule folds a coefficient into the
+    density).
     """
 
-    def __init__(self, host, dens_fn, xi_box, base_box,
-                 needs_rbase=False, needs_sbase=False, quad_order=None,
-                 r_hint=None, s_hint=None):
+    def __init__(self, host, dens_fn, xi_box, base_box, needs_rbase=False,
+                 quad_order=None, r_hint=None, s_hint=None):
         self.host = host
         self.dens_fn = dens_fn
         self.xi_box = np.atleast_2d(np.asarray(xi_box, float))
         self.base_box = np.atleast_2d(np.asarray(base_box, float))
         self.needs_rbase = needs_rbase
-        self.needs_sbase = needs_sbase
         self.quad_order = quad_order
         self.r_hint = r_hint
         self.s_hint = s_hint
@@ -530,36 +521,29 @@ class DensityAtom(Atom):
         return _PlanBlock(Q, live, nan, params, rows, wd)
 
     def _densities(self, side, params, ok, base_rep, ctx):
-        """(density, ok) on the chart rows; zero off the base box and where
-        the chart escaped, and ``ok`` also False where a base map escaped."""
+        """(density, ok) on the chart rows: the density is evaluated once,
+        on the rows in the base box, and is zero elsewhere and where the
+        chart escaped; ``ok`` is also False where the range map escaped."""
         dens = np.zeros(len(params))
         if not np.any(ok):
             return dens, ok
-        # Base points the density reads: the fibre's own base on the
-        # paired side, the host's map on the other.
-        ends = {}
-        for end, needed in (("r", self.needs_rbase), ("s", self.needs_sbase)):
-            if not needed:
-                ends[end] = None
-            elif end == side:
-                ends[end] = base_rep
+        rbase = None
+        if self.needs_rbase:
+            if side == "r":  # a range fibre's base is its range base
+                rbase = base_rep
             else:
-                ends[end], ok_end = getattr(self.host, end)(
-                    params, ctx.flow, allow_escape=True)
-                ok = ok & ok_end
+                rbase, ok_r = self.host.r(params, ctx.flow, allow_escape=True)
+                ok = ok & ok_r
         live = ok & _in_box(params[:, self.host.fibre_dim:], self.base_box)
         if np.any(live):
-            dens[live] = self.dens_fn(
-                params[live],
-                *(None if v is None else v[live] for v in ends.values()),
-            )
+            dens[live] = self.dens_fn(params[live],
+                                      None if rbase is None else rbase[live])
         return dens, ok
 
     def scaled(self, factor):
-        return DensityAtom(self.host, _scaled_fn(self.dens_fn, factor, 3),
+        return DensityAtom(self.host, _scaled_fn(self.dens_fn, factor),
                            self.xi_box, self.base_box, self.needs_rbase,
-                           self.needs_sbase, self.quad_order,
-                           self.r_hint, self.s_hint)
+                           self.quad_order, self.r_hint, self.s_hint)
 
     def _param_samples(self, ctx, count=512):
         rng = np.random.default_rng(11)
@@ -604,9 +588,6 @@ class ConvolvedAtom(Atom):
         self.left = left
         self.right = right
         self.host = bis.compose(left.host, right.host)
-
-    def has_dirac(self):
-        return self.left.has_dirac() or self.right.has_dirac()
 
     def node_count(self, ctx):
         return self.left.node_count(ctx) * self.right.node_count(ctx)
@@ -663,9 +644,6 @@ class PushedAtom(Atom):
         self.inner = inner
         self.host = morphism.target
 
-    def has_dirac(self):
-        return self.inner.has_dirac()
-
     def node_count(self, ctx):
         return self.inner.node_count(ctx)
 
@@ -693,9 +671,6 @@ class TransposedAtom(Atom):
     def __init__(self, inner):
         self.inner = inner
         self.host = bis.invert(inner.host)
-
-    def has_dirac(self):
-        return self.inner.has_dirac()
 
     def node_count(self, ctx):
         return self.inner.node_count(ctx)
@@ -766,9 +741,6 @@ class FibredKernel:
                             self.foliation)
 
     __rmul__ = __mul__
-
-    def has_dirac(self):
-        return any(a.has_dirac() for a in self.atoms)
 
     def __repr__(self):
         kinds = ", ".join(type(a).__name__ for a in self.atoms)
@@ -849,22 +821,22 @@ def dirac(S, c, side="r", coeff_box=None, ctx=None) -> FibredKernel:
     return FibredKernel(side, [atom])
 
 
-def density(U, a, xi_box=None, base_box=None, side="r", quad_order=None,
-            needs_rbase=False, needs_sbase=False) -> FibredKernel:
+def density(U, a, xi_box=None, base_box=None, side="r",
+            quad_order=None) -> FibredKernel:
     """Smooth fibred density on U against the chart measure d(xi).
 
     ``a`` is a ScalarExpr over the parameter space (fibre coordinates
-    first, then base coordinates) or a callable
-    ``a(params, rbase, sbase)``.  Support boxes are mandatory bookkeeping;
-    the density should decay to negligible values at their edges.
+    first, then base coordinates) or a callable ``a(params)`` on rows of
+    that space.  It is masked once, by the base box: it is evaluated only
+    on parameters whose base lies in ``base_box`` and is zero elsewhere.
+    Support boxes are mandatory bookkeeping; the density should decay to
+    negligible values at their edges.
     """
     if xi_box is None:
         xi_box = U.xi_box()
     if base_box is None:
         base_box = U.foliation.escape_box
-    fn = _as_dens_fn(a, U.fibre_dim, np.atleast_2d(np.asarray(base_box, float)))
-    atom = DensityAtom(U, fn, xi_box, base_box, needs_rbase, needs_sbase,
-                       quad_order)
+    atom = DensityAtom(U, _as_dens_fn(a), xi_box, base_box, quad_order=quad_order)
     return FibredKernel(side, [atom])
 
 
@@ -903,29 +875,28 @@ def _convolve_atoms_r(A, B, ctx):
         bfn, needs_rb = B.dens_fn, B.needs_rbase
         ca = A.coeff_fn
 
-        def dens(params, rbase, sbase):
+        def dens(params, rbase):
             va = ca(rbase)
             rb_inner = None
             if needs_rb:
                 rb_inner, ok = SA.phi_inv(rbase, ctx.flow, allow_escape=True)
                 va = np.where(ok, va, np.nan)
-            vb = bfn(params, rb_inner, sbase)
+            vb = bfn(params, rb_inner)
             return va * vb
 
         return DensityAtom(host, dens, B.xi_box, B.base_box,
-                           needs_rbase=True, needs_sbase=B.needs_sbase,
-                           quad_order=B.quad_order,
+                           needs_rbase=True, quad_order=B.quad_order,
                            r_hint=A.coeff_box, s_hint=B.s_hint)
 
     if isinstance(A, DensityAtom) and TB is not None:
         host = bis.TranslateRight(A.host, TB)
         inner_host = A.host
-        afn, needs_sb = A.dens_fn, A.needs_sbase
+        afn = A.dens_fn
         cb = B.coeff_fn
 
-        def dens(params, rbase, sbase):
+        def dens(params, rbase):
             s_inner, ok = inner_host.s(params, ctx.flow, allow_escape=True)
-            va = afn(params, rbase, s_inner if needs_sb else None)
+            va = afn(params, rbase)
             vb = cb(s_inner)
             out = va * vb
             return np.where(ok, out, np.nan)
@@ -934,8 +905,7 @@ def _convolve_atoms_r(A, B, ctx):
             lambda x: TB.phi_inv(x, ctx.flow, allow_escape=True), B.coeff_box
         )
         return DensityAtom(host, dens, A.xi_box, A.base_box,
-                           needs_rbase=A.needs_rbase, needs_sbase=False,
-                           quad_order=A.quad_order,
+                           needs_rbase=A.needs_rbase, quad_order=A.quad_order,
                            r_hint=A.r_hint, s_hint=s_hint)
 
     return ConvolvedAtom(A, B)
@@ -1000,8 +970,11 @@ def _reduce_addition(pi, atom, ctx, quad_order):
     order = quad_order or ctx.quad.order_for(m)
     nodes, weights = gauss_nodes(B.xi_box, order)
     Q = len(nodes)
-    afn, bfn = A.dens_fn, B.dens_fn
-    a_needs_rb = A.needs_rbase
+
+    def factor(D, params, rbase):
+        """The factor D's density, masked by its own base box."""
+        vals = D.dens_fn(params, rbase if D.needs_rbase else None)
+        return np.where(_in_box(params[:, m:], D.base_box), vals, 0.0)
 
     def dens_block(params, rbase):
         K = len(params)
@@ -1013,14 +986,12 @@ def _reduce_addition(pi, atom, ctx, quad_order):
         mid, esc = _flow.exp_flow_batch(F, xi, y_rep, ctx.flow, allow_escape=True)
         pa = np.concatenate([zeta_rep - xi, mid], axis=1)
         pb = np.concatenate([xi, y_rep], axis=1)
-        rb = np.repeat(rbase, Q, axis=0) if (a_needs_rb and rbase is not None) else None
-        va = afn(pa, rb, mid)
-        vb = bfn(pb, mid, y_rep)
-        contrib = np.tile(weights, K) * va * vb
+        rb = None if rbase is None else np.repeat(rbase, Q, axis=0)
+        contrib = np.tile(weights, K) * factor(A, pa, rb) * factor(B, pb, mid)
         contrib = np.where(esc, np.nan, contrib)
         return contrib.reshape(K, Q).sum(axis=1)
 
-    def dens(params, rbase, sbase):
+    def dens(params, rbase):
         return _in_row_blocks(
             len(params), Q,
             lambda rows: dens_block(
@@ -1038,8 +1009,7 @@ def _reduce_addition(pi, atom, ctx, quad_order):
                        B.xi_box[:, 1] - B.xi_box[:, 0])
         )
         zeta_order = int(np.ceil(order * max(1.0, w_zeta / w_fac)))
-    return DensityAtom(U, dens, zeta_box, B.base_box,
-                       needs_rbase=a_needs_rb, needs_sbase=False,
+    return DensityAtom(U, dens, zeta_box, B.base_box, needs_rbase=A.needs_rbase,
                        quad_order=zeta_order)
 
 
@@ -1109,25 +1079,15 @@ def r_to_s_convert(a: FibredKernel, mu_weight=None, ctx=None) -> FibredKernel:
         m = host.fibre_dim
         afn = atom.dens_fn
         needs_rb = atom.needs_rbase
-        needs_sb = atom.needs_sbase
 
-        def dens(params, rbase, sbase, host=host, afn=afn, needs_rb=needs_rb,
-                 needs_sb=needs_sb, m=m):
-            xi = params[:, :m]
+        def dens(params, rbase, host=host, afn=afn, needs_rb=needs_rb, m=m):
             under = params[:, m:]
-            det, ok = host.chart_jac_det(xi, under, ctx.flow)
-            rb = None
-            if needs_rb or mu_weight is not None:
-                rb, okr = host.r(params, ctx.flow, allow_escape=True)
-                ok = ok & okr
-            vals = afn(params, rb if needs_rb else None,
-                       under if needs_sb else None)
-            out_vals = vals * det
+            rb, det, ok = host.chart_jac_det(params[:, :m], under, ctx.flow)
+            out_vals = afn(params, rb if needs_rb else None) * det
             if mu_weight is not None:
                 out_vals = out_vals * mu_weight(rb) / mu_weight(under)
             return np.where(ok, out_vals, np.nan)
 
         out.append(DensityAtom(host, dens, atom.xi_box, atom.base_box,
-                               needs_rbase=False, needs_sbase=False,
                                quad_order=atom.quad_order))
     return FibredKernel("s", out, a.foliation)

@@ -248,12 +248,11 @@ def _adjoint_atom(atom, k_fn, ys, ctx):
     if not host.fibred_layout:
         raise NotTransverse(f"adjoint action undefined on host {host.describe()}")
     m = host.fibre_dim
-    image = host.r if side == "s" else host.s
 
     def geometry(params, rows):
-        pts, ok = image(params, ctx.flow, allow_escape=True)
-        jac, okj = host.chart_jac_det(params[:, :m], params[:, m:], ctx.flow)
-        return pts, jac, ok & okj
+        # One flow gives r(p) and |det J|; on this layout s(p) is the base.
+        rpts, jac, ok = host.chart_jac_det(params[:, :m], params[:, m:], ctx.flow)
+        return (rpts if side == "s" else params[:, m:]), jac, ok
 
     def gather(params, rows, geom):
         pts, jac, ok = geom

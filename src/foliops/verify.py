@@ -197,7 +197,7 @@ def suite_pushforward(ws):
 def _fd2(dens, zeta0, y0, h, axis):
     def D(dz, dy):
         p = np.array([[zeta0 + dz, y0 + dy]])
-        return float(dens(p, None, None)[0])
+        return float(dens(p, None)[0])
 
     if axis == 0:
         return (D(h, 0) - 2 * D(0, 0) + D(-h, 0)) / h**2
@@ -293,8 +293,8 @@ def suite_adjoint(ws):
     atom = a.atoms[0]
     catom = conv.atoms[0]
     params = np.array([[x, y] for x in (-0.4, 0.1, 0.6, 1.1) for y in (-1.0, 0.5)])
-    base = atom.dens_fn(params, None, None)
-    converted = catom.dens_fn(params, None, None)
+    base = atom.dens_fn(params, None)
+    converted = catom.dens_fn(params, None)
     factor = converted / base
     out.append(
         CheckResult.bounded("conversion factor matches e^xi [S]",

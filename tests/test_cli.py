@@ -80,6 +80,23 @@ def test_unknown_names_exit_2(capsys):
                    "--box", "[[-1,1]]", "--res", "5") == 2
 
 
+_APPLY_R = ("apply", "--kernel", "gauss_R", "--function", "f_R")
+
+
+@pytest.mark.parametrize("args", [
+    ("flow", "--foliation", "R", "--xi", "1,2", "--point", "1,0"),
+    ("flow", "--foliation", "R", "--xi", "1", "--point", "1,0,3"),
+    *((*_APPLY_R, "--box", "[[-2,2],[-2,2]]", "--res", res)
+      for res in ("x", "1", "5", "5,1")),
+    (*_APPLY_R, "--box", "[[-2,2", "--res", "5,5"),
+    (*_APPLY_R, "--box", "[[2,-2],[-2,2]]", "--res", "5,5"),
+    (*_APPLY_R, "--box", "[[-2,2]]", "--res", "5"),
+])
+def test_malformed_input_exit_2(args, capsys):
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
 def test_step_limit_exit_5(tmp_path, capsys):
     # Affine families take the exact flow and no steps, so the field is not.
     cfg = tmp_path / "quadratic.json"

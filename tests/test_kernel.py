@@ -326,9 +326,27 @@ def test_addition_reduction_order_rule_2d():
     for q in (12, 20, 32):
         (atom,) = ker.pushforward(pi, ab, ctx, quad_order=q).atoms
         assert isinstance(atom, ker.DensityAtom)
-        errors.append(np.max(np.abs(atom.dens_fn(params, None, None) - want)))
+        errors.append(np.max(np.abs(atom.dens_fn(params, None) - want)))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] <= 1e-10
+
+
+def test_addition_reduction_masks_each_factor_by_its_box():
+    """A callable left factor on a base box that no fibre over [-2, 2]
+    reaches: Op(a*b) is exactly 0, and so is Op(pi_*(a*b))."""
+    ws = canonical_workspace()
+    ctx = ws.ctx()
+    U = ws.bisubmersions["U_T"]
+    a = ker.density(U, lambda p: np.exp(-25 * (p[:, 0] - 0.3) ** 2),
+                    xi_box=[[-0.8, 1.4]], base_box=[[8, 9]])
+    ab = ker.convolve(a, ws.kernels["gauss_T2"], ctx)
+    pi = make_addition_morphism(U, cfg=ctx.flow)
+    f = ws.functions["f_T"]
+    pts = np.linspace(-2, 2, 21)[:, None]
+    zeros = np.zeros(len(pts))
+    assert np.array_equal(oper.op_values(ab, f, pts, ctx), zeros)
+    assert np.array_equal(
+        oper.op_values(ker.pushforward(pi, ab, ctx), f, pts, ctx), zeros)
 
 
 def test_pushforward_host_mismatch(UT, gauss_kernel):
@@ -397,8 +415,8 @@ def test_conversion_unit_factor_on_translations(UT, gauss_kernel):
     conv = ker.r_to_s_convert(gauss_kernel)
     assert conv.side == "s"
     params = np.array([[0.3, 0.5], [0.9, -1.0]])
-    v0 = gauss_kernel.atoms[0].dens_fn(params, None, None)
-    v1 = conv.atoms[0].dens_fn(params, None, None)
+    v0 = gauss_kernel.atoms[0].dens_fn(params, None)
+    v1 = conv.atoms[0].dens_fn(params, None)
     assert np.max(np.abs(v1 - v0)) <= 1e-9  # translations preserve volume
 
 
@@ -408,7 +426,7 @@ def test_conversion_scaling_closed_form(scaleF):
     a = ker.density(US, dens, xi_box=[[-0.7, 1.5]], base_box=[[-10, 10]])
     conv = ker.r_to_s_convert(a)
     params = np.array([[x, y] for x in (-0.3, 0.2, 0.8) for y in (-1.0, 0.7)])
-    ratio = conv.atoms[0].dens_fn(params, None, None) / dens(params)
+    ratio = conv.atoms[0].dens_fn(params, None) / dens(params)
     assert np.max(np.abs(ratio - np.exp(params[:, 0]))) <= 1e-7
 
 
@@ -427,7 +445,7 @@ def test_conversion_on_restricted_host(UT):
     conv = ker.r_to_s_convert(a)
     params = np.array([[0.2, 0.4]])
     # translations are volume preserving, so conversion is the identity
-    assert conv.atoms[0].dens_fn(params, None, None) == pytest.approx(
+    assert conv.atoms[0].dens_fn(params, None) == pytest.approx(
         dens(params), abs=1e-10
     )
 

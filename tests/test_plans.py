@@ -48,13 +48,14 @@ def _chart_calls(monkeypatch):
 
 
 def _flow_rows(monkeypatch):
-    """Count the rows of every flow integration (either backend)."""
+    """Record ``(rows, with Jacobian)`` of every flow integration (either
+    backend)."""
     rows = []
     integrate = flow._integrate
 
-    def counted(foliation, xi, x, *args):
-        rows.append(len(x))
-        return integrate(foliation, xi, x, *args)
+    def counted(foliation, xi, x, cfg, direction, with_jacobian):
+        rows.append((len(x), with_jacobian))
+        return integrate(foliation, xi, x, cfg, direction, with_jacobian)
 
     monkeypatch.setattr(flow, "_integrate", counted)
     return rows
@@ -283,19 +284,23 @@ def _pendulum_ws():
 
 
 def test_adjoint_plan_hit_runs_no_dp45_flow(monkeypatch):
-    """As on the affine canonical R: a hit reads the flowed points and
-    |det J| kept in the plan, here where they came from DP45."""
+    """A cold pairing flows each node once through DP45, with its Jacobian,
+    which gives both r(p) and |det J|.  As on the affine canonical R, a hit
+    reads them from the plan, here where they came from DP45."""
     ws = _pendulum_ws()
     kernel = ker.transpose(ws.get("kernels", "a"))
     ys = _grid(7)
     k = _f(-0.2)
-    cold = oper.adjoint_values(kernel, k, ys, ws.ctx())
+    nodes = len(ys) * kernel.atoms[0].node_count(ws.ctx())
     rows = _flow_rows(monkeypatch)
+    cold = oper.adjoint_values(kernel, k, ys, ws.ctx())
+    assert rows == [(nodes, True)]  # and no plain flow
+    rows.clear()
     hit = oper.adjoint_values(kernel, k, ys, ws.ctx())
     assert rows == []
     fresh = oper.adjoint_values(kernel, k, ys, ker.PairingCtx(ws.quad_cfg,
                                                                ws.flow_cfg))
-    assert rows  # the cold pairing flows
+    assert rows == [(nodes, True)]
     assert hit.tobytes() == cold.tobytes() == fresh.tobytes()
 
 
