@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -157,13 +157,28 @@ class PairingCtx:
     # None for pairings that keep no plans
     plans: PlanStore = field(default_factory=PlanStore, repr=False)
 
-    def deeper(self):
-        """One convolution level down; nested pairings keep no plans."""
+    def deeper(self, keep_plans=False):
+        """One convolution level down, sharing this context's plan store
+        if ``keep_plans``; ``deeper()`` keeps no plans."""
         if self.depth + 1 > self.quad.nesting_limit:
             raise QuadratureFailure(
                 f"convolution nesting exceeded {self.quad.nesting_limit}"
             )
-        return PairingCtx(self.quad, self.flow, self.depth + 1, self.diag, None)
+        plans = self.plans if keep_plans else None
+        return PairingCtx(self.quad, self.flow, self.depth + 1, self.diag, plans)
+
+    def nested_in(self, atom, side, bases):
+        """One level down, for pairings on points that the rows of
+        ``atom.pair(side, bases)`` on this context fix (a lazy convolution's
+        mid points, a nested adjoint's flowed points).
+
+        Such points repeat bit for bit once that outer plan is reused, since
+        they come from its kept geometry.  The deeper context therefore
+        keeps plans only when the outer plan is stored before the call: a
+        nested pairing that runs once leaves no plan behind.
+        """
+        return self.deeper(self.plans is not None
+                           and atom.planned(side, bases, self))
 
 
 def _row_slices(n_rows, nodes_per_row):
@@ -268,6 +283,11 @@ class Atom:
         geometry.
         """
         raise NotImplementedError
+
+    def planned(self, side, bases, ctx):
+        """Whether ``ctx.plans`` holds the plan of ``pair(side, bases)``;
+        only density pairings keep one."""
+        return False
 
     def transposed(self):
         return TransposedAtom(self)
@@ -465,14 +485,19 @@ class DensityAtom(Atom):
     def node_count(self, ctx):
         return len(self._nodes(ctx)[0])
 
+    def planned(self, side, bases, ctx):
+        bases = np.atleast_2d(np.asarray(bases, float))
+        return ctx.plans.get(self, _plan_key(side, bases, ctx)) is not None
+
     def pair(self, side, bases, phi, ctx):
         """Fetch or build the plan of (self, side, bases) and execute it.
 
-        Plans are kept in ``ctx.plans``; nested pairings, which see new mid
-        points on every call, have none.  An unstored plan is built one row
-        block at a time, and each block is dropped once executed; a plan
-        that outgrows _PLAN_BUDGET drops the blocks it kept so far.  A hit
-        is stored again, to count the geometry it added.
+        Plans are kept in ``ctx.plans``; a nested pairing has a store only
+        once its outer plan is reused (``PairingCtx.nested_in``).  An
+        unstored plan is built one row block at a time, and each block is
+        dropped once executed; a plan that outgrows _PLAN_BUDGET drops the
+        blocks it kept so far.  A hit is stored again, to count the
+        geometry it added.
         """
         bases = np.atleast_2d(np.asarray(bases, float))
         key = blocks = None
@@ -598,11 +623,13 @@ class ConvolvedAtom(Atom):
         # inner factor's fibre.  Composite rows are always (left, right).
         # The outer pairing is on the caller's points: it keeps its plan in
         # the caller's store, one level down as the nesting limit counts it.
-        inner_ctx = ctx.deeper()
+        # The inner pairings are on the mid points of its kept geometry and
+        # keep theirs once it is reused.
         if side == "r":
             outer, inner = self.left, self.right
         else:
             outer, inner = self.right, self.left
+        inner_ctx = ctx.nested_in(outer, side, bases)
         opposite = getattr(outer.host, _OTHER[side])
 
         def mids(o_params, o_rows):
@@ -619,7 +646,7 @@ class ConvolvedAtom(Atom):
             return np.where(geom[1], vals, np.nan)
 
         phi_out = Integrand(mids, gather, ("mids", _OTHER[side], outer.host.key()))
-        return outer.pair(side, bases, phi_out, replace(inner_ctx, plans=ctx.plans))
+        return outer.pair(side, bases, phi_out, ctx.deeper(keep_plans=True))
 
     def scaled(self, factor):
         return ConvolvedAtom(self.left.scaled(factor), self.right)
@@ -677,6 +704,9 @@ class TransposedAtom(Atom):
 
     def pair(self, side, bases, phi, ctx):
         return self.inner.pair(_OTHER[side], bases, phi, ctx)
+
+    def planned(self, side, bases, ctx):
+        return self.inner.planned(_OTHER[side], bases, ctx)
 
     def transposed(self):
         return self.inner

@@ -233,8 +233,12 @@ def _adjoint_atom(atom, k_fn, ys, ctx):
         atom = ConvolvedAtom(atom.inner.right.transposed(),
                              atom.inner.left.transposed())
     if isinstance(atom, ConvolvedAtom):
+        # The inner adjoint reads the points the outer geometry flowed, and
+        # the outer pairing is over the left factor's range side.
+        inner_ctx = ctx.nested_in(atom.left, "r", ys)
+
         def g(zs):
-            return _adjoint_atom(atom.right, k_fn, zs, ctx.deeper())
+            return _adjoint_atom(atom.right, k_fn, zs, inner_ctx)
 
         return _adjoint_atom(atom.left, g, ys, ctx)
     side, dens = ("s", atom.inner) if isinstance(atom, TransposedAtom) \

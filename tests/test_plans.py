@@ -154,20 +154,75 @@ def test_key_changes_miss(ws, monkeypatch):
     assert (len(store), len(calls)) == (6, 6)
 
 
-def test_nested_pairings_are_not_stored(ws):
+def _planned_atoms(store):
+    """The atom of every stored plan."""
+    store._drop_dead()
+    return [key[0]() for key in store._plans]
+
+
+def _ones(params, rows):
+    return np.ones(len(params))
+
+
+def test_nested_plans_are_kept_once_the_outer_plan_is_reused(ws):
     """A lazy convolution keeps the plan of its outer pairing, whose bases
-    are the caller's points, and none of its inner pairings."""
+    are the caller's points.  Its inner pairings keep theirs only when that
+    outer plan was already stored, since its kept geometry then gives the
+    same mid points; a nested pairing on fresh points keeps none."""
     a, b = ws.get("kernels", "gauss_R"), ws.get("kernels", "gauss_R2")
     ctx = ws.ctx()
     ab = ker.convolve(a, b, ctx)
     assert all(isinstance(x, ker.ConvolvedAtom) for x in ab.atoms)
     pts = _grid(5)
-    oper.op_values(ab, _f(0.0), pts, ctx)
-    atom = a.atoms[0]
-    assert len(ws.plans) == 1
-    assert ws.plans.get(atom, ker._plan_key("r", pts, ctx)) is not None
-    atom.pair("r", pts + 0.5, lambda p, r: np.ones(len(p)), ctx.deeper())
-    assert len(ws.plans) == 1
+    outer, inner = a.atoms[0], b.atoms[0]
+    cold = oper.op_values(ab, _f(0.0), pts, ctx)
+    assert _planned_atoms(ws.plans) == [outer]
+    assert ws.plans.get(outer, ker._plan_key("r", pts, ctx)) is not None
+    hit = oper.op_values(ab, _f(0.0), pts, ctx)
+    assert set(_planned_atoms(ws.plans)) == {outer, inner}
+    again = oper.op_values(ab, _f(0.0), pts, ctx)
+    assert len(ws.plans) == 2
+    assert cold.tobytes() == hit.tobytes() == again.tobytes()
+    outer.pair("r", pts + 0.5, _ones, ctx.deeper())
+    inner.pair("r", pts + 0.5, _ones, ctx.nested_in(outer, "r", pts + 0.5))
+    assert len(ws.plans) == 2
+
+
+def test_nested_plan_needs_its_outer_plan_in_the_store(ws, monkeypatch):
+    """Once the budget has evicted the outer plan, the next call stores the
+    outer plan again but no inner plan, and gives the same bits."""
+    a, b = ws.get("kernels", "gauss_R"), ws.get("kernels", "gauss_R2")
+    ctx = ws.ctx()
+    ab = ker.convolve(a, b, ctx)
+    pts = _grid(5)
+    outer = a.atoms[0]
+    cold = oper.op_values(ab, _f(0.0), pts, ctx)
+    probe = ker.PlanStore()
+    outer.pair("r", pts + 0.5, _ones, ker.PairingCtx(plans=probe))
+    budget = ker._PLAN_BUDGET
+    monkeypatch.setattr(ker, "_PLAN_BUDGET", probe.nbytes)
+    outer.pair("r", pts + 0.5, _ones, ctx)  # evicts the outer plan
+    assert not outer.planned("r", pts, ctx) and len(ws.plans) == 1
+    monkeypatch.setattr(ker, "_PLAN_BUDGET", budget)
+    again = oper.op_values(ab, _f(0.0), pts, ctx)
+    assert outer.planned("r", pts, ctx)
+    assert _planned_atoms(ws.plans) == [outer, outer]  # and none of inner
+    assert again.tobytes() == cold.tobytes()
+
+
+def test_nested_plan_dies_with_its_inner_atom(ws):
+    a = ws.get("kernels", "gauss_R")
+    inner = ws.get("kernels", "gauss_R2").atoms[0].scaled(0.5)
+    ctx = ws.ctx()
+    ab = ker.convolve(a, ker.FibredKernel("r", [inner]), ctx)
+    for _ in range(2):
+        oper.op_values(ab, _f(0.0), _grid(5), ctx)
+    assert len(ws.plans) == 2
+    inner = weakref.ref(inner)
+    del ab
+    gc.collect()
+    assert inner() is None
+    assert _planned_atoms(ws.plans) == [a.atoms[0]]
 
 
 def test_plan_arrays_are_read_only(ws):
@@ -224,7 +279,8 @@ def test_budget_drops_least_recently_used(ws, monkeypatch):
 
 def test_unkept_plan_holds_one_block_at_a_time(ws, monkeypatch):
     """Once a plan outgrows the budget, each block is freed before the
-    next one is built; nested pairings never keep a block."""
+    next one is built; a nested pairing on fresh points never keeps a
+    block."""
     atom = ws.get("kernels", "gauss_R").atoms[0]
     pts = _grid(9)  # 81 rows x 32 nodes, in 81 // 8 + 1 = 11 blocks of 8 rows
     monkeypatch.setattr(ker, "_BLOCK_ROWS", 8 * 32)
@@ -279,8 +335,10 @@ def _pendulum_ws():
     U = bis.make_path_holonomy(F)
     a = ker.density(U, parse_scalar("exp(-20*x1^2-0.1*(x2^2+x3^2))", 3),
                     xi_box=[[-1.0, 1.0]])
+    b = ker.density(U, parse_scalar("exp(-25*(x1-0.1)^2-0.2*(x2^2+x3^2))", 3),
+                    xi_box=[[-1.0, 1.0]])
     return Workspace(foliations={"P": F}, bisubmersions={"U": U},
-                     kernels={"a": a})
+                     kernels={"a": a, "b": b})
 
 
 def test_adjoint_plan_hit_runs_no_dp45_flow(monkeypatch):
@@ -302,6 +360,37 @@ def test_adjoint_plan_hit_runs_no_dp45_flow(monkeypatch):
                                                                ws.flow_cfg))
     assert rows == [(nodes, True)]
     assert hit.tobytes() == cold.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("action", ["op", "adjoint"])
+def test_warm_lazy_convolution_runs_no_dp45_flow(monkeypatch, action):
+    """On a stored outer plan the inner pairings of a lazy a*b keep theirs,
+    so from the third call on neither Op(a*b) nor the adjoint of (a*b)^t
+    integrates a flow row (plain or with the Jacobian), and both give the
+    bits of a cold pairing.  A call made once keeps the outer plan alone."""
+    ws = _pendulum_ws()
+    ab = ker.convolve(ws.get("kernels", "a"), ws.get("kernels", "b"), ws.ctx())
+    assert all(isinstance(x, ker.ConvolvedAtom) for x in ab.atoms)
+    pts = _grid(5)
+    if action == "op":
+        def run(ctx):
+            return oper.op_values(ab, _f(0.3), pts, ctx)
+    else:
+        abt = ker.transpose(ab)
+
+        def run(ctx):
+            return oper.adjoint_values(abt, _f(-0.2), pts, ctx)
+
+    rows = _flow_rows(monkeypatch)
+    calls = [run(ws.ctx())]
+    assert len(ws.plans) == 1 and rows
+    calls.append(run(ws.ctx()))
+    assert len(ws.plans) == 2
+    rows.clear()
+    calls.append(run(ws.ctx()))
+    assert rows == []
+    cold = run(ker.PairingCtx(ws.quad_cfg, ws.flow_cfg))
+    assert all(c.tobytes() == cold.tobytes() for c in calls)
 
 
 def test_integrands_never_share_a_geometry(ws):
