@@ -1,17 +1,22 @@
 """Unit-time flows of generator combinations, their inverses and Jacobians.
 
 The map realized here sends (xi, x) to the time-1 state of the initial
-value problem y' = sum_i xi_i X_i(y), y(0) = x.  There are two backends,
-chosen from the generators themselves:
+value problem y' = sum_i xi_i X_i(y), y(0) = x.  There are four paths,
+chosen from the batch and the generators themselves:
 
-* Affine families (every generator Jacobian entry is a constant node, so
-  X_i(y) = A_i y + b_i) take the exact flow.  With G(xi) the augmented
-  matrix [[sum xi_i A_i, sum xi_i b_i], [0, 0]], the flow is the affine
-  map of expm(G) (scipy's scaling and squaring, Al-Mohy & Higham 2009),
-  its Jacobian is the linear block, and the back flow uses -G.  One
-  ``expm`` is taken per distinct xi row; fibre quadrature tiles a few
-  nodes over many base points, and that period is found in O(N).  No
-  steps are taken, so tolerances and the step budget do not apply.
+* A batch whose xi rows are all zero takes the identity (J = I).
+* Translation families (every generator constant, X_i(y) = b_i) take
+  the shift y = x + sum_i xi_i b_i, with J = I.  No matrix exponential,
+  bound or path sample is needed.
+* Other affine families (every generator Jacobian entry is a constant
+  node, so X_i(y) = A_i y + b_i) take the exact flow.  With G(xi) the
+  augmented matrix [[sum xi_i A_i, sum xi_i b_i], [0, 0]], the flow is
+  the affine map of expm(G) (scipy's scaling and squaring, Al-Mohy &
+  Higham 2009), its Jacobian is the linear block, and the back flow uses
+  -G.  One ``expm`` is taken per distinct xi row; fibre quadrature tiles
+  a few nodes over many base points, and that period is found in O(N).
+  These two paths take no steps, so tolerances and the step budget do
+  not apply.
 * Every other family takes one batched Dormand-Prince 5(4) integrator
   with step control per row (Hairer-Norsett-Wanner II.4): each
   trajectory has its own time and step size, accepts or rejects its own
@@ -34,15 +39,21 @@ chosen from the generators themselves:
 
 A row escapes when its start lies outside the escape box or is not
 finite, or when its trajectory leaves the box or turns non-finite.  Every
-path checks the start the same way (a zero xi row too, whose flow is the
-identity).  DP45 then checks the state after each accepted step.  The
-exact backend checks the endpoint of every row and, on rows that two
-bounds do not already keep inside the box, the path at t = k/64.  The
-rule is sampled: an excursion between two samples goes unseen.
-The bounds are the log-norm ball |y(t)| <= e^{mu+} (|x| + |g|), with mu
-the largest eigenvalue of the symmetric part of the linear block and g
-the constant part, and the chord bound: y(t) stays within
-|G_A|_F e^{|G_A|_F} |G_A x + g| / 8 of the segment from x to y(1).
+path checks the start the same way, and a row with a non-finite xi
+escapes on every path.  The shift checks the endpoint too, and that
+rule is exact: the box is convex and a shift's path is the segment from
+x to y.  DP45 checks the state after each accepted
+step.  The ``expm`` path checks the endpoint of every row and, on rows
+that two bounds do not already keep inside the box, the path at
+t = k/64.  That rule is sampled: an excursion between two samples goes
+unseen.  The bounds are the log-norm ball
+|y(t)| <= e^{mu+} (|x| + |g|), with mu the largest eigenvalue of the
+symmetric part of the linear block and g the constant part, and the
+chord bound: y(t) stays within |G_A|_F e^{|G_A|_F} |G_A x + g| / 8 of
+the segment from x to y(1).
+
+scipy is imported on first use, by the ``expm`` path, so the shift and
+DP45 paths never load it.
 """
 
 from __future__ import annotations
@@ -51,7 +62,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, DomainEscape, StepLimit
 from .expr import Const
@@ -140,7 +150,10 @@ def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
         return x.copy(), J, _outside(x, *foliation.escape_box.T)
     parts = _affine_parts(foliation)
     if parts is not None:
-        return _affine_flow(foliation, *parts, direction * xi, x, with_jacobian)
+        A, b = parts
+        if not np.any(A):
+            return _shift_flow(foliation, b, direction * xi, x, with_jacobian)
+        return _affine_flow(foliation, A, b, direction * xi, x, with_jacobian)
     # Runs of bitwise equal (xi, x) rows, found without a sort, are
     # integrated once: fibre quadrature repeats base points over its nodes.
     new = np.zeros(N, dtype=bool)
@@ -208,8 +221,35 @@ def _row_norm(Y):
     return np.sqrt(sum(Y[..., k] ** 2 for k in range(Y.shape[-1])))
 
 
+def _shift_flow(foliation, b, xi, x, with_jacobian):
+    """Exact unit-time flow of sum_i xi_i b_i: y = x + xi b; xi carries the sign.
+
+    The path is the segment from x to y and the escape box is convex, so a
+    row escapes exactly when x or y lies outside it.  A non-finite xi
+    entry makes every entry of y non-finite (inf * 0 is NaN), so such rows
+    escape too; they stay at x, as on the other backends.
+    """
+    N, n = x.shape
+    lo, hi = foliation.escape_box.T
+    Y = np.empty((N, n))
+    with np.errstate(invalid="ignore", over="ignore"):  # such rows escape
+        for k in range(n):  # whole columns: see _outside
+            shift = xi[:, 0] * b[0, k]
+            for i in range(1, len(b)):
+                shift += xi[:, i] * b[i, k]
+            np.add(x[:, k], shift, out=Y[:, k])
+    escaped = _outside(x, lo, hi) | _outside(Y, lo, hi)
+    rows = np.flatnonzero(escaped)
+    stay = rows[~np.all(np.isfinite(xi[rows]), axis=1)]
+    Y[stay] = x[stay]
+    J = np.tile(np.eye(n), (N, 1, 1)) if with_jacobian else None
+    return Y, J, escaped
+
+
 def _affine_flow(foliation, A, b, xi, x, with_jacobian):
     """Exact unit-time flow of sum_i xi_i (A_i y + b_i); xi carries the sign."""
+    from scipy.linalg import expm
+
     N, n = x.shape
     lo, hi = foliation.escape_box.T
     reps, inv = _distinct_rows(xi)
@@ -249,6 +289,8 @@ def _affine_flow(foliation, A, b, xi, x, with_jacobian):
 
 def _sampled_escape(G, d, x, lo, hi):
     """Rows x that leave [lo, hi] at some t = k/_PATH_SAMPLES under expm(t G[d])."""
+    from scipy.linalg import expm
+
     out = np.zeros(len(x), dtype=bool)
     if len(x):
         dist, sub = np.unique(d, return_inverse=True)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import flow as _flow
 from .errors import ConfigError, DimensionMismatch
@@ -150,6 +149,8 @@ class LeafSample:
     def nearest(self, queries):
         """Nearest sample index and distance for each query point."""
         if self._tree is None:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self.points)
         dist, idx = self._tree.query(np.atleast_2d(queries))
         return idx, dist

@@ -997,28 +997,47 @@ def _reduce_addition(pi, atom, ctx, quad_order):
         return None
     if not (A.host.same_term(U) and B.host.same_term(U)):
         return None
+    n = F.dim
     order = quad_order or ctx.quad.order_for(m)
     nodes, weights = gauss_nodes(B.xi_box, order)
     Q = len(nodes)
 
-    def factor(D, params, rbase):
-        """The factor D's density, masked by its own base box."""
-        vals = D.dens_fn(params, rbase if D.needs_rbase else None)
-        return np.where(_in_box(params[:, m:], D.base_box), vals, 0.0)
-
     def dens_block(params, rbase):
+        """Sum over the nodes xi of w A(zeta - xi, mid) B(xi, y), mid = exp(xi)y.
+
+        Each factor is masked by its own base box: B's base y is the same
+        for all of a row's nodes, so its mask is taken once per row.  A
+        node whose mid point escapes is NaN.
+        """
         K = len(params)
-        zeta = params[:, :m]
         y = params[:, m:]
-        xi = np.tile(nodes, (K, 1))
-        y_rep = np.repeat(y, Q, axis=0)
-        zeta_rep = np.repeat(zeta, Q, axis=0)
-        mid, esc = _flow.exp_flow_batch(F, xi, y_rep, ctx.flow, allow_escape=True)
-        pa = np.concatenate([zeta_rep - xi, mid], axis=1)
-        pb = np.concatenate([xi, y_rep], axis=1)
-        rb = None if rbase is None else np.repeat(rbase, Q, axis=0)
-        contrib = np.tile(weights, K) * factor(A, pa, rb) * factor(B, pb, mid)
-        contrib = np.where(esc, np.nan, contrib)
+        # Parameter rows are built column by column (column-major), as
+        # the flow and the densities read them.
+        pb = np.empty((m + n, K * Q)).T  # rows (xi, y), nodes tiled over y
+        for j in range(m):
+            pb[:, j] = np.tile(nodes[:, j], K)
+        for k in range(n):
+            pb[:, m + k] = np.repeat(y[:, k], Q)
+        mid, esc = _flow.exp_flow_batch(F, pb[:, :m], pb[:, m:], ctx.flow,
+                                        allow_escape=True)
+        vb = B.dens_fn(pb, mid if B.needs_rbase else None)
+        del pb
+        fb = np.where(np.repeat(_in_box(y, B.base_box), Q), vb, 0.0)
+        del vb
+        pa = np.empty((m + n, K * Q)).T  # rows (zeta - xi, mid)
+        for j in range(m):
+            np.subtract(np.repeat(params[:, j], Q), np.tile(nodes[:, j], K),
+                        out=pa[:, j])
+        pa[:, m:] = mid
+        del mid
+        rb = None
+        if rbase is not None and A.needs_rbase:
+            rb = np.repeat(rbase, Q, axis=0)
+        contrib = np.where(_in_box(pa[:, m:], A.base_box), A.dens_fn(pa, rb), 0.0)
+        del pa, rb
+        contrib.reshape(K, Q)[...] *= weights
+        contrib *= fb
+        contrib[esc] = np.nan
         return contrib.reshape(K, Q).sum(axis=1)
 
     def dens(params, rbase):

@@ -6,6 +6,8 @@ side by side.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from foliops.expr import VectorFieldExpr, parse_field
 from foliops.flow import (
     DEFAULT_FLOW,
     FlowConfig,
+    _affine_flow,
+    _affine_parts,
     _dp45,
     back_flow,
     back_flow_batch,
@@ -250,6 +254,9 @@ def test_exact_backend_matches_dp45(canonical, name):
     lo, hi = F.escape_box[:, 0], F.escape_box[:, 1]
     xi = rng.uniform(-1, 1, (1000, F.num_generators)) * F.xi_radius
     x = rng.uniform(lo, hi, (1000, F.dim))
+    # Starts just beyond the box's upper corner and, on T and C, heads inside.
+    xi = np.vstack([xi, -0.5 * F.xi_radius])
+    x = np.vstack([x, hi + 0.05])
     if name == "R":
         # Leaves [-8, 8]^2 mid-arc and ends inside, at (7.90, 3.26).
         xi = np.vstack([xi, [[0.75]]])
@@ -265,6 +272,7 @@ def test_exact_backend_matches_dp45(canonical, name):
     Bd, _, escaped_bd = _dp45(F, xi, x, DEFAULT_FLOW, -1.0, False)
     assert np.array_equal(escaped_b, escaped_bd)
     assert np.max(np.abs(B - Bd)[~escaped_b]) <= 1e-9
+    assert escaped[1000] and escaped_b[1000]
     if name == "R":
         assert escaped[-1]
 
@@ -404,10 +412,13 @@ def test_flow_config_rejects_bad_settings(bad):
 
 
 def test_nan_xi_escapes(canonical):
-    for name, xi in (("R", [[np.nan]]), ("C", [[np.nan, 1.0]])):
-        _, escaped = exp_flow_batch(canonical[name], xi, [[1.0, 0.0]],
-                                    allow_escape=True)
+    for name, xi in (("R", [[np.nan]]), ("C", [[np.nan, 1.0]]),
+                     ("C", [[0.0, np.inf]]), ("T", [[np.nan]]),
+                     ("T", [[-np.inf]])):
+        x = [[1.0, 0.0]] if name != "T" else [[1.0]]
+        Y, escaped = exp_flow_batch(canonical[name], xi, x, allow_escape=True)
         assert escaped.tolist() == [True], name
+        assert np.array_equal(Y, x), name
 
 
 def test_batched_escape_mask(scaling):
@@ -418,11 +429,12 @@ def test_batched_escape_mask(scaling):
     assert abs(pts[0, 0] - math.exp(0.1)) <= 1e-8
 
 
-@pytest.mark.parametrize("field", ["[x2, -sin(x1)]", "[x2, 0]"])
+@pytest.mark.parametrize("field", ["[x2, -sin(x1)]", "[x2, 0]", "[1, 0]"])
 def test_start_outside_box_escapes_on_both_backends(field):
-    """One start rule: DP45 (pendulum) and the exact flow ([x2, 0]) both
-    flag a row that starts outside [-8, 8]^2, also where it would re-enter
-    in its first step, and a zero-xi row; they keep rows that start inside."""
+    """One start rule: DP45 (pendulum), the expm flow ([x2, 0]) and the
+    shift ([1, 0]) all flag a row that starts outside [-8, 8]^2, also where
+    it would re-enter in its first step, and a zero-xi row; they keep rows
+    that start inside."""
     F = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
                           generators=[parse_field(field, 2)], xi_radius=[1.0])
     xi = [[1.0], [1.0], [0.0], [1.0]]
@@ -433,6 +445,53 @@ def test_start_outside_box_escapes_on_both_backends(field):
     for xi_row in ([[0.0]], [[1.0]]):
         _, escaped = exp_flow_batch(F, xi_row, [[8.05, -3.0]], allow_escape=True)
         assert escaped.tolist() == [True]
+
+
+@pytest.mark.parametrize("name", ["T", "C"])
+def test_shift_matches_affine_flow(canonical, name):
+    """Translation families take the shift x + xi b.  Against the expm
+    flow, called directly as the reference, its escape masks are equal on
+    forward, back and Jacobian calls, and its points agree to 4 ulp of the
+    larger of |x| and |xi b| (expm rounds its shift column, and x + xi b
+    can cancel); its Jacobian is I."""
+    F = canonical[name]
+    A, b = _affine_parts(F)
+    assert not np.any(A)
+    m, n = F.num_generators, F.dim
+    lo, hi = F.escape_box[:, 0], F.escape_box[:, 1]
+    rng = np.random.default_rng(29)
+    xi = rng.uniform(-1, 1, (400, m)) * F.xi_radius
+    x = rng.uniform(lo, hi, (400, n))
+    # Starts outside; ends outside forward, or back; NaN and +-inf xi; zero
+    # xi inside and outside; an inner row.
+    special_xi = np.array([[0.5] * m, [1.0] * m, [1.0] * m, [np.nan] * m,
+                           [np.inf] * m, [-np.inf] * m, [0.0] * m, [0.0] * m,
+                           [-1.0] * m])
+    special_x = np.array([hi + 0.5, hi - 0.5, lo + 0.5, [0.1] * n, [0.1] * n,
+                          [0.1] * n, [0.2] * n, lo - 0.1, [0.3] * n])
+    xi = np.vstack([xi, special_xi])
+    x = np.vstack([x, special_x])
+    for direction, entry in ((1.0, exp_flow_batch), (-1.0, back_flow_batch),
+                             (1.0, flow_jacobian_batch)):
+        with_jacobian = entry is flow_jacobian_batch
+        got = entry(F, xi, x, allow_escape=True)
+        Y, escaped = got[0], got[-1]
+        Ya, Ja, escaped_a = _affine_flow(F, A, b, direction * xi, x, with_jacobian)
+        assert np.array_equal(escaped, escaped_a), entry.__name__
+        fwd = direction > 0
+        assert escaped[400:].tolist() == [True, fwd, not fwd, True, True, True,
+                                          False, True, False]
+        assert 0 < np.sum(escaped[:400]) < 400
+        finite = np.all(np.isfinite(xi), axis=1)
+        shift = direction * xi[finite] @ b
+        assert np.array_equal(Y[finite], x[finite] + shift)
+        assert np.array_equal(Y[~finite], x[~finite])
+        assert np.array_equal(Ya[~finite], x[~finite])
+        ulp = np.spacing(np.maximum(np.abs(x[finite]), np.abs(shift)))
+        assert np.all(np.abs(Y[finite] - Ya[finite]) <= 4 * ulp)
+        if with_jacobian:
+            assert np.array_equal(got[1], np.broadcast_to(np.eye(n), Ja.shape))
+            np.testing.assert_array_max_ulp(got[1], Ja, maxulp=4)
 
 
 def test_dp45_start_rule_keeps_other_rows(pendulum):
@@ -482,3 +541,30 @@ def test_field_is_evaluated_on_distinct_rows_only(pendulum, monkeypatch):
     rows.clear()
     exp_flow_batch(pendulum, xi[firsts], x[firsts], allow_escape=True)
     assert batch == rows and rows[0] == 6  # 7 runs, one starts outside the box
+
+
+_NO_SCIPY_RUN = """
+import sys
+
+import foliops
+
+F = foliops.SingularFoliation(
+    dim=2, chart_box=[[-2, 2], [-2, 2]],
+    generators=[foliops.parse_field("[x2, -sin(x1)]", 2)], xi_radius=[1.0])
+a = foliops.density(foliops.make_path_holonomy(F),
+                    foliops.parse_scalar("exp(-25*x1^2)", 3), xi_box=[[-0.5, 0.5]])
+f = foliops.parse_scalar("exp(-x1^2-x2^2)", 2)
+values = foliops.apply_op(a, f, [[-1, 1], [-1, 1]], (5, 5)).values
+leaf = foliops.leaf_sample(F, [1.0, 0.0], budget=40, seed=3)
+assert values.shape == (5, 5) and len(leaf.points) > 1
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_pendulum_run_never_imports_scipy():
+    """scipy is imported on first use (expm flows, nearest-sample lookup),
+    so Op and leaf sampling on a non-affine family never load it."""
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -298,6 +298,66 @@ def test_pushforward_vs_nested_quadrature_oracle(UT, gauss_kernel, gauss_kernel2
     assert np.max(np.abs(got - want)) <= 1e-6
 
 
+def _masked_reduction(family):
+    """Reduced density of a*b on the addition morphism of a translation
+    family, with base boxes narrower than the escape box, and parameter
+    rows (zeta, y): two inside every box, one outside B's base box whose
+    nodes all stay in the escape box, one inside B's box with some mid
+    points y + xi outside the escape box, and one where A's base box
+    masks some mid points."""
+    if family == "T":
+        F = SingularFoliation(dim=1, chart_box=[[-3, 3]],
+                              generators=[parse_field("[1]", 1)], xi_radius=[2.0])
+        a = ker.density(make_path_holonomy(F),
+                        _f("exp(-25*(x1-0.3)^2)*(1+0.3*sin(x2))", 2),
+                        xi_box=[[-0.8, 1.4]], base_box=[[-9.0, 12.0]])
+        b = ker.density(a.atoms[0].host, _f("exp(-20*(x1+0.2)^2)", 2),
+                        xi_box=[[-1.4, 1.0]], base_box=[[-12.0, 10.0]])
+        rows = [[0.1, 0.3], [0.5, -1.2], [0.2, 11.0], [0.1, -11.5], [0.1, -8.6]]
+    else:
+        F = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                              generators=[parse_field("[1, 0]", 2),
+                                          parse_field("[0, 1]", 2)],
+                              xi_radius=[1.8, 1.8])
+        U = make_path_holonomy(F)
+        a = ker.density(U, _f("exp(-10*(x1-0.2)^2-10*(x2+0.1)^2)*(1+0.05*x3)", 4),
+                        xi_box=[[-1.1, 1.5], [-1.4, 1.2]],
+                        base_box=[[-5.6, 8.0], [-8.0, 8.0]])
+        b = ker.density(U, _f("exp(-10*(x1+0.3)^2-10*(x2-0.2)^2)", 4),
+                        xi_box=[[-1.6, 1.0], [-1.1, 1.5]],
+                        base_box=[[-8.0, 6.5], [-8.0, 8.0]])
+        rows = [[0.1, 0.05, 0.3, -0.2], [-0.4, 0.3, -1.0, 0.5],
+                [0.1, 0.1, 7.0, 0.0], [0.1, 0.1, -7.5, 0.0],
+                [0.1, 0.1, -5.5, 0.3]]
+    pi = make_addition_morphism(a.atoms[0].host)
+    (atom,) = ker.pushforward(pi, ker.convolve(a, b)).atoms
+    assert isinstance(atom, ker.DensityAtom)
+    return atom, np.array(rows)
+
+
+# float.hex() of the reduced densities on _masked_reduction's rows, as the
+# reduction gave them when it masked each factor node by node.
+_MASKED_REDUCTION_HEX = {
+    "T": ["0x1.169f1a671effap-2", "0x1.0902a78b9c6bcp-5", "0x0.0p+0", "nan",
+          "0x1.b972763fcd2dbp-3"],
+    "C": ["0x1.01b8ee2bc703cp-3", "0x1.3f4856d6e3b34p-4", "0x0.0p+0", "nan",
+          "0x1.09c7bc9e6fabap-8"],
+}
+
+
+@pytest.mark.parametrize("family", ["T", "C"])
+def test_addition_reduction_row_masks_keep_their_bits(family):
+    """A base row outside B's base box is exactly 0, a node with an
+    escaped mid point makes its row NaN, A's box masks node by node, and
+    the values keep their bits."""
+    atom, params = _masked_reduction(family)
+    vals = atom.dens_fn(params, None)
+    assert vals[2] == 0.0
+    assert np.isnan(vals[3])
+    assert np.all(np.isfinite(vals[[0, 1, 4]])) and np.all(vals[[0, 1, 4]] > 0)
+    assert [float(v).hex() for v in vals] == _MASKED_REDUCTION_HEX[family]
+
+
 def test_addition_reduction_order_rule_2d():
     """On U_C the reduced density is int a(zeta - xi) b(xi) d(xi) over the
     right factor's xi box, which separates into per-axis scipy quads."""
