@@ -296,9 +296,13 @@ def cmd_plot(args):
     return 0
 
 
-def _add_common(p):
+def _add_io(p):
     p.add_argument("--config", default=None, help="workspace JSON")
     p.add_argument("--out", default="-", help="output path (default stdout)")
+
+
+def _add_common(p):
+    _add_io(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ode-tol", type=float, default=None)
     p.add_argument("--ode-max-steps", type=int, default=None,
@@ -355,8 +359,10 @@ def build_parser():
     p.add_argument("--svg", default=None)
     p.set_defaults(fn=cmd_convolve_apply)
 
+    # The suites take their flow and quadrature settings from the config
+    # alone, so verify has no numerical flags.
     p = sub.add_parser("verify", help="run verification suites")
-    _add_common(p)
+    _add_io(p)
     p.add_argument("--suite", default="all")
     p.set_defaults(fn=cmd_verify)
 

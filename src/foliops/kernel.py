@@ -21,7 +21,6 @@ does not depend on the test function.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -107,30 +106,26 @@ def _plan_key(side, bases, ctx):
 
 
 class PlanStore:
-    """Fibre-quadrature plans of pairings on a caller's points, keyed by the
-    atom and ``(side, bases shape, bases digest, quadrature, flow config)``.
+    """Fibre-quadrature plans of pairings on a caller's points, keyed by
+    ``(atom.key(), side, bases shape, bases digest, quadrature, flow)``.
 
-    The atom enters the key by a weak reference: the plans of a collected
-    atom are dropped on the store's next use, and a later atom at the same
-    address cannot match them (a dead reference equals only itself).  Past
+    Atom keys are structural, so an equal atom built again (by a repeated
+    ``convolve``, or from a second load of a config) hits the plan.  Past
     _PLAN_BUDGET bytes the least recently used plans are dropped.
     """
 
     def __init__(self):
-        self._plans = OrderedDict()  # (atom ref, *key) -> (blocks, nbytes)
+        self._plans = OrderedDict()  # (atom key, *key) -> (blocks, nbytes)
 
     def __len__(self):
-        self._drop_dead()
         return len(self._plans)
 
     @property
     def nbytes(self):
-        self._drop_dead()
         return sum(size for _, size in self._plans.values())
 
     def get(self, atom, key):
-        self._drop_dead()
-        key = (weakref.ref(atom),) + key
+        key = (atom.key(),) + key
         entry = self._plans.get(key)
         if entry is None:
             return None
@@ -138,14 +133,9 @@ class PlanStore:
         return entry[0]
 
     def put(self, atom, key, blocks):
-        self._drop_dead()
-        self._plans[(weakref.ref(atom),) + key] = (tuple(blocks), _nbytes(blocks))
+        self._plans[(atom.key(),) + key] = (tuple(blocks), _nbytes(blocks))
         while self.nbytes > _PLAN_BUDGET:
             self._plans.popitem(last=False)
-
-    def _drop_dead(self):
-        for key in [k for k in self._plans if k[0]() is None]:
-            del self._plans[key]
 
 
 @dataclass
@@ -249,6 +239,13 @@ def _scaled_fn(fn, factor):
     return lambda *args: factor * fn(*args)
 
 
+def _fn_key(fn):
+    """A parsed expression's text (it round-trips), else ``fn`` itself."""
+    if isinstance(fn, ScalarExpr):
+        return ("expr", fn.dim, str(fn))
+    return ("object", fn)
+
+
 # ---------------------------------------------------------------------------
 # Atoms
 
@@ -288,6 +285,10 @@ class Atom:
         """Whether ``ctx.plans`` holds the plan of ``pair(side, bases)``;
         only density pairings keep one."""
         return False
+
+    def key(self):
+        """Structural identity of a Dirac or density atom, set when built."""
+        return self._key
 
     def transposed(self):
         return TransposedAtom(self)
@@ -332,13 +333,16 @@ def _boxes_disjoint(a, b):
 
 
 class DiracAtom(Atom):
-    """c * Delta_S: evaluate on the bisection, weight by the coefficient."""
+    """c * Delta_S: evaluate on the bisection, weight by the coefficient
+    (``coeff_key`` names it; by default it is ``coeff_fn`` itself)."""
 
-    def __init__(self, bisection, coeff_fn, coeff_box):
+    def __init__(self, bisection, coeff_fn, coeff_box, *, coeff_key=None):
         self.bisection = bisection
         self.host = bisection.host
         self.coeff_fn = coeff_fn
         self.coeff_box = np.asarray(coeff_box, float)
+        self.coeff_key = _fn_key(coeff_fn) if coeff_key is None else coeff_key
+        self._key = (bisection.key(), self.coeff_key, self.coeff_box.tobytes())
 
     def pair(self, side, bases, phi, ctx):
         S = self.bisection
@@ -365,7 +369,8 @@ class DiracAtom(Atom):
 
     def scaled(self, factor):
         return DiracAtom(self.bisection, _scaled_fn(self.coeff_fn, factor),
-                         self.coeff_box)
+                         self.coeff_box,
+                         coeff_key=("scaled", repr(factor), self.coeff_key))
 
     def _base_set(self, kernel_side, ctx):
         """Box of base points where the pairing can be nonzero."""
@@ -459,11 +464,12 @@ class DensityAtom(Atom):
     None otherwise.  ``r_hint``/``s_hint`` are optional conservative boxes
     for the r/s images, tighter than what parameter-box sampling alone
     can see (used when a translation rule folds a coefficient into the
-    density).
+    density).  ``dens_key`` names what ``dens_fn`` computes (by default
+    ``dens_fn`` itself); atoms with equal ``key()`` pair alike.
     """
 
     def __init__(self, host, dens_fn, xi_box, base_box, needs_rbase=False,
-                 quad_order=None, r_hint=None, s_hint=None):
+                 quad_order=None, r_hint=None, s_hint=None, *, dens_key=None):
         self.host = host
         self.dens_fn = dens_fn
         self.xi_box = np.atleast_2d(np.asarray(xi_box, float))
@@ -477,6 +483,9 @@ class DensityAtom(Atom):
                 f"xi box has {self.xi_box.shape[0]} axes, host fibre dim is "
                 f"{host.fibre_dim}"
             )
+        self.dens_key = _fn_key(dens_fn) if dens_key is None else dens_key
+        self._key = (host.key(), self.dens_key, self.xi_box.tobytes(),
+                     self.base_box.tobytes(), needs_rbase, quad_order)
 
     def _nodes(self, ctx):
         order = self.quad_order or ctx.quad.order_for(self.host.fibre_dim)
@@ -568,7 +577,8 @@ class DensityAtom(Atom):
     def scaled(self, factor):
         return DensityAtom(self.host, _scaled_fn(self.dens_fn, factor),
                            self.xi_box, self.base_box, self.needs_rbase,
-                           self.quad_order, self.r_hint, self.s_hint)
+                           self.quad_order, self.r_hint, self.s_hint,
+                           dens_key=("scaled", repr(factor), self.dens_key))
 
     def _param_samples(self, ctx, count=512):
         rng = np.random.default_rng(11)
@@ -846,8 +856,8 @@ def dirac(S, c, side="r", coeff_box=None, ctx=None) -> FibredKernel:
         raise SupportViolation(
             "coefficient support box leaves the bisection's base image"
         )
-    fn = _as_coeff_fn(c, coeff_box)
-    atom = DiracAtom(S, fn, coeff_box)
+    atom = DiracAtom(S, _as_coeff_fn(c, coeff_box), coeff_box,
+                     coeff_key=_fn_key(c))
     return FibredKernel(side, [atom])
 
 
@@ -866,7 +876,8 @@ def density(U, a, xi_box=None, base_box=None, side="r",
         xi_box = U.xi_box()
     if base_box is None:
         base_box = U.foliation.escape_box
-    atom = DensityAtom(U, _as_dens_fn(a), xi_box, base_box, quad_order=quad_order)
+    atom = DensityAtom(U, _as_dens_fn(a), xi_box, base_box, quad_order=quad_order,
+                       dens_key=_fn_key(a))
     return FibredKernel(side, [atom])
 
 
@@ -877,66 +888,61 @@ def density(U, a, xi_box=None, base_box=None, side="r",
 def _convolve_atoms_r(A, B, ctx):
     SA = A.bisection if isinstance(A, DiracAtom) else None
     TB = B.bisection if isinstance(B, DiracAtom) else None
+    flow = ctx.flow  # with the factors, all that a rule's closure reads
 
     if SA is not None and TB is not None:
         SC = bis.compose_bisections(SA, TB)
-        ca, cb = A.coeff_fn, B.coeff_fn
 
         def coeff(x):
-            va = ca(x)
-            y, ok = SA.phi_inv(x, ctx.flow, allow_escape=True)
+            va = A.coeff_fn(x)
+            y, ok = SA.phi_inv(x, flow, allow_escape=True)
             out = np.where(va == 0.0, 0.0, np.nan)
             good = ok & (va != 0.0)
             if np.any(good):
-                out[good] = va[good] * cb(y[good])
+                out[good] = va[good] * B.coeff_fn(y[good])
             out[va == 0.0] = 0.0
             return out
 
         mapped = bis._sampled_image_box(
-            lambda x: SA.phi(x, ctx.flow, allow_escape=True), B.coeff_box
+            lambda x: SA.phi(x, flow, allow_escape=True), B.coeff_box
         )
         box = _intersect_boxes(A.coeff_box, mapped)
         if box is None:
             return None
-        return DiracAtom(SC, coeff, box)
+        return DiracAtom(SC, coeff, box,
+                         coeff_key=("compose", A.key(), B.key(), flow))
 
     if SA is not None and isinstance(B, DensityAtom):
         host = bis.TranslateLeft(B.host, SA)
-        bfn, needs_rb = B.dens_fn, B.needs_rbase
-        ca = A.coeff_fn
 
         def dens(params, rbase):
-            va = ca(rbase)
+            va = A.coeff_fn(rbase)
             rb_inner = None
-            if needs_rb:
-                rb_inner, ok = SA.phi_inv(rbase, ctx.flow, allow_escape=True)
+            if B.needs_rbase:
+                rb_inner, ok = SA.phi_inv(rbase, flow, allow_escape=True)
                 va = np.where(ok, va, np.nan)
-            vb = bfn(params, rb_inner)
-            return va * vb
+            return va * B.dens_fn(params, rb_inner)
 
         return DensityAtom(host, dens, B.xi_box, B.base_box,
                            needs_rbase=True, quad_order=B.quad_order,
-                           r_hint=A.coeff_box, s_hint=B.s_hint)
+                           r_hint=A.coeff_box, s_hint=B.s_hint,
+                           dens_key=("translate_left", A.key(), B.key(), flow))
 
     if isinstance(A, DensityAtom) and TB is not None:
         host = bis.TranslateRight(A.host, TB)
-        inner_host = A.host
-        afn = A.dens_fn
-        cb = B.coeff_fn
 
         def dens(params, rbase):
-            s_inner, ok = inner_host.s(params, ctx.flow, allow_escape=True)
-            va = afn(params, rbase)
-            vb = cb(s_inner)
-            out = va * vb
+            s_inner, ok = A.host.s(params, flow, allow_escape=True)
+            out = A.dens_fn(params, rbase) * B.coeff_fn(s_inner)
             return np.where(ok, out, np.nan)
 
         s_hint = bis._sampled_image_box(
-            lambda x: TB.phi_inv(x, ctx.flow, allow_escape=True), B.coeff_box
+            lambda x: TB.phi_inv(x, flow, allow_escape=True), B.coeff_box
         )
         return DensityAtom(host, dens, A.xi_box, A.base_box,
                            needs_rbase=A.needs_rbase, quad_order=A.quad_order,
-                           r_hint=A.r_hint, s_hint=s_hint)
+                           r_hint=A.r_hint, s_hint=s_hint,
+                           dens_key=("translate_right", A.key(), B.key(), flow))
 
     return ConvolvedAtom(A, B)
 
@@ -1000,6 +1006,7 @@ def _reduce_addition(pi, atom, ctx, quad_order):
     n = F.dim
     order = quad_order or ctx.quad.order_for(m)
     nodes, weights = gauss_nodes(B.xi_box, order)
+    flow = ctx.flow
     Q = len(nodes)
 
     def dens_block(params, rbase):
@@ -1018,7 +1025,7 @@ def _reduce_addition(pi, atom, ctx, quad_order):
             pb[:, j] = np.tile(nodes[:, j], K)
         for k in range(n):
             pb[:, m + k] = np.repeat(y[:, k], Q)
-        mid, esc = _flow.exp_flow_batch(F, pb[:, :m], pb[:, m:], ctx.flow,
+        mid, esc = _flow.exp_flow_batch(F, pb[:, :m], pb[:, m:], flow,
                                         allow_escape=True)
         vb = B.dens_fn(pb, mid if B.needs_rbase else None)
         del pb
@@ -1059,7 +1066,8 @@ def _reduce_addition(pi, atom, ctx, quad_order):
         )
         zeta_order = int(np.ceil(order * max(1.0, w_zeta / w_fac)))
     return DensityAtom(U, dens, zeta_box, B.base_box, needs_rbase=A.needs_rbase,
-                       quad_order=zeta_order)
+                       quad_order=zeta_order,
+                       dens_key=("reduce", A.key(), B.key(), order, flow))
 
 
 def pushforward(pi, a: FibredKernel, ctx=None, quad_order=None) -> FibredKernel:
@@ -1116,7 +1124,7 @@ def r_to_s_convert(a: FibredKernel, mu_weight=None, ctx=None) -> FibredKernel:
     """
     if a.side != "r":
         raise SideMismatch("r_to_s_convert expects a range-fibred kernel")
-    ctx = ctx or PairingCtx()
+    flow = ctx.flow if ctx else None
     out = []
     for atom in a.atoms:
         if not isinstance(atom, DensityAtom):
@@ -1131,12 +1139,14 @@ def r_to_s_convert(a: FibredKernel, mu_weight=None, ctx=None) -> FibredKernel:
 
         def dens(params, rbase, host=host, afn=afn, needs_rb=needs_rb, m=m):
             under = params[:, m:]
-            rb, det, ok = host.chart_jac_det(params[:, :m], under, ctx.flow)
+            rb, det, ok = host.chart_jac_det(params[:, :m], under, flow)
             out_vals = afn(params, rb if needs_rb else None) * det
             if mu_weight is not None:
                 out_vals = out_vals * mu_weight(rb) / mu_weight(under)
             return np.where(ok, out_vals, np.nan)
 
         out.append(DensityAtom(host, dens, atom.xi_box, atom.base_box,
-                               quad_order=atom.quad_order))
+                               quad_order=atom.quad_order,
+                               dens_key=("r_to_s", atom.key(),
+                                         _fn_key(mu_weight), flow)))
     return FibredKernel("s", out, a.foliation)

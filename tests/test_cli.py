@@ -211,6 +211,18 @@ def test_verify_single_suite(tmp_path):
     }
 
 
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--ode-tol", "nan"],
+                                  ["--ode-max-steps", "10"],
+                                  ["--quad-order", "1"], ["--strict"]])
+def test_verify_rejects_numerical_flags(flag, capsys):
+    """verify takes its settings from the config alone; a flag it would
+    ignore is a usage error (exit 2), not a silent run at the defaults."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--suite", "flows", *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_corrupted_fixture_fails(tmp_path):
     """Shadowing the scaling foliation with a wrong generator must produce a
     fail entry with measured > tolerance and exit code 1."""

@@ -1,7 +1,6 @@
 """Fibre-quadrature plans: what a plan holds, when it is reused, and that
 a reused plan gives the bits of a cold pairing."""
 
-import gc
 import weakref
 
 import numpy as np
@@ -152,12 +151,35 @@ def test_key_changes_miss(ws, monkeypatch):
     assert (len(store), len(calls)) == (6, 6)
     pair(quad=ker.QuadratureConfig(order=16))
     assert (len(store), len(calls)) == (6, 6)
+    # Atoms that pair differently have different keys: a translate built
+    # under another flow config, another scale factor (-0.0 is not 0.0),
+    # other expression text, another quadrature order.
+    d, U = ws.get("kernels", "dirac_rot90"), atom.host
+
+    def translated(flow=None):
+        ctx = ker.PairingCtx(flow=flow)
+        return ker.convolve(d, ker.FibredKernel("r", [atom]), ctx).atoms[0]
+
+    def dens(text="exp(-18*(x1-0.8)^2)", **kw):
+        return ker.density(U, parse_scalar(text, 3), atom.xi_box,
+                           atom.base_box, **kw).atoms[0]
+
+    assert dens().key() == atom.key()
+    variants = [translated(), translated(FlowConfig(abs_tol=1e-9)),
+                atom.scaled(0.0), atom.scaled(-0.0), atom.scaled(2.0),
+                dens("exp(-18*(0.8-x1)^2)"), dens(quad_order=16)]
+    for n, other in enumerate(variants, start=7):
+        for _ in range(2):
+            other.pair("r", pts, phi, ker.PairingCtx(plans=store))
+        assert (len(store), len(calls)) == (n, n)
+    for same in (translated(), atom.scaled(-0.0), dens(), atom):
+        same.pair("r", pts, phi, ker.PairingCtx(plans=store))
+    assert (len(store), len(calls)) == (13, 13)
 
 
-def _planned_atoms(store):
-    """The atom of every stored plan."""
-    store._drop_dead()
-    return [key[0]() for key in store._plans]
+def _planned_keys(store):
+    """The atom key of every stored plan."""
+    return [key[0] for key in store._plans]
 
 
 def _ones(params, rows):
@@ -176,10 +198,10 @@ def test_nested_plans_are_kept_once_the_outer_plan_is_reused(ws):
     pts = _grid(5)
     outer, inner = a.atoms[0], b.atoms[0]
     cold = oper.op_values(ab, _f(0.0), pts, ctx)
-    assert _planned_atoms(ws.plans) == [outer]
+    assert _planned_keys(ws.plans) == [outer.key()]
     assert ws.plans.get(outer, ker._plan_key("r", pts, ctx)) is not None
     hit = oper.op_values(ab, _f(0.0), pts, ctx)
-    assert set(_planned_atoms(ws.plans)) == {outer, inner}
+    assert set(_planned_keys(ws.plans)) == {outer.key(), inner.key()}
     again = oper.op_values(ab, _f(0.0), pts, ctx)
     assert len(ws.plans) == 2
     assert cold.tobytes() == hit.tobytes() == again.tobytes()
@@ -206,23 +228,8 @@ def test_nested_plan_needs_its_outer_plan_in_the_store(ws, monkeypatch):
     monkeypatch.setattr(ker, "_PLAN_BUDGET", budget)
     again = oper.op_values(ab, _f(0.0), pts, ctx)
     assert outer.planned("r", pts, ctx)
-    assert _planned_atoms(ws.plans) == [outer, outer]  # and none of inner
+    assert _planned_keys(ws.plans) == [outer.key()] * 2  # and none of inner
     assert again.tobytes() == cold.tobytes()
-
-
-def test_nested_plan_dies_with_its_inner_atom(ws):
-    a = ws.get("kernels", "gauss_R")
-    inner = ws.get("kernels", "gauss_R2").atoms[0].scaled(0.5)
-    ctx = ws.ctx()
-    ab = ker.convolve(a, ker.FibredKernel("r", [inner]), ctx)
-    for _ in range(2):
-        oper.op_values(ab, _f(0.0), _grid(5), ctx)
-    assert len(ws.plans) == 2
-    inner = weakref.ref(inner)
-    del ab
-    gc.collect()
-    assert inner() is None
-    assert _planned_atoms(ws.plans) == [a.atoms[0]]
 
 
 def test_plan_arrays_are_read_only(ws):
@@ -316,15 +323,41 @@ def _nbytes_of_first(atom, pts):
     return store.nbytes
 
 
-def test_plan_dies_with_its_atom(ws):
-    ctx = ws.ctx()
-    dr = ker.convolve(ws.get("kernels", "dirac_rot90"),
-                      ws.get("kernels", "gauss_R"), ctx)
-    oper.op_values(dr, _f(0.0), _grid(9), ctx)
-    assert len(ws.plans) == 1 and ws.plans.nbytes > 0
-    del dr
-    gc.collect()
-    assert len(ws.plans) == 0 and ws.plans.nbytes == 0
+def test_rebuilt_translated_atoms_hit_one_plan(ws, monkeypatch):
+    """Each convolve(dirac_rot90, gauss_R) builds a new translated density
+    with the same key, so ten of them pair through one plan: the store
+    does not grow, and every call gives the bits of a cold pairing."""
+    d, a = ws.get("kernels", "dirac_rot90"), ws.get("kernels", "gauss_R")
+    pts = _grid(9)
+    calls = _chart_calls(monkeypatch)
+    vals, sizes = [], []
+    for _ in range(10):
+        dr = ker.convolve(d, a, ws.ctx())
+        vals.append(oper.op_values(dr, _f(0.0), pts, ws.ctx()))
+        sizes.append(ws.plans.nbytes)
+    assert len(ws.plans) == 1 and len(calls) == 1
+    assert sizes == [sizes[0]] * 10 and sizes[0] > 0
+    cold = oper.op_values(dr, _f(0.0), pts, ker.PairingCtx(ws.quad_cfg,
+                                                           ws.flow_cfg))
+    assert all(v.tobytes() == cold.tobytes() for v in vals)
+
+
+def test_separate_loads_share_one_plan(monkeypatch):
+    """Two loads of the canonical config pair through the plans of one
+    store: equal kernels, translated ones included, hit each other's."""
+    loads = [canonical_workspace(), canonical_workspace()]
+    store = ker.PlanStore()
+    pts = _grid(9)
+    calls = _chart_calls(monkeypatch)
+    vals = []
+    for ws in loads:
+        ctx = ker.PairingCtx(ws.quad_cfg, ws.flow_cfg, plans=store)
+        dr = ker.convolve(ws.get("kernels", "dirac_rot90"),
+                          ws.get("kernels", "gauss_R"), ctx)
+        vals.append([oper.op_values(k, _f(0.2), pts, ctx)
+                     for k in (ws.get("kernels", "gauss_R"), dr)])
+    assert len(store) == 2 and len(calls) == 2
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(*vals))
 
 
 def _pendulum_ws():
@@ -337,8 +370,11 @@ def _pendulum_ws():
                     xi_box=[[-1.0, 1.0]])
     b = ker.density(U, parse_scalar("exp(-25*(x1-0.1)^2-0.2*(x2^2+x3^2))", 3),
                     xi_box=[[-1.0, 1.0]])
+    S = bis.constant_bisection(U, [0.35])
+    d = ker.dirac(S, parse_scalar("(1-x1^2)^4*(1-x2^2)^4", 2),
+                  coeff_box=[[-1.0, 1.0], [-1.0, 1.0]])
     return Workspace(foliations={"P": F}, bisubmersions={"U": U},
-                     kernels={"a": a, "b": b})
+                     bisections={"S": S}, kernels={"a": a, "b": b, "d": d})
 
 
 def test_adjoint_plan_hit_runs_no_dp45_flow(monkeypatch):
@@ -391,6 +427,28 @@ def test_warm_lazy_convolution_runs_no_dp45_flow(monkeypatch, action):
     assert rows == []
     cold = run(ker.PairingCtx(ws.quad_cfg, ws.flow_cfg))
     assert all(c.tobytes() == cold.tobytes() for c in calls)
+
+
+def test_warm_translated_convolution_runs_no_dp45_flow(monkeypatch):
+    """convolve(d, a) is built again before every call, and each new
+    translated density has the old one's key: from the second call on, the
+    pairing integrates no flow row and gives the bits of a cold pairing.
+    The rows of convolve's own image-box sampling are not counted."""
+    ws = _pendulum_ws()
+    d, a = ws.get("kernels", "d"), ws.get("kernels", "a")
+    pts = _grid(7)
+    rows = _flow_rows(monkeypatch)
+    calls = []
+    for i in range(3):
+        da = ker.convolve(d, a, ws.ctx())
+        rows.clear()
+        calls.append(oper.op_values(da, _f(0.3), pts, ws.ctx()))
+        assert bool(rows) == (i == 0)
+    assert len(ws.plans) == 1
+    cold = oper.op_values(da, _f(0.3), pts, ker.PairingCtx(ws.quad_cfg,
+                                                           ws.flow_cfg))
+    assert all(c.tobytes() == cold.tobytes() for c in calls)
+    assert np.any(cold != 0.0)
 
 
 def test_integrands_never_share_a_geometry(ws):
