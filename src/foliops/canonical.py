@@ -93,6 +93,7 @@ def plateau_fn(inner, outer):
             out = out * lo * hi
         return out
 
+    fn.key = ("plateau", inner.tobytes(), outer.tobytes())  # for plan keys
     return fn
 
 

@@ -301,12 +301,16 @@ def _add_io(p):
     p.add_argument("--out", default="-", help="output path (default stdout)")
 
 
-def _add_common(p):
+def _add_ode(p):
+    """Flow settings, for the commands that flow."""
     _add_io(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ode-tol", type=float, default=None)
     p.add_argument("--ode-max-steps", type=int, default=None,
                    help="step attempts allowed per flow trajectory")
+
+
+def _add_pairing(p):
+    _add_ode(p)
     p.add_argument("--quad-order", type=int, default=None)
     p.add_argument("--strict", action="store_true",
                    help="fail hard on escaped points instead of masking")
@@ -317,14 +321,17 @@ def build_parser():
         prog="foliops",
         description="Fibred-kernel calculus along singular foliations",
     )
+    # A command without a flow or quadrature flag keeps the config's setting.
+    ap.set_defaults(ode_tol=None, ode_max_steps=None, quad_order=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="list workspace objects")
-    _add_common(p)
+    _add_io(p)
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("leaf", help="sample one leaf and emit CSV")
-    _add_common(p)
+    _add_ode(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--foliation", required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--budget", type=int, default=400)
@@ -333,7 +340,7 @@ def build_parser():
     p.set_defaults(fn=cmd_leaf)
 
     p = sub.add_parser("flow", help="unit-time flow of one point")
-    _add_common(p)
+    _add_ode(p)
     p.add_argument("--foliation", required=True)
     p.add_argument("--xi", required=True)
     p.add_argument("--point", required=True)
@@ -341,7 +348,7 @@ def build_parser():
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("apply", help="apply a kernel to a function on a grid")
-    _add_common(p)
+    _add_pairing(p)
     p.add_argument("--kernel", required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--box", required=True, help="JSON box, e.g. [[-2,2],[-2,2]]")
@@ -351,7 +358,7 @@ def build_parser():
 
     p = sub.add_parser("convolve-apply",
                        help="convolve named kernels left to right, then apply")
-    _add_common(p)
+    _add_pairing(p)
     p.add_argument("--kernels", required=True, help="comma-separated names")
     p.add_argument("--function", required=True)
     p.add_argument("--box", required=True)

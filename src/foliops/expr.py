@@ -48,7 +48,7 @@ class Const(Node):
     value: float
 
     def ev(self, X):
-        return np.full(X.shape[:-1], self.value)
+        return self.value  # numpy broadcasts; ScalarExpr fills the shape
 
     def diff(self, i):
         return Const(0.0)
@@ -434,6 +434,8 @@ class ScalarExpr:
                 f"points have dimension {X.shape[-1]}, expression has {self.dim}"
             )
         vals = np.asarray(self.node.ev(X), dtype=float)
+        if vals.ndim == 0:  # a constant
+            vals = np.full(X.shape[:-1], vals)
         if check_finite and not np.all(np.isfinite(vals)):
             raise EvalError(f"non-finite value evaluating {self}")
         return float(vals[0]) if squeeze else vals

@@ -86,7 +86,10 @@ DEFAULT_QUAD = QuadratureConfig()
 
 
 # Row budget for one quadrature batch; larger pairings are block-processed.
-_BLOCK_ROWS = 600_000
+# One float64 column of a block is 256 KiB, so a block's dozen live
+# temporaries stay in L2 and the allocator reuses them instead of mapping
+# and faulting in fresh pages on every block.
+_BLOCK_ROWS = 32_768
 
 # Bytes of plan arrays (geometry included) one store keeps; the least
 # recently used plan goes first.  It holds the 2-D fibre plan of a 41 x 41
@@ -240,10 +243,12 @@ def _scaled_fn(fn, factor):
 
 
 def _fn_key(fn):
-    """A parsed expression's text (it round-trips), else ``fn`` itself."""
+    """A parsed expression's text (it round-trips), the tuple a callable
+    carries as its ``key`` attribute, else ``fn`` itself."""
     if isinstance(fn, ScalarExpr):
         return ("expr", fn.dim, str(fn))
-    return ("object", fn)
+    key = getattr(fn, "key", None)
+    return key if isinstance(key, tuple) else ("object", fn)
 
 
 # ---------------------------------------------------------------------------

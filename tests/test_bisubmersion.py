@@ -302,12 +302,11 @@ def test_structural_keys_match_across_loads():
     hosts = [ws.kernels["dr"].atoms[0].host for ws in (one, two)]
     assert isinstance(hosts[0], bis.TranslateLeft)
     assert hosts[0].same_term(hosts[1])
-    # Atoms, translated ones included, are keyed by structure too; the
-    # one atom with a bare callable coefficient (a plateau) by identity.
+    # Atoms, translated ones included, are keyed by structure too, the
+    # plateau coefficient of dirac_identity by its boxes.
     for name in one.kernels:
         a, b = one.kernels[name].atoms, two.kernels[name].atoms
-        equal = [x is not y and x.key() == y.key() for x, y in zip(a, b)]
-        assert all(equal) == (name != "dirac_identity"), name
+        assert all(x is not y and x.key() == y.key() for x, y in zip(a, b)), name
     keys = {x.key() for k in one.kernels.values() for x in k.atoms}
     assert len(keys) == sum(len(k.atoms) for k in one.kernels.values())
 

@@ -111,9 +111,10 @@ def test_step_limit_exit_5(tmp_path, capsys):
                                      ("--ode-tol", "inf"), ("--ode-max-steps", "0"),
                                      ("--quad-order", "1")])
 def test_bad_numerical_settings_exit_2(setting, capsys):
-    assert run_cli("flow", "--foliation", "S", "--xi", "1", "--point", "2",
-                   *setting) == 2
-    assert capsys.readouterr().err.startswith("error: ConfigError:")
+    if setting[0] != "--quad-order":  # flow takes the ODE flags alone
+        assert run_cli("flow", "--foliation", "S", "--xi", "1", "--point", "2",
+                       *setting) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError:")
     assert run_cli("apply", "--kernel", "gauss_R", "--function", "f_R",
                    "--box", "[[-1,1],[-1,1]]", "--res", "3,3", *setting) == 2
 
@@ -219,6 +220,37 @@ def test_verify_rejects_numerical_flags(flag, capsys):
     ignore is a usage error (exit 2), not a silent run at the defaults."""
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--suite", "flows", *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_COMMAND_ARGS = {
+    "info": [],
+    "leaf": ["--foliation", "R", "--point", "1,0"],
+    "flow": ["--foliation", "S", "--xi", "1", "--point", "2"],
+    "apply": ["--kernel", "gauss_R", "--function", "f_R",
+              "--box", "[[-1,1],[-1,1]]", "--res", "3,3"],
+    "convolve-apply": ["--kernels", "gauss_T,dirac_shift", "--function", "f_T",
+                       "--box", "[[-2,2]]", "--res", "5"],
+}
+_DROPPED_FLAGS = [
+    ("info", ["--seed", "5"]), ("info", ["--strict"]),
+    ("info", ["--quad-order", "7"]), ("info", ["--ode-tol", "1e-9"]),
+    ("info", ["--ode-max-steps", "10"]),
+    ("leaf", ["--strict"]), ("leaf", ["--quad-order", "7"]),
+    ("flow", ["--seed", "9"]), ("flow", ["--strict"]),
+    ("flow", ["--quad-order", "5"]),
+    ("apply", ["--seed", "5"]), ("convolve-apply", ["--seed", "5"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", _DROPPED_FLAGS)
+def test_commands_reject_flags_they_do_not_read(command, flag, capsys):
+    """--seed is read by leaf alone, --strict and --quad-order by the
+    commands that pair, the ODE flags by the commands that flow; any other
+    use is a usage error (exit 2), not a silent run."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *_COMMAND_ARGS[command], *flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foliops.expr as expr
 from foliops.errors import DimensionMismatch, EvalError, ParseError
 from foliops.expr import (
     ScalarExpr,
@@ -178,3 +179,25 @@ def test_diff_of_constant_exponent_power():
     e = parse_scalar("x1^-2.0", 1)
     d = e.diff(0)
     assert d([2.0]) == pytest.approx(-2.0 * 2.0 ** (-3.0))
+
+
+def test_constants_broadcast_and_leave_the_ast_full_shape(monkeypatch):
+    """A constant node evaluates to its scalar; a value leaving the AST is
+    a writable array over the point shape, and densities keep their bits."""
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 3, 2))
+    c = parse_scalar("2.5", 2)
+    for pts in (X, X.reshape(12, 2)):
+        v = c(pts)
+        assert v.shape == pts.shape[:-1] and v.flags.writeable
+        assert np.all(v == 2.5)
+    assert c([0.1, 0.2]) == 2.5
+    F = parse_field("[1, 0]", 2)
+    v = F(X)
+    assert v.shape == (4, 3, 2) and v.flags.writeable
+    assert np.all(v[..., 0] == 1.0) and np.all(v[..., 1] == 0.0)
+    assert F.jacobian_at(X).shape == (4, 3, 2, 2)
+    g = parse_scalar("exp(-10*(x1-0.2)^2-10*(x2+0.1)^2)", 2)
+    now = g(X)
+    monkeypatch.setattr(expr.Const, "ev",
+                        lambda self, X: np.full(X.shape[:-1], self.value))
+    assert now.tobytes() == g(X).tobytes()

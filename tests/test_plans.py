@@ -60,6 +60,11 @@ def _flow_rows(monkeypatch):
     return rows
 
 
+def _gauss_c_blocks():
+    """Row blocks of a gauss_C pairing on the 41 x 41 grid (400 nodes)."""
+    return -(-41 * 41 // (ker._BLOCK_ROWS // 400))
+
+
 def _blocks(store):
     """Every stored block of every plan."""
     return [b for blocks, _ in store._plans.values() for b in blocks]
@@ -77,8 +82,8 @@ def test_plan_hit_matches_cold_pairing(ws, name, res):
     assert len(ws.plans) == 1
     assert hit.tobytes() == cold.tobytes() == fresh.tobytes()
     if name == "gauss_C":
-        # 1681 rows x 400 nodes: the plan spans two row blocks.
-        assert len(_blocks(ws.plans)) == 2
+        # 1681 rows x 400 nodes: the plan spans several row blocks.
+        assert len(_blocks(ws.plans)) == _gauss_c_blocks() > 1
 
 
 def test_adjoint_plan_hit_matches_cold_pairing(ws, monkeypatch):
@@ -101,14 +106,14 @@ def test_new_function_reuses_the_plan(ws, monkeypatch):
     calls = _chart_calls(monkeypatch)
     first = [oper.op_values(kernel, _f(0.3), pts, ws.ctx())]
     built = len(calls)
-    assert built == 2  # one chart per row block
+    assert built == _gauss_c_blocks() > 1  # one chart per row block
     for shift in (-0.5, 0.9):
         got = oper.op_values(kernel, _f(shift), pts, ws.ctx())
         cold = oper.op_values(kernel, _f(shift), pts,
                               ker.PairingCtx(ws.quad_cfg, ws.flow_cfg))
         assert got.tobytes() == cold.tobytes()
         first.append(got)
-    assert len(calls) == built + 2 * 2  # only the two cold pairings charted
+    assert len(calls) == built + 2 * built  # only the two cold pairings charted
     assert not np.array_equal(first[0], first[1])
 
 
@@ -375,6 +380,55 @@ def _pendulum_ws():
                   coeff_box=[[-1.0, 1.0], [-1.0, 1.0]])
     return Workspace(foliations={"P": F}, bisubmersions={"U": U},
                      bisections={"S": S}, kernels={"a": a, "b": b, "d": d})
+
+
+def _budget_case(case):
+    """``(ws, Q, run)``: a pairing with Q nodes per row, and ``run(ctx)``
+    computing it."""
+    if case == "pendulum":  # DP45 flows, step-controlled per row
+        ws = _pendulum_ws()
+        a = ws.get("kernels", "a")
+        return ws, 32, lambda ctx: oper.op_values(a, _f(0.3), _grid(7), ctx)
+    ws = canonical_workspace()
+    kern = ws.kernels
+    if case in ("gauss_R", "gauss_C"):
+        Q = kern[case].atoms[0].node_count(ws.ctx())  # 32 and 20 x 20
+        return ws, Q, lambda ctx: oper.op_values(kern[case], _f(0.3),
+                                                 _grid(9), ctx)
+    if case == "lazy_T":
+        ab = ker.convolve(kern["gauss_T"], kern["gauss_T2"], ws.ctx())
+        assert isinstance(ab.atoms[0], ker.ConvolvedAtom)
+        pts = np.linspace(-2, 2, 17)[:, None]
+        return ws, 32, lambda ctx: oper.op_values(
+            ab, lambda p: np.exp(-p[:, 0] ** 2), pts, ctx)
+    if case == "pushforward_C":  # the reduced side of the verify check [C]
+        pi = bis.make_addition_morphism(ws.get("bisubmersions", "U_C"),
+                                        cfg=ws.flow_cfg)
+        ab = ker.convolve(kern["gauss_C"], kern["gauss_C2"], ws.ctx())
+        pushed = ker.pushforward(pi, ab, ws.ctx(), quad_order=20)
+        assert isinstance(pushed.atoms[0], ker.DensityAtom)
+        pts = oper.grid_points([[-1.2, 1.2], [-1.2, 1.2]], (3, 3))
+        f = ws.get("functions", "f_C")
+        # 40 x 40 zeta nodes per point; each zeta row has 20 x 20 xi nodes
+        Q = pushed.atoms[0].node_count(ws.ctx())
+        return ws, Q, lambda ctx: oper.op_values(pushed, f, pts, ctx)
+    kt = ker.transpose(kern["gauss_R"])
+    return ws, 32, lambda ctx: oper.adjoint_values(kt, _f(-0.2), _grid(9), ctx)
+
+
+@pytest.mark.parametrize("case", ["gauss_R", "gauss_C", "lazy_T",
+                                  "pushforward_C", "adjoint_R", "pendulum"])
+def test_pairing_bits_do_not_depend_on_the_row_budget(case, monkeypatch):
+    """Blocks are whole rows and every row reduces over its own nodes, so
+    a pairing has the same bits at any row budget: one row per block,
+    blocks that do not divide the row count, the default and 600,000."""
+    ws, Q, run = _budget_case(case)
+    outs = []
+    for budget in (Q, 7 * Q - 1, ker._BLOCK_ROWS, 600_000):
+        monkeypatch.setattr(ker, "_BLOCK_ROWS", budget)
+        outs.append(run(ker.PairingCtx(ws.quad_cfg, ws.flow_cfg)))
+    assert all(o.tobytes() == outs[0].tobytes() for o in outs[1:])
+    assert np.any(np.isfinite(outs[0]) & (outs[0] != 0.0))
 
 
 def test_adjoint_plan_hit_runs_no_dp45_flow(monkeypatch):
