@@ -29,6 +29,7 @@ from .errors import (
     NotTransverse,
 )
 from .expr import lie_bracket
+from .flow import _in_box, _uniform
 
 __all__ = [
     "Bisubmersion",
@@ -120,9 +121,7 @@ class Bisubmersion:
 
     def contains(self, params, tol=1e-7, cfg=None):
         """Sampled membership mask (fibred-product constraints)."""
-        box = self.param_box()
-        p = np.atleast_2d(params)
-        return np.all((p >= box[:, 0] - tol) & (p <= box[:, 1] + tol), axis=1)
+        return _in_box(params, self.param_box(), tol)
 
     def chart_jac_det(self, xi, under, cfg=None):
         """(range points, |det|, ok) of the range map at (xi, under) and of
@@ -143,8 +142,7 @@ class Bisubmersion:
     def sample_params(self, count, rng, cfg=None):
         """Valid parameter rows drawn via source-fibre charts."""
         bases = self.foliation.sample_points(count, rng)
-        xib = self.xi_box()
-        xi = xib[:, 0] + (xib[:, 1] - xib[:, 0]) * rng.random((count, self.fibre_dim))
+        xi = _uniform(self.xi_box(), rng, count)
         params, ok = self.chart("s", xi, bases, cfg=cfg, allow_escape=True)
         return params[ok]
 
@@ -205,11 +203,8 @@ class PathHolonomy(Bisubmersion):
         # Under-points may wander into the integration domain: compositions
         # produce intermediate basepoints outside the chart box.
         xi, under = self._split(params)
-        xib = self.foliation.xi_box
-        eb = self.foliation.escape_box
-        ok_xi = np.all((xi >= xib[:, 0] - tol) & (xi <= xib[:, 1] + tol), axis=1)
-        ok_under = np.all((under >= eb[:, 0]) & (under <= eb[:, 1]), axis=1)
-        return ok_xi & ok_under
+        return (_in_box(xi, self.foliation.xi_box, tol)
+                & _in_box(under, self.foliation.escape_box))
 
     def xi_box(self):
         return self.foliation.xi_box
@@ -347,11 +342,7 @@ class Restriction(_OnInner):
         return self.inner.chart(side, xi, bases, cfg, allow_escape)
 
     def contains(self, params, tol=1e-7, cfg=None):
-        p = np.atleast_2d(params)
-        inside = np.all(
-            (p >= self.box[:, 0] - tol) & (p <= self.box[:, 1] + tol), axis=1
-        )
-        return inside & self.inner.contains(params, tol, cfg)
+        return _in_box(params, self.box, tol) & self.inner.contains(params, tol, cfg)
 
     def chart_jac_det(self, xi, under, cfg=None):
         return self.inner.chart_jac_det(xi, under, cfg)
@@ -473,8 +464,7 @@ class Bisection:
 
     def in_base(self, x):
         p = np.atleast_2d(np.asarray(x, float))
-        lo, hi = self.base_box[:, 0] - _BASE_TOL, self.base_box[:, 1] + _BASE_TOL
-        mask = np.all((p >= lo) & (p <= hi), axis=1)
+        mask = _in_box(p, self.base_box, _BASE_TOL)
         if self._valid is not None:
             mask = mask & self._valid(p)
         return mask
@@ -641,7 +631,7 @@ def compose_bisections(S, T):
 def _sample_box(box, rng, count):
     """``count`` uniform draws from the box, followed by its corners."""
     box = np.atleast_2d(np.asarray(box, float))
-    pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((count, len(box)))
+    pts = _uniform(box, rng, count)
     corners = np.array(np.meshgrid(*box, indexing="ij")).reshape(len(box), -1).T
     return np.concatenate([pts, corners])
 
@@ -686,10 +676,7 @@ def bisection_diffeo(S, cfg=None):
     Checks s o section = id, injectivity of Phi_S and the round trip
     Phi_S^{-1} o Phi_S = id; failure raises NotABisection.
     """
-    rng = np.random.default_rng(0)
-    box = S.base_box
-    draws = rng.random((_DIFFEO_SAMPLES, len(box)))
-    pts = box[:, 0] + (box[:, 1] - box[:, 0]) * draws
+    pts = _uniform(S.base_box, np.random.default_rng(0), _DIFFEO_SAMPLES)
     sec = S.section(pts)
     back, ok = S.host.s(sec, cfg, allow_escape=True)
     if not np.all(ok) or np.max(np.linalg.norm(back - pts, axis=1)) > 1e-9:

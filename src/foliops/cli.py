@@ -27,11 +27,10 @@ from .errors import (
     QuadratureFailure,
     StepLimit,
 )
-from .flow import FlowConfig
+from .flow import _checked_box, _in_box
 from .foliation import leaf_sample
-from .kernel import QuadratureConfig
 from .verify import SUITES, report_to_json, run_suites
-from .workspace import load_config
+from .workspace import _settings, load_config
 
 __all__ = ["main"]
 
@@ -49,10 +48,6 @@ _EXIT_CODES = (
 )
 
 
-def _fmt(v):
-    return "nan" if not np.isfinite(v) else repr(float(v))
-
-
 def _parse_vector(text, dim, what, kind=float):
     """Comma-separated numbers; ConfigError unless there are ``dim``."""
     try:
@@ -66,14 +61,10 @@ def _parse_vector(text, dim, what, kind=float):
 
 def _parse_box(text, dim):
     try:
-        box = np.atleast_2d(np.asarray(json.loads(text), float))
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"--box {text!r} is not a JSON list of [lo, hi]") from exc
-    if box.shape != (dim, 2):
-        raise ConfigError(f"--box has shape {box.shape}, expected ({dim}, 2)")
-    if not np.all(box[:, 0] < box[:, 1]):
-        raise ConfigError("--box needs lo < hi on every axis")
-    return box
+        value = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"--box {text!r} is not JSON") from exc
+    return _checked_box(value, dim, "--box")
 
 
 def _write(path, text):
@@ -87,24 +78,17 @@ def _write(path, text):
 def _workspace(args):
     overrides = load_config(args.config) if args.config else None
     ws = canonical_workspace().merged_with(overrides)
-    flow_kw = {}
+    flow = {}
     if args.ode_tol is not None:
-        flow_kw = dict(abs_tol=args.ode_tol, rel_tol=args.ode_tol)
+        flow = {"abs_tol": args.ode_tol, "rel_tol": args.ode_tol}
     if args.ode_max_steps is not None:
-        flow_kw["max_steps"] = args.ode_max_steps
-    if flow_kw:
-        base = ws.flow_cfg
-        ws.flow_cfg = FlowConfig(
-            abs_tol=flow_kw.get("abs_tol", base.abs_tol),
-            rel_tol=flow_kw.get("rel_tol", base.rel_tol),
-            max_steps=flow_kw.get("max_steps", base.max_steps),
-        )
+        flow["max_steps"] = args.ode_max_steps
+    ws.flow_cfg = _settings(ws.flow_cfg, flow, "flow")
     if args.quad_order is not None:
-        ws.quad_cfg = QuadratureConfig(
-            order=args.quad_order,
-            order_highdim=min(args.quad_order, ws.quad_cfg.order_highdim),
-            nesting_limit=ws.quad_cfg.nesting_limit,
-        )
+        order = args.quad_order
+        ws.quad_cfg = _settings(ws.quad_cfg, {
+            "order": order, "order_highdim": min(order, ws.quad_cfg.order_highdim)
+        }, "quadrature")
     return ws
 
 
@@ -194,18 +178,18 @@ def cmd_leaf(args):
     ws = _workspace(args)
     F = ws.get("foliations", args.foliation)
     x0 = _parse_vector(args.point, F.dim, "--point")
-    if not np.all((x0 >= F.chart_box[:, 0]) & (x0 <= F.chart_box[:, 1])):
+    if not _in_box(x0, F.chart_box)[0]:
         raise ConfigError("point lies outside the chart box")
     leaf = leaf_sample(F, x0, budget=args.budget, cfg=ws.flow_cfg,
                        mesh=args.mesh, seed=args.seed)
     lines = [
         f"# foliation={args.foliation};basepoint=["
-        + ",".join(_fmt(v) for v in x0)
-        + f"];seed={args.seed};mesh={_fmt(leaf.mesh)};leaf_dim={leaf.leaf_dim}"
+        + ",".join(oper._fmt(v) for v in x0)
+        + f"];seed={args.seed};mesh={oper._fmt(leaf.mesh)};leaf_dim={leaf.leaf_dim}"
         + f";escapes={leaf.escapes}"
     ]
     for p in leaf.points:
-        lines.append(",".join(_fmt(v) for v in p))
+        lines.append(",".join(oper._fmt(v) for v in p))
     _write(args.out, "\n".join(lines) + "\n")
     if args.svg:
         _write(args.svg, svg_leaf(leaf.points, F.chart_box))
@@ -223,10 +207,6 @@ def cmd_flow(args):
         result["jacobian"] = [[float(v) for v in row] for row in J]
     _write(args.out, json.dumps(result, sort_keys=True) + "\n")
     return 0
-
-
-def _resolve_kernel(ws, name):
-    return ws.get("kernels", name)
 
 
 def _apply_and_emit(ws, kernel, fname, args):
@@ -247,8 +227,7 @@ def _apply_and_emit(ws, kernel, fname, args):
 
 def cmd_apply(args):
     ws = _workspace(args)
-    return _apply_and_emit(ws, _resolve_kernel(ws, args.kernel), args.function,
-                           args)
+    return _apply_and_emit(ws, ws.get("kernels", args.kernel), args.function, args)
 
 
 def cmd_convolve_apply(args):
@@ -256,9 +235,9 @@ def cmd_convolve_apply(args):
     names = [t.strip() for t in args.kernels.split(",") if t.strip()]
     if len(names) < 2:
         raise ConfigError("convolve-apply needs at least two kernel names")
-    total = _resolve_kernel(ws, names[0])
+    total = ws.get("kernels", names[0])
     for name in names[1:]:
-        total = ker.convolve(total, _resolve_kernel(ws, name), ws.ctx())
+        total = ker.convolve(total, ws.get("kernels", name), ws.ctx())
     return _apply_and_emit(ws, total, args.function, args)
 
 

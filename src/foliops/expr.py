@@ -405,6 +405,12 @@ def _to_str(n, parent_prec=0):
 # Public wrappers
 
 
+def _batch(points):
+    """``points`` as a float batch ``(..., dim)``, and whether it was one point."""
+    X = np.asarray(points, dtype=float)
+    return (X[None, :], True) if X.ndim == 1 else (X, False)
+
+
 class ScalarExpr:
     """A smooth scalar function of ``dim`` variables, given by an AST.
 
@@ -425,10 +431,7 @@ class ScalarExpr:
         self.dim = dim
 
     def __call__(self, points, check_finite=True):
-        X = np.asarray(points, dtype=float)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[None, :]
+        X, single = _batch(points)
         if X.shape[-1] != self.dim:
             raise DimensionMismatch(
                 f"points have dimension {X.shape[-1]}, expression has {self.dim}"
@@ -436,9 +439,11 @@ class ScalarExpr:
         vals = np.asarray(self.node.ev(X), dtype=float)
         if vals.ndim == 0:  # a constant
             vals = np.full(X.shape[:-1], vals)
+        elif np.may_share_memory(vals, X):  # a bare variable is a view of X
+            vals = vals.copy()
         if check_finite and not np.all(np.isfinite(vals)):
             raise EvalError(f"non-finite value evaluating {self}")
-        return float(vals[0]) if squeeze else vals
+        return float(vals[0]) if single else vals
 
     def diff(self, i: int) -> "ScalarExpr":
         """Partial derivative with respect to ``x(i+1)``, symbolically."""
@@ -501,14 +506,11 @@ class VectorFieldExpr:
         self._jac_nodes = None
 
     def __call__(self, points, check_finite=True):
-        X = np.asarray(points, dtype=float)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[None, :]
+        X, single = _batch(points)
         vals = np.empty(X.shape[:-1] + (self.dim,))
         for i, c in enumerate(self.components):
             vals[..., i] = c(X, check_finite=check_finite)
-        return vals[0] if squeeze else vals
+        return vals[0] if single else vals
 
     def jacobian_exprs(self):
         """dim x dim matrix of ScalarExpr, entry (i,j) = d comp_i / d x_j."""
@@ -519,15 +521,12 @@ class VectorFieldExpr:
         return self._jac_nodes
 
     def jacobian_at(self, points, check_finite=True):
-        X = np.asarray(points, dtype=float)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[None, :]
+        X, single = _batch(points)
         J = np.empty(X.shape[:-1] + (self.dim, self.dim))
         for i, row in enumerate(self.jacobian_exprs()):
             for j, e in enumerate(row):
                 J[..., i, j] = e(X, check_finite=check_finite)
-        return J[0] if squeeze else J
+        return J[0] if single else J
 
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.components) + "]"

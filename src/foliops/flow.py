@@ -44,13 +44,10 @@ escapes on every path.  The shift checks the endpoint too, and that
 rule is exact: the box is convex and a shift's path is the segment from
 x to y.  DP45 checks the state after each accepted
 step.  The ``expm`` path checks the endpoint of every row and, on rows
-that two bounds do not already keep inside the box, the path at
-t = k/64.  That rule is sampled: an excursion between two samples goes
-unseen.  The bounds are the log-norm ball
-|y(t)| <= e^{mu+} (|x| + |g|), with mu the largest eigenvalue of the
-symmetric part of the linear block and g the constant part, and the
-chord bound: y(t) stays within |G_A|_F e^{|G_A|_F} |G_A x + g| / 8 of
-the segment from x to y(1).
+that the log-norm ball |y(t)| <= e^{mu+} (|x| + |g|) does not already
+keep inside the box, the path at t = k/64; mu is the largest eigenvalue
+of the symmetric part of the linear block and g the constant part.
+That rule is sampled: an excursion between two samples goes unseen.
 
 scipy is imported on first use, by the ``expm`` path, so the shift and
 DP45 paths never load it.
@@ -217,6 +214,32 @@ def _outside(Y, lo, hi):
     return ~inside
 
 
+def _in_box(points, box, tol=0.0):
+    """Rows of ``points`` inside ``box`` widened by ``tol``; NaN rows are not."""
+    return ~_outside(np.atleast_2d(points), box[:, 0] - tol, box[:, 1] + tol)
+
+
+def _uniform(box, rng, count):
+    """``count`` uniform draws from ``box``."""
+    lo, hi = box[:, 0], box[:, 1]
+    return lo + (hi - lo) * rng.random((count, len(box)))
+
+
+def _checked_box(value, dim, what):
+    """``value`` as a (dim, 2) box with finite bounds and lo < hi on every
+    axis, or ConfigError: the rule for every box a config or the command
+    line supplies."""
+    try:
+        box = np.atleast_2d(np.asarray(value, float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} {value!r} is not a list of [lo, hi]") from exc
+    if box.shape != (dim, 2):
+        raise ConfigError(f"{what} has shape {box.shape}, expected ({dim}, 2)")
+    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
+        raise ConfigError(f"{what} needs finite bounds with lo < hi on every axis")
+    return box
+
+
 def _row_norm(Y):
     return np.sqrt(sum(Y[..., k] ** 2 for k in range(Y.shape[-1])))
 
@@ -267,19 +290,14 @@ def _affine_flow(foliation, A, b, xi, x, with_jacobian):
     escaped = (spread(bad) | _outside(x3, lo, hi) | _outside(Y3, lo, hi)).reshape(N)
     Y = Y3.reshape(N, n)
 
-    # Rows that neither bound keeps inside get their path sampled.
+    # Rows that the log-norm ball does not keep inside get their path sampled.
     GA, g = G[:, :n, :n], G[:, :n, n]
     mu = np.linalg.eigvalsh((GA + GA.transpose(0, 2, 1)) / 2)[:, -1]
     radius = spread(np.exp(np.maximum(mu, 0.0))) * (_row_norm(x3) + spread(_row_norm(g)))
     in_ball = (radius < np.min(np.minimum(hi, -lo))).reshape(N)
     rows = np.flatnonzero(~escaped & ~in_ball)
     d = rows % Q if inv is None else inv[rows]
-    norm = np.linalg.norm(GA, axis=(1, 2))
-    chord = (norm * np.exp(norm))[d] / 8 * _row_norm(_affine_map(G[d], x[rows]))
-    margin = np.min(np.minimum(np.minimum(x[rows] - lo, hi - x[rows]),
-                               np.minimum(Y[rows] - lo, hi - Y[rows])), axis=1)
-    near = ~(chord < margin)
-    escaped[rows[near]] = _sampled_escape(G, d[near], x[rows[near]], lo, hi)
+    escaped[rows] = _sampled_escape(G, d, x[rows], lo, hi)
 
     J = None
     if with_jacobian:

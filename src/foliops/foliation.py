@@ -16,6 +16,7 @@ import numpy as np
 from . import flow as _flow
 from .errors import ConfigError, DimensionMismatch
 from .expr import VectorFieldExpr, lie_bracket, parse_field
+from .flow import _checked_box, _uniform
 
 __all__ = [
     "SingularFoliation",
@@ -102,8 +103,7 @@ class SingularFoliation:
         return np.stack([g(pts) for g in self.generators], axis=-1)
 
     def sample_points(self, count, rng):
-        lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
-        return lo + (hi - lo) * rng.random((count, self.dim))
+        return _uniform(self.chart_box, rng, count)
 
     def to_json(self):
         return {
@@ -120,7 +120,7 @@ class SingularFoliation:
         gens = [parse_field(g, dim) for g in data["generators"]]
         return cls(
             dim=dim,
-            chart_box=np.asarray(data["box"], float),
+            chart_box=_checked_box(data["box"], dim, "box"),
             generators=gens,
             xi_radius=np.asarray(data["xi_radius"], float),
             escape_factor=float(data.get("escape_factor", 4.0)),

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import bisubmersion as bis
 from . import flow as _flow
+from .bisubmersion import _OTHER
 from .errors import (
     BaseMismatch,
     ConfigError,
@@ -39,6 +40,7 @@ from .errors import (
     SupportViolation,
 )
 from .expr import ScalarExpr
+from .flow import _in_box
 
 __all__ = [
     "QuadratureConfig",
@@ -62,9 +64,6 @@ __all__ = [
     "support_of",
     "gauss_nodes",
 ]
-
-_OTHER = {"r": "s", "s": "r"}
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -210,10 +209,6 @@ def gauss_nodes(box, order):
     return nodes, weights
 
 
-def _in_box(points, box, tol=0.0):
-    return ~_flow._outside(np.atleast_2d(points), box[:, 0] - tol, box[:, 1] + tol)
-
-
 def _as_coeff_fn(c, box):
     """Wrap a ScalarExpr or callable into a box-masked coefficient."""
     if isinstance(c, ScalarExpr):
@@ -305,9 +300,10 @@ class Atom:
         """Conservative box of the out_side map over the atom's support."""
         raise NotImplementedError
 
-    def bound_image(self, out_side, kernel_side, given_box, ctx):
-        """Box of out_side values over support rows whose opposite-side
-        image lies in given_box; None when empty."""
+    def bound_image(self, side, given_box, ctx):
+        """Box of the ``side`` map's values, for a kernel fibred over
+        ``side``, over support rows whose opposite-side image lies in
+        given_box; None when empty."""
         raise NotImplementedError
 
     def node_count(self, ctx):
@@ -331,10 +327,6 @@ def _intersect_boxes(a, b):
     if np.any(lo > hi):
         return None
     return np.stack([lo, hi], axis=1)
-
-
-def _boxes_disjoint(a, b):
-    return _intersect_boxes(a, b) is None
 
 
 class DiracAtom(Atom):
@@ -397,22 +389,19 @@ class DiracAtom(Atom):
         fwd = S.phi if kernel_side == "s" else S.phi_inv
         return bis._sampled_image_box(lambda x: fwd(x, ctx.flow, allow_escape=True), A)
 
-    def bound_image(self, out_side, kernel_side, given_box, ctx):
+    def bound_image(self, side, given_box, ctx):
         if given_box is None:
             return None
-        A = self._base_set(kernel_side, ctx)
+        A = self._base_set(side, ctx)
         if A is None:
             return None
         S = self.bisection
         rng = np.random.default_rng(7)
         pts = bis._sample_box(A, rng, 512)
         # opposite-side image of each candidate base point
-        fwd = S.phi_inv if kernel_side == "r" else S.phi
+        fwd = S.phi_inv if side == "r" else S.phi
         opp, ok = fwd(pts, ctx.flow, allow_escape=True)
-        keep = ok & _in_box(opp, given_box, tol=1e-9)
-        if out_side == kernel_side:
-            return _bbox(pts[keep])
-        return _bbox(opp[keep])
+        return _bbox(pts[ok & _in_box(opp, given_box, tol=1e-9)])
 
 
 class _PlanBlock:
@@ -592,33 +581,26 @@ class DensityAtom(Atom):
         k = min(len(xi), len(under))
         return np.concatenate([xi[:k], under[:k]], axis=1)
 
-    def _hint(self, out_side):
-        return self.r_hint if out_side == "r" else self.s_hint
+    def _clip(self, box, side):
+        """``box`` (or None) cut to the ``side`` hint, if there is one."""
+        hint = self.r_hint if side == "r" else self.s_hint
+        return box if hint is None else _intersect_boxes(box, hint)
 
     def image_box(self, out_side, kernel_side, ctx):
         params = self._param_samples(ctx)
         pts, ok = getattr(self.host, out_side)(params, ctx.flow, allow_escape=True)
-        box = _bbox(pts[ok])
-        hint = self._hint(out_side)
-        return box if hint is None else _intersect_boxes(box, hint)
+        return self._clip(_bbox(pts[ok]), out_side)
 
-    def bound_image(self, out_side, kernel_side, given_box, ctx):
+    def bound_image(self, side, given_box, ctx):
+        given_box = self._clip(given_box, _OTHER[side])
         if given_box is None:
             return None
-        hint_opp = self._hint(_OTHER[out_side])
-        if hint_opp is not None:
-            given_box = _intersect_boxes(given_box, hint_opp)
-            if given_box is None:
-                return None
         params = self._param_samples(ctx, count=1024)
-        opp, ok1 = getattr(self.host, _OTHER[out_side])(params, ctx.flow,
-                                                        allow_escape=True)
-        outv, ok2 = getattr(self.host, out_side)(params, ctx.flow,
-                                                 allow_escape=True)
+        opp, ok1 = getattr(self.host, _OTHER[side])(params, ctx.flow,
+                                                    allow_escape=True)
+        outv, ok2 = getattr(self.host, side)(params, ctx.flow, allow_escape=True)
         keep = ok1 & ok2 & _in_box(opp, given_box, tol=1e-9)
-        box = _bbox(outv[keep])
-        hint = self._hint(out_side)
-        return box if hint is None else _intersect_boxes(box, hint)
+        return self._clip(_bbox(outv[keep]), side)
 
 
 class ConvolvedAtom(Atom):
@@ -670,12 +652,11 @@ class ConvolvedAtom(Atom):
         part = self.left if out_side == "r" else self.right
         return part.image_box(out_side, kernel_side, ctx)
 
-    def bound_image(self, out_side, kernel_side, given_box, ctx):
-        if out_side == "r":
-            mid = self.right.bound_image("r", kernel_side, given_box, ctx)
-            return self.left.bound_image("r", kernel_side, mid, ctx)
-        mid = self.left.bound_image("s", kernel_side, given_box, ctx)
-        return self.right.bound_image("s", kernel_side, mid, ctx)
+    def bound_image(self, side, given_box, ctx):
+        # given_box bounds the far factor's input; its image bounds the other's.
+        first, last = ((self.right, self.left) if side == "r"
+                       else (self.left, self.right))
+        return last.bound_image(side, first.bound_image(side, given_box, ctx), ctx)
 
 
 class PushedAtom(Atom):
@@ -703,8 +684,8 @@ class PushedAtom(Atom):
     def image_box(self, out_side, kernel_side, ctx):
         return self.inner.image_box(out_side, kernel_side, ctx)
 
-    def bound_image(self, out_side, kernel_side, given_box, ctx):
-        return self.inner.bound_image(out_side, kernel_side, given_box, ctx)
+    def bound_image(self, side, given_box, ctx):
+        return self.inner.bound_image(side, given_box, ctx)
 
 
 class TransposedAtom(Atom):
@@ -732,10 +713,8 @@ class TransposedAtom(Atom):
     def image_box(self, out_side, kernel_side, ctx):
         return self.inner.image_box(_OTHER[out_side], _OTHER[kernel_side], ctx)
 
-    def bound_image(self, out_side, kernel_side, given_box, ctx):
-        return self.inner.bound_image(
-            _OTHER[out_side], _OTHER[kernel_side], given_box, ctx
-        )
+    def bound_image(self, side, given_box, ctx):
+        return self.inner.bound_image(_OTHER[side], given_box, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +950,7 @@ def convolve(a: FibredKernel, b: FibredKernel, ctx=None) -> FibredKernel:
         sA = A.image_box("s", a.side, ctx)
         for B in b.atoms:
             rB = B.image_box("r", b.side, ctx)
-            if sA is not None and rB is not None and _boxes_disjoint(sA, rB):
+            if sA is not None and rB is not None and _intersect_boxes(sA, rB) is None:
                 continue
             if a.side == "r":
                 atom = _convolve_atoms_r(A, B, ctx)

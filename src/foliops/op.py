@@ -27,6 +27,7 @@ from .errors import (
     SideMismatch,
 )
 from .expr import ScalarExpr
+from .flow import _in_box
 from .kernel import (
     ConvolvedAtom,
     DensityAtom,
@@ -35,6 +36,7 @@ from .kernel import (
     PairingCtx,
     QuadratureConfig,
     TransposedAtom,
+    _union_boxes,
 )
 
 __all__ = [
@@ -82,9 +84,7 @@ class GridFunction:
         out = np.zeros(len(p))
         bad = ~np.all(np.isfinite(p), axis=1)
         lo, hi = self.box[:, 0], self.box[:, 1]
-        with np.errstate(invalid="ignore"):
-            inside = np.all((p >= lo) & (p <= hi), axis=1)
-        live = inside & ~bad
+        live = _in_box(p, self.box) & ~bad
         if np.any(live):
             q = p[live]
             t = np.empty_like(q)
@@ -119,7 +119,7 @@ class GridFunction:
         res = "[" + ",".join(str(r) for r in self.res) + "]"
         buf.write(f"# box={box};res={res}\n")
         for v in self.values.ravel(order="C"):
-            buf.write(("nan" if not np.isfinite(v) else repr(float(v))) + "\n")
+            buf.write(_fmt(v) + "\n")
         return buf.getvalue()
 
     @classmethod
@@ -136,6 +136,11 @@ class GridFunction:
         res = tuple(_json.loads(res_part.split("=", 1)[1]))
         vals = np.array([float(ln) for ln in lines[1:]]).reshape(res)
         return cls(box, vals)
+
+
+def _fmt(v):
+    """Shortest round-trip text of a number; "nan" for a non-finite one."""
+    return "nan" if not np.isfinite(v) else repr(float(v))
 
 
 def grid_points(box, res):
@@ -322,20 +327,15 @@ def apply_on_leaf(kernel: FibredKernel, leaf, f_values, ctx=None):
         raise InsufficientLeafSampling("one value per leaf sample is required")
     slack = leaf.mesh * (1.0 + 1e-6) + 1e-9
 
-    def f_fn(pts):
-        pts = np.atleast_2d(pts)
-        out = np.full(len(pts), np.nan)
-        good = np.all(np.isfinite(pts), axis=1)
-        if np.any(good):
-            idx, dist = leaf.nearest(pts[good])
-            if np.any(dist > slack):
-                worst = float(np.max(dist))
-                raise InsufficientLeafSampling(
-                    f"fibre point {worst:.3e} away from the nearest sample "
-                    f"(mesh {leaf.mesh:.3e})"
-                )
-            out[good] = f_values[idx]
-        return out
+    def f_fn(pts):  # op_values passes finite points only (_wrap_f)
+        idx, dist = leaf.nearest(pts)
+        if np.any(dist > slack):
+            worst = float(np.max(dist))
+            raise InsufficientLeafSampling(
+                f"fibre point {worst:.3e} away from the nearest sample "
+                f"(mesh {leaf.mesh:.3e})"
+            )
+        return f_values[idx]
 
     return op_values(kernel, f_fn, leaf.points, ctx)
 
@@ -346,14 +346,11 @@ def apply_on_leaf(kernel: FibredKernel, leaf, f_values, ctx=None):
 
 def support_bound(kernel: FibredKernel, f_support, ctx=None):
     """Conservative box containing supp(Op(a)f) for f supported in f_support."""
+    if kernel.side != "r":
+        raise SideMismatch("support propagation acts on range-fibred kernels")
     ctx = ctx or PairingCtx()
     if f_support is None:
         return None
     f_support = np.atleast_2d(np.asarray(f_support, float))
-    from .kernel import _union_boxes
-
-    boxes = [
-        atom.bound_image("r", kernel.side, f_support, ctx)
-        for atom in kernel.atoms
-    ]
-    return _union_boxes(boxes)
+    return _union_boxes([atom.bound_image("r", f_support, ctx)
+                         for atom in kernel.atoms])

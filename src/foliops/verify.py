@@ -47,10 +47,6 @@ class CheckResult:
         return cls(check, "pass" if ok else "fail", float(measured), tolerance)
 
 
-def _grid(box, res):
-    return oper.grid_points(np.atleast_2d(np.asarray(box, float)), res)
-
-
 def _sup(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
@@ -89,7 +85,7 @@ def suite_translation(ws):
     f = ws.get("functions", "f_R")
     S = a.atoms[0].bisection
     xi0 = float(S.section(np.zeros((1, 2)))[0, 0])
-    pts = _grid([[-2, 2], [-2, 2]], (33, 33))
+    pts = oper.grid_points([[-2, 2], [-2, 2]], (33, 33))
     got = oper.op_values(a, f, pts, ctx)
     rot = np.stack(
         [
@@ -129,8 +125,8 @@ def suite_composition(ws):
     ctx = ws.ctx()
     fT = ws.get("functions", "f_T")
     fR = ws.get("functions", "f_R")
-    ptsT = _grid([[-1.5, 1.5]], (41,))
-    ptsR = _grid([[-1.2, 1.2], [-1.2, 1.2]], (13, 13))
+    ptsT = oper.grid_points([[-1.5, 1.5]], (41,))
+    ptsR = oper.grid_points([[-1.2, 1.2], [-1.2, 1.2]], (13, 13))
     return [
         _compose_check(ws, ctx, "dirac_shift", "dirac_shift2", fT, ptsT,
                        "T dirac*dirac"),
@@ -156,7 +152,7 @@ def suite_associativity(ws):
     b = ws.get("kernels", "gauss_T")
     c = ws.get("kernels", "gauss_T2")
     f = ws.get("functions", "f_T")
-    pts = _grid([[-1.5, 1.5]], (31,))
+    pts = oper.grid_points([[-1.5, 1.5]], (31,))
     lhs = oper.op_values(ker.convolve(ker.convolve(a, b, ctx), c, ctx), f, pts, ctx)
     rhs = oper.op_values(ker.convolve(a, ker.convolve(b, c, ctx), ctx), f, pts, ctx)
     return [
@@ -181,7 +177,7 @@ def suite_pushforward(ws):
         ab = ker.convolve(ws.get("kernels", ka), ws.get("kernels", kb), ctx)
         pushed = ker.pushforward(pi, ab, ctx, quad_order=order)
         f = ws.get("functions", fname)
-        pts = _grid(box, res)
+        pts = oper.grid_points(box, res)
         lhs = oper.op_values(pushed, f, pts, ctx)
         rhs = oper.op_values(ab, f, pts, ctx)
         out.append(
@@ -260,7 +256,7 @@ def suite_transpose(ws):
     a = ws.get("kernels", "gauss_T")
     b = ws.get("kernels", "gauss_T2")
     k = ws.get("functions", "f_T")
-    pts = _grid([[-1.5, 1.5]], (31,))
+    pts = oper.grid_points([[-1.5, 1.5]], (31,))
     ab_t = ker.transpose(ker.convolve(a, b, ctx))
     bt_at = ker.convolve(ker.transpose(b), ker.transpose(a), ctx)
     lhs = oper.adjoint_values(ab_t, k, pts, ctx)
@@ -311,7 +307,7 @@ def suite_mu_independence(ws):
     a = ws.get("kernels", "gauss_T")
     T = ws.get("foliations", "T")
     k = oper.GridFunction.from_fn(lambda p: np.abs(p[:, 0]), T.chart_box, (601,))
-    pts = _grid([[-2, 2]], (41,))
+    pts = oper.grid_points([[-2, 2]], (41,))
     conv = ker.r_to_s_convert(a, ctx=ctx)
     route_leb = oper.adjoint_values(conv, k, pts, ctx)
 

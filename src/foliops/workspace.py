@@ -8,6 +8,7 @@ cycle detection so that commands fail fast with a config error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ from . import bisubmersion as bis
 from . import kernel as ker
 from .errors import ConfigError
 from .expr import parse_scalar
-from .flow import FlowConfig
+from .flow import FlowConfig, _checked_box, _in_box
 from .foliation import SingularFoliation
 from .kernel import QuadratureConfig
 
@@ -81,8 +82,9 @@ class _Resolver:
     def __init__(self, data):
         self.data = data
         self.ws = Workspace(
-            flow_cfg=_flow_cfg(data.get("flow", {})),
-            quad_cfg=_quad_cfg(data.get("quadrature", {})),
+            flow_cfg=_settings(FlowConfig(), data.get("flow", {}), "flow"),
+            quad_cfg=_settings(QuadratureConfig(), data.get("quadrature", {}),
+                               "quadrature"),
         )
         self._visiting = set()
 
@@ -109,11 +111,6 @@ class _Resolver:
         self._visiting.add(key)
         return key
 
-    def foliation(self, name):
-        if name not in self.ws.foliations:
-            raise ConfigError(f"unknown foliation {name!r}")
-        return self.ws.foliations[name]
-
     def bisubmersion(self, name):
         if name in self.ws.bisubmersions:
             return self.ws.bisubmersions[name]
@@ -125,15 +122,17 @@ class _Resolver:
         kind = spec.get("type")
         try:
             if kind == "path_holonomy":
-                out = bis.make_path_holonomy(self.foliation(spec["foliation"]))
+                out = bis.make_path_holonomy(
+                    self.ws.get("foliations", spec["foliation"]))
             elif kind == "compose":
                 out = bis.compose(self.bisubmersion(spec["left"]),
                                   self.bisubmersion(spec["right"]))
             elif kind == "inverse":
                 out = bis.invert(self.bisubmersion(spec["inner"]))
             elif kind == "restriction":
-                out = bis.restrict(self.bisubmersion(spec["inner"]),
-                                   np.asarray(spec["param_box"], float))
+                inner = self.bisubmersion(spec["inner"])
+                out = bis.restrict(inner, _checked_box(
+                    spec["param_box"], inner.param_len, f"{name!r} param_box"))
             elif kind == "translate":
                 out = bis.translate(self.bisubmersion(spec["inner"]),
                                     self.bisection(spec["bisection"]),
@@ -160,7 +159,7 @@ class _Resolver:
             host = self.bisubmersion(spec["host"])
             out = bis.constant_bisection(
                 host, np.asarray(spec["xi"], float),
-                base_box=spec.get("base_box"), label=name,
+                base_box=_box(spec, "base_box", host.base_dim, name), label=name,
             )
         except KeyError as exc:
             raise ConfigError(f"bisection {name!r}: missing field {exc}") from exc
@@ -180,7 +179,7 @@ class _Resolver:
                     c = parse_scalar(aspec["coeff"], S.host.base_dim)
                     piece = ker.dirac(
                         S, c, side=side,
-                        coeff_box=aspec.get("coeff_box"),
+                        coeff_box=_box(aspec, "coeff_box", S.host.base_dim, name),
                         ctx=self.ws.ctx(),
                     )
                 elif kind == "density":
@@ -188,8 +187,8 @@ class _Resolver:
                     expr = parse_scalar(aspec["expr"], host.param_len)
                     piece = ker.density(
                         host, expr,
-                        xi_box=aspec.get("xi_box"),
-                        base_box=aspec.get("base_box"),
+                        xi_box=_box(aspec, "xi_box", host.fibre_dim, name),
+                        base_box=_box(aspec, "base_box", host.base_dim, name),
                         side=side,
                         quad_order=aspec.get("quad_order"),
                     )
@@ -218,33 +217,42 @@ class _Resolver:
             expr = parse_scalar(spec["expr"], dim)
         except KeyError as exc:
             raise ConfigError(f"function {name!r}: missing field {exc}") from exc
-        support = spec.get("support")
-        if support is None:
+        box = _box(spec, "support", dim, name)
+        if box is None:
             return expr
-        box = np.asarray(support, float)
 
         def masked(pts):
             p = np.atleast_2d(pts)
-            inside = np.all((p >= box[:, 0]) & (p <= box[:, 1]), axis=1)
-            return np.where(inside, expr(p, check_finite=False), 0.0)
+            return np.where(_in_box(p, box), expr(p, check_finite=False), 0.0)
 
         return masked
 
 
-def _flow_cfg(spec):
-    return FlowConfig(
-        abs_tol=float(spec.get("abs_tol", 1e-10)),
-        rel_tol=float(spec.get("rel_tol", 1e-10)),
-        max_steps=int(spec.get("max_steps", 10_000)),
-    )
+def _box(spec, key, dim, owner):
+    """The box ``spec[key]`` of ``owner``, checked; None when it is absent."""
+    value = spec.get(key)
+    return None if value is None else _checked_box(value, dim, f"{owner!r} {key}")
 
 
-def _quad_cfg(spec):
-    return QuadratureConfig(
-        order=int(spec.get("order", 32)),
-        order_highdim=int(spec.get("order_highdim", 12)),
-        nesting_limit=int(spec.get("nesting_limit", 6)),
-    )
+def _settings(base, spec, what):
+    """``base`` with the fields that ``spec`` names replaced, each value cast
+    to the type of its field's default; ConfigError on an unknown field, a
+    value that is not a number or a count that is not an integer."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} settings must be an object, got {spec!r}")
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(base)}
+    values = {}
+    for name, raw in spec.items():
+        if name not in kinds:
+            raise ConfigError(f"unknown {what} setting {name!r}")
+        try:
+            values[name] = kinds[name](raw)
+            exact = kinds[name] is float or values[name] == float(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{what} {name} {raw!r} is not a number") from exc
+        if not exact:
+            raise ConfigError(f"{what} {name} must be an integer, got {raw!r}")
+    return dataclasses.replace(base, **values)
 
 
 def load_config(path_or_dict) -> Workspace:

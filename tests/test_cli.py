@@ -1,5 +1,6 @@
 """CLI commands, config loading, exit codes, deterministic outputs."""
 
+import copy
 import json
 import math
 import subprocess
@@ -131,6 +132,65 @@ def test_bad_foliation_config_exit_2(tmp_path, capsys, bad):
         **bad}}}))
     assert run_cli("flow", "--config", str(cfg), "--foliation", "Q",
                    "--xi", "0.1", "--point", "0.5") == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
+@pytest.mark.parametrize("section", [
+    {"flow": {"abs_tole": 1e-3}},  # an unknown key was ignored
+    {"flow": {"max_steps": "abc"}},  # a ValueError traceback, exit 1
+    {"quadrature": {"order": 12.7}},  # truncated to 12
+])
+def test_bad_settings_config_exit_2(tmp_path, capsys, section):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps(section))
+    assert run_cli("flow", "--config", str(cfg), "--foliation", "S", "--xi", "1",
+                   "--point", "2") == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
+_BOX_CONFIG = {
+    "foliations": {"line": {"dim": 1, "box": [[-3, 3]], "generators": ["[1]"],
+                            "xi_radius": [2.0]}},
+    "bisubmersions": {
+        "U": {"type": "path_holonomy", "foliation": "line"},
+        "V": {"type": "restriction", "inner": "U", "param_box": [[-1, 1], [-3, 3]]},
+    },
+    "bisections": {"shift": {"host": "U", "xi": [0.5], "base_box": [[-3, 3]]}},
+    "kernels": {
+        "k": {"atoms": [{"type": "density", "host": "U", "expr": "exp(-20*x1^2)",
+                         "xi_box": [[-1.2, 1.2]], "base_box": [[-12, 12]]}]},
+        "d": {"atoms": [{"type": "dirac", "bisection": "shift",
+                         "coeff": "(1-(x1/2)^2)^4", "coeff_box": [[-2, 2]]}]},
+    },
+    "functions": {"f": {"expr": "exp(-x1^2)", "dim": 1},
+                  "g": {"expr": "1", "dim": 1, "support": [[-1, 1]]}},
+}
+_DENSITY = ("kernels", "k", "atoms", 0)
+
+
+@pytest.mark.parametrize("where, box", [
+    ((*_DENSITY, "xi_box"), [[1.2, -1.2]]),  # Op(a)f came out negated
+    ((*_DENSITY, "xi_box"), "abc"),  # a ValueError traceback, exit 1
+    ((*_DENSITY, "base_box"), [[-12, 12, 3]]),  # accepted
+    ((*_DENSITY, "base_box"), [[12, -12]]),  # all zeros
+    ((*_DENSITY, "xi_box"), [[float("nan"), 1.2]]),  # every point masked
+    (("foliations", "line", "box"), [[3, -3]]),
+    (("bisubmersions", "V", "param_box"), [[1, -1], [-3, 3]]),
+    (("bisections", "shift", "base_box"), [[-3, float("inf")]]),
+    (("kernels", "d", "atoms", 0, "coeff_box"), [[2, -2]]),
+    (("functions", "g", "support"), [[1, -1]]),
+])
+def test_bad_config_box_exit_2(tmp_path, capsys, where, box):
+    """Every config box passes the --box rule: shape (dim, 2), finite, lo < hi."""
+    spec = copy.deepcopy(_BOX_CONFIG)
+    node = spec
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = box
+    cfg = tmp_path / "boxes.json"
+    cfg.write_text(json.dumps(spec))
+    assert run_cli("apply", "--config", str(cfg), "--kernel", "k", "--function", "f",
+                   "--box", "[[-1,1]]", "--res", "3") == 2
     assert capsys.readouterr().err.startswith("error: ConfigError:")
 
 

@@ -51,6 +51,13 @@ def test_evaluation_deterministic():
     assert e(p) == e(p)
 
 
+def test_bare_variable_is_not_a_view_of_the_points():
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    vals = parse_scalar("x1", 2)(X)
+    vals[0] = 9.0
+    assert X[0, 0] == 1.0
+
+
 def test_eval_error_on_singularity():
     e = parse_scalar("1/x1", 1)
     with pytest.raises(EvalError):

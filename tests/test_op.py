@@ -104,6 +104,10 @@ def test_op_requires_range_side(ws, ctx):
     with pytest.raises(SideMismatch):
         oper.op_values(ker.transpose(ws.kernels["gauss_T"]),
                        ws.functions["f_T"], np.zeros((1, 1)), ctx)
+    # A source-fibred kernel's bound was once its input box, not shifted.
+    with pytest.raises(SideMismatch):
+        oper.support_bound(ker.transpose(ws.kernels["dirac_shift"]),
+                           [[0.0, 1.0]], ctx)
 
 
 def test_homomorphism_on_grids(ws, ctx):
