@@ -262,7 +262,7 @@ class Composition(Bisubmersion):
     """U o V as the fibred product over s_U = r_V; parameters concatenate."""
 
     def __init__(self, left, right):
-        if left.foliation is not right.foliation:
+        if left.foliation.key() != right.foliation.key():
             raise BaseMismatch("composition of bisubmersions over different bases")
         self.left = left
         self.right = right
@@ -447,8 +447,9 @@ class Bisection:
         self.label = label
 
     def key(self):
-        """Structural for constant bisections; otherwise the object itself,
-        held by the key so that it cannot be reused after collection."""
+        """Structural for constant and composed bisections; otherwise the
+        object itself, held by the key so that it cannot be reused after
+        collection."""
         return self._key if self._key is not None else ("object", self)
 
     def section(self, x):
@@ -625,6 +626,7 @@ def compose_bisections(S, T):
         phi_inv,
         label=f"{S.label} o {T.label}",
         valid_fn=valid,
+        key=("compose", S.key(), T.key()),
     )
 
 
@@ -636,20 +638,26 @@ def _sample_box(box, rng, count):
     return np.concatenate([pts, corners])
 
 
-def _sampled_image_box(fn, box, pad=0.02):
-    """Sampled bounding box of fn(box) from uniform, corner and centre
-    points, padded by ``pad`` of its width plus one."""
-    box = np.asarray(box, float)
-    rng = np.random.default_rng(12345)
-    pts = np.concatenate([_sample_box(box, rng, _IMAGE_SAMPLES),
-                          box.mean(axis=1)[None, :]])
-    vals, ok = fn(pts)
-    vals = vals[ok]
+def _padded_bounds(vals, pad=0.02):
+    """Bounding box of the rows of ``vals``, padded by ``pad`` of its width
+    plus one; None when there are no rows."""
     if len(vals) == 0:
         return None
     lo, hi = vals.min(axis=0), vals.max(axis=0)
     margin = pad * (hi - lo + 1.0)
     return np.stack([lo - margin, hi + margin], axis=1)
+
+
+def _sampled_image_box(fn, box, pad=0.02):
+    """Sampled bounding box of fn(box) from uniform, corner and centre
+    points, padded as ``_padded_bounds`` pads; ``fn(points)`` returns
+    ``(values, ok)`` and only ok rows count."""
+    box = np.asarray(box, float)
+    rng = np.random.default_rng(12345)
+    pts = np.concatenate([_sample_box(box, rng, _IMAGE_SAMPLES),
+                          box.mean(axis=1)[None, :]])
+    vals, ok = fn(pts)
+    return _padded_bounds(vals[ok], pad)
 
 
 class LocalDiffeo:

@@ -180,12 +180,6 @@ def _row_slices(n_rows, nodes_per_row):
     return [slice(i, i + block) for i in range(0, max(n_rows, 1), block)]
 
 
-def _in_row_blocks(n_rows, nodes_per_row, block_fn):
-    """Concatenate ``block_fn(rows)`` over the row slices."""
-    parts = [block_fn(rows) for rows in _row_slices(n_rows, nodes_per_row)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 _GL_CACHE = {}
 
 
@@ -283,7 +277,7 @@ class Atom:
 
     def planned(self, side, bases, ctx):
         """Whether ``ctx.plans`` holds the plan of ``pair(side, bases)``;
-        only density pairings keep one."""
+        only Dirac and density pairings keep one."""
         return False
 
     def key(self):
@@ -296,27 +290,15 @@ class Atom:
     def scaled(self, factor):
         raise NotImplementedError
 
-    def image_box(self, out_side, kernel_side, ctx):
-        """Conservative box of the out_side map over the atom's support."""
-        raise NotImplementedError
-
-    def bound_image(self, side, given_box, ctx):
-        """Box of the ``side`` map's values, for a kernel fibred over
-        ``side``, over support rows whose opposite-side image lies in
-        given_box; None when empty."""
+    def image(self, out_side, kernel_side, ctx, given=None):
+        """Sampled box of the ``out_side`` map over the support rows of the
+        atom in a kernel fibred over ``kernel_side``: over the rows whose
+        image under the other map lies in the box ``given``, or over all
+        rows when ``given`` is None.  None when no sampled row is left."""
         raise NotImplementedError
 
     def node_count(self, ctx):
         return 1
-
-
-def _bbox(points, pad_frac=0.02, pad_abs=1e-7):
-    if points is None or len(points) == 0:
-        return None
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    pad = pad_frac * (hi - lo) + pad_abs
-    return np.stack([lo - pad, hi + pad], axis=1)
 
 
 def _intersect_boxes(a, b):
@@ -327,81 +309,6 @@ def _intersect_boxes(a, b):
     if np.any(lo > hi):
         return None
     return np.stack([lo, hi], axis=1)
-
-
-class DiracAtom(Atom):
-    """c * Delta_S: evaluate on the bisection, weight by the coefficient
-    (``coeff_key`` names it; by default it is ``coeff_fn`` itself)."""
-
-    def __init__(self, bisection, coeff_fn, coeff_box, *, coeff_key=None):
-        self.bisection = bisection
-        self.host = bisection.host
-        self.coeff_fn = coeff_fn
-        self.coeff_box = np.asarray(coeff_box, float)
-        self.coeff_key = _fn_key(coeff_fn) if coeff_key is None else coeff_key
-        self._key = (bisection.key(), self.coeff_key, self.coeff_box.tobytes())
-
-    def pair(self, side, bases, phi, ctx):
-        S = self.bisection
-        bases = np.atleast_2d(np.asarray(bases, float))
-        N = len(bases)
-        out = np.zeros(N)
-        if side == "s":
-            valid = S.in_base(bases)
-            under = bases
-        else:
-            under, ok = S.phi_inv(bases, ctx.flow, allow_escape=True)
-            valid = np.zeros(N, dtype=bool)
-            valid[ok] = S.in_base(under[ok])
-            out[~ok] = np.nan
-        coeff = np.zeros(N)
-        coeff[valid] = self.coeff_fn(bases[valid])
-        live = valid & (coeff != 0.0) & np.isfinite(coeff)
-        out[valid & ~np.isfinite(coeff)] = np.nan
-        if np.any(live):
-            params = S.section(under[live])
-            rows = np.flatnonzero(live)
-            out[live] = coeff[live] * phi(params, rows)
-        return out
-
-    def scaled(self, factor):
-        return DiracAtom(self.bisection, _scaled_fn(self.coeff_fn, factor),
-                         self.coeff_box,
-                         coeff_key=("scaled", repr(factor), self.coeff_key))
-
-    def _base_set(self, kernel_side, ctx):
-        """Box of base points where the pairing can be nonzero."""
-        S = self.bisection
-        if kernel_side == "s":
-            return _intersect_boxes(self.coeff_box, S.base_box)
-        mapped = bis._sampled_image_box(
-            lambda x: S.phi(x, ctx.flow, allow_escape=True), S.base_box
-        )
-        return _intersect_boxes(self.coeff_box, mapped)
-
-    def image_box(self, out_side, kernel_side, ctx):
-        A = self._base_set(kernel_side, ctx)
-        if A is None:
-            return None
-        if out_side == kernel_side:
-            return A
-        S = self.bisection
-        fwd = S.phi if kernel_side == "s" else S.phi_inv
-        return bis._sampled_image_box(lambda x: fwd(x, ctx.flow, allow_escape=True), A)
-
-    def bound_image(self, side, given_box, ctx):
-        if given_box is None:
-            return None
-        A = self._base_set(side, ctx)
-        if A is None:
-            return None
-        S = self.bisection
-        rng = np.random.default_rng(7)
-        pts = bis._sample_box(A, rng, 512)
-        # opposite-side image of each candidate base point
-        fwd = S.phi_inv if side == "r" else S.phi
-        opp, ok = fwd(pts, ctx.flow, allow_escape=True)
-        return _bbox(pts[ok & _in_box(opp, given_box, tol=1e-9)])
 
 
 class _PlanBlock:
@@ -431,7 +338,9 @@ class _PlanBlock:
             if not np.may_share_memory(a, params))
 
     def execute(self, phi):
-        """Row sums of weight x density x phi, NaN where a node escaped."""
+        """Row sums of weight x density x phi, NaN where a node escaped;
+        with one node per row, the products themselves (a sum would turn
+        -0.0 into 0.0)."""
         live, nan, params, rows, wd = self.arrays
         contrib = np.zeros(len(live))
         contrib[nan] = np.nan
@@ -446,20 +355,131 @@ class _PlanBlock:
                         a.setflags(write=False)
                 vals = phi.gather(params, rows, self.geometry[key])
             contrib[live] = wd * vals
-        return contrib.reshape(-1, self.Q).sum(axis=1)
+        return contrib if self.Q == 1 else contrib.reshape(-1, self.Q).sum(axis=1)
+
+
+def _planned(atom, side, bases, ctx):
+    bases = np.atleast_2d(np.asarray(bases, float))
+    return ctx.plans.get(atom, _plan_key(side, bases, ctx)) is not None
+
+
+def _pair_planned(atom, side, bases, phi, ctx):
+    """Fetch or build the plan of (atom, side, bases) and execute it; the
+    pairing of every Dirac and density atom.
+
+    ``atom._plan_blocks(side, bases, ctx)`` yields the plan's row blocks.
+    Plans are kept in ``ctx.plans``; a nested pairing has a store only
+    once its outer plan is reused (``PairingCtx.nested_in``).  An
+    unstored plan is built one row block at a time, and each block is
+    dropped once executed; a plan that outgrows _PLAN_BUDGET drops the
+    blocks it kept so far.  A hit is stored again, to count the geometry
+    it added.
+    """
+    bases = np.atleast_2d(np.asarray(bases, float))
+    key = blocks = None
+    if ctx.plans is not None:
+        key = _plan_key(side, bases, ctx)
+        blocks = ctx.plans.get(atom, key)
+    if blocks is not None:
+        sums = [block.execute(phi) for block in blocks]
+        kept = blocks
+    else:
+        kept = [] if key is not None else None
+        sums = []
+        for block in atom._plan_blocks(side, bases, ctx):
+            sums.append(block.execute(phi))
+            if kept is not None:
+                kept.append(block)
+                if _nbytes(kept) > _PLAN_BUDGET:
+                    kept = None  # too big to store
+            del block  # an unkept block goes before the next is built
+    if kept is not None:
+        ctx.plans.put(atom, key, kept)
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
+
+
+class DiracAtom(Atom):
+    """c * Delta_S: evaluate on the bisection, weight by the coefficient
+    (``coeff_key`` names it; by default it is ``coeff_fn`` itself)."""
+
+    def __init__(self, bisection, coeff_fn, coeff_box, *, coeff_key=None):
+        self.bisection = bisection
+        self.host = bisection.host
+        self.coeff_fn = coeff_fn
+        self.coeff_box = np.asarray(coeff_box, float)
+        self.coeff_key = _fn_key(coeff_fn) if coeff_key is None else coeff_key
+        self._key = (bisection.key(), self.coeff_key, self.coeff_box.tobytes())
+
+    def pair(self, side, bases, phi, ctx):
+        return _pair_planned(self, side, bases, phi, ctx)
+
+    def planned(self, side, bases, ctx):
+        return _planned(self, side, bases, ctx)
+
+    def _plan_blocks(self, side, bases, ctx):
+        """One block with one node per base row: the bisection's point over
+        the row, weighted by the coefficient."""
+        S = self.bisection
+        N = len(bases)
+        under, ok = ((bases, np.ones(N, dtype=bool)) if side == "s"
+                     else S.phi_inv(bases, ctx.flow, allow_escape=True))
+        valid = np.zeros(N, dtype=bool)
+        valid[ok] = S.in_base(under[ok])
+        coeff = np.zeros(N)
+        coeff[valid] = self.coeff_fn(bases[valid])
+        finite = np.isfinite(coeff)
+        live = valid & finite & (coeff != 0.0)
+        nan = np.flatnonzero(~ok | (valid & ~finite)).astype(np.int32)
+        params = (S.section(under[live]) if np.any(live)
+                  else np.empty((0, self.host.param_len)))
+        rows = np.flatnonzero(live).astype(np.int32)
+        yield _PlanBlock(1, live, nan, params, rows, coeff[live])
+
+    def scaled(self, factor):
+        return DiracAtom(self.bisection, _scaled_fn(self.coeff_fn, factor),
+                         self.coeff_box,
+                         coeff_key=("scaled", repr(factor), self.coeff_key))
+
+    def image(self, out_side, kernel_side, ctx, given=None):
+        # A support row is a bisection point.  On the kernel's side it lies
+        # in the coefficient box cut to the bisection's image there (its
+        # ``home``); other boxes are sampled images under ``to_out``, of the
+        # box on the other side of ``out_side`` cut to ``given``.
+        S = self.bisection
+        to_out = S.phi if out_side == "r" else S.phi_inv
+
+        def across(box):
+            return None if box is None else bis._sampled_image_box(
+                lambda x: to_out(x, ctx.flow, allow_escape=True), box)
+
+        def cut(box):
+            return box if given is None else _intersect_boxes(box, given)
+
+        if out_side != kernel_side:
+            return across(cut(self.image(kernel_side, kernel_side, ctx)))
+        home = _intersect_boxes(self.coeff_box, S.base_box if out_side == "s"
+                                else across(S.base_box))
+        if given is None or home is None:
+            return home
+        other = self.image(_OTHER[out_side], kernel_side, ctx)
+        return _intersect_boxes(across(cut(other)), home)
 
 
 class DensityAtom(Atom):
     """Smooth fibred density against the canonical chart measure d(xi).
 
+    The host's parameters must be laid out as (fibre, base), as on
+    path-holonomy terms and their inverses, restrictions and translates.
     ``dens_fn(params, rbase)`` is evaluated only on chart rows whose base
     lies in ``base_box``; ``rbase`` is the rows' range base when
     ``needs_rbase`` is set (by the translation and reduction rules) and
-    None otherwise.  ``r_hint``/``s_hint`` are optional conservative boxes
-    for the r/s images, tighter than what parameter-box sampling alone
-    can see (used when a translation rule folds a coefficient into the
-    density).  ``dens_key`` names what ``dens_fn`` computes (by default
-    ``dens_fn`` itself); atoms with equal ``key()`` pair alike.
+    None otherwise.  ``r_hint``/``s_hint`` are optional boxes for the r/s
+    images, tighter than what parameter-box sampling alone can see: the
+    Dirac*density rule sets ``r_hint`` to the coefficient's box, which is
+    exact, and the density*Dirac rule sets ``s_hint`` to the sampled s
+    image of the coefficient's support.  ``dens_key`` names what
+    ``dens_fn`` computes (by default ``dens_fn`` itself); atoms with equal
+    ``key()`` pair alike.
     """
 
     def __init__(self, host, dens_fn, xi_box, base_box, needs_rbase=False,
@@ -472,6 +492,11 @@ class DensityAtom(Atom):
         self.quad_order = quad_order
         self.r_hint = r_hint
         self.s_hint = s_hint
+        if host.param_len != host.fibre_dim + host.base_dim:
+            raise HostMismatch(
+                f"a density needs (fibre, base) parameters; {host.describe()} "
+                f"has {host.param_len}, not {host.fibre_dim} + {host.base_dim}"
+            )
         if self.xi_box.shape[0] != host.fibre_dim:
             raise HostMismatch(
                 f"xi box has {self.xi_box.shape[0]} axes, host fibre dim is "
@@ -488,41 +513,11 @@ class DensityAtom(Atom):
     def node_count(self, ctx):
         return len(self._nodes(ctx)[0])
 
-    def planned(self, side, bases, ctx):
-        bases = np.atleast_2d(np.asarray(bases, float))
-        return ctx.plans.get(self, _plan_key(side, bases, ctx)) is not None
-
     def pair(self, side, bases, phi, ctx):
-        """Fetch or build the plan of (self, side, bases) and execute it.
+        return _pair_planned(self, side, bases, phi, ctx)
 
-        Plans are kept in ``ctx.plans``; a nested pairing has a store only
-        once its outer plan is reused (``PairingCtx.nested_in``).  An
-        unstored plan is built one row block at a time, and each block is
-        dropped once executed; a plan that outgrows _PLAN_BUDGET drops the
-        blocks it kept so far.  A hit is stored again, to count the
-        geometry it added.
-        """
-        bases = np.atleast_2d(np.asarray(bases, float))
-        key = blocks = None
-        if ctx.plans is not None:
-            key = _plan_key(side, bases, ctx)
-            blocks = ctx.plans.get(self, key)
-        if blocks is not None:
-            sums = [block.execute(phi) for block in blocks]
-            kept = blocks
-        else:
-            kept = [] if key is not None else None
-            sums = []
-            for block in self._plan_blocks(side, bases, ctx):
-                sums.append(block.execute(phi))
-                if kept is not None:
-                    kept.append(block)
-                    if _nbytes(kept) > _PLAN_BUDGET:
-                        kept = None  # too big to store
-                del block  # an unkept block goes before the next is built
-        if kept is not None:
-            ctx.plans.put(self, key, kept)
-        return sums[0] if len(sums) == 1 else np.concatenate(sums)
+    def planned(self, side, bases, ctx):
+        return _planned(self, side, bases, ctx)
 
     def _plan_blocks(self, side, bases, ctx):
         nodes, weights = self._nodes(ctx)
@@ -574,33 +569,33 @@ class DensityAtom(Atom):
                            self.quad_order, self.r_hint, self.s_hint,
                            dens_key=("scaled", repr(factor), self.dens_key))
 
-    def _param_samples(self, ctx, count=512):
-        rng = np.random.default_rng(11)
-        xi = bis._sample_box(self.xi_box, rng, count)
-        under = bis._sample_box(self.base_box, rng, count)
-        k = min(len(xi), len(under))
-        return np.concatenate([xi[:k], under[:k]], axis=1)
-
     def _clip(self, box, side):
         """``box`` (or None) cut to the ``side`` hint, if there is one."""
         hint = self.r_hint if side == "r" else self.s_hint
         return box if hint is None else _intersect_boxes(box, hint)
 
-    def image_box(self, out_side, kernel_side, ctx):
-        params = self._param_samples(ctx)
-        pts, ok = getattr(self.host, out_side)(params, ctx.flow, allow_escape=True)
-        return self._clip(_bbox(pts[ok]), out_side)
-
-    def bound_image(self, side, given_box, ctx):
-        given_box = self._clip(given_box, _OTHER[side])
-        if given_box is None:
-            return None
-        params = self._param_samples(ctx, count=1024)
-        opp, ok1 = getattr(self.host, _OTHER[side])(params, ctx.flow,
-                                                    allow_escape=True)
-        outv, ok2 = getattr(self.host, side)(params, ctx.flow, allow_escape=True)
-        keep = ok1 & ok2 & _in_box(opp, given_box, tol=1e-9)
-        return self._clip(_bbox(outv[keep]), side)
+    def image(self, out_side, kernel_side, ctx, given=None):
+        # Support rows are sampled as (xi, base) parameter rows or, under
+        # ``given``, as the other side's chart rows over points in it.
+        other = _OTHER[out_side]
+        if given is not None:
+            given = self._clip(given, other)
+            if given is None:
+                return None
+        rng = np.random.default_rng(11)
+        xi = bis._sample_box(self.xi_box, rng, 512)
+        under = bis._sample_box(self.base_box if given is None else given,
+                                rng, 512)
+        k = min(len(xi), len(under))
+        if given is None:
+            params, ok = np.concatenate([xi[:k], under[:k]], axis=1), True
+        else:
+            params, ok = self.host.chart(other, xi[:k], under[:k], ctx.flow,
+                                         allow_escape=True)
+            ok = ok & _in_box(params[:, self.host.fibre_dim:], self.base_box)
+        pts, ok_out = getattr(self.host, out_side)(params, ctx.flow,
+                                                   allow_escape=True)
+        return self._clip(bis._padded_bounds(pts[ok & ok_out]), out_side)
 
 
 class ConvolvedAtom(Atom):
@@ -648,15 +643,16 @@ class ConvolvedAtom(Atom):
     def scaled(self, factor):
         return ConvolvedAtom(self.left.scaled(factor), self.right)
 
-    def image_box(self, out_side, kernel_side, ctx):
-        part = self.left if out_side == "r" else self.right
-        return part.image_box(out_side, kernel_side, ctx)
-
-    def bound_image(self, side, given_box, ctx):
-        # given_box bounds the far factor's input; its image bounds the other's.
-        first, last = ((self.right, self.left) if side == "r"
-                       else (self.left, self.right))
-        return last.bound_image(side, first.bound_image(side, given_box, ctx), ctx)
+    def image(self, out_side, kernel_side, ctx, given=None):
+        # ``given`` bounds the far factor's input; the far factor's image
+        # then bounds the near one's.
+        near, far = ((self.left, self.right) if out_side == "r"
+                     else (self.right, self.left))
+        if given is not None:
+            given = far.image(out_side, kernel_side, ctx, given)
+            if given is None:
+                return None
+        return near.image(out_side, kernel_side, ctx, given)
 
 
 class PushedAtom(Atom):
@@ -681,11 +677,8 @@ class PushedAtom(Atom):
     def scaled(self, factor):
         return PushedAtom(self.morphism, self.inner.scaled(factor))
 
-    def image_box(self, out_side, kernel_side, ctx):
-        return self.inner.image_box(out_side, kernel_side, ctx)
-
-    def bound_image(self, side, given_box, ctx):
-        return self.inner.bound_image(side, given_box, ctx)
+    def image(self, out_side, kernel_side, ctx, given=None):
+        return self.inner.image(out_side, kernel_side, ctx, given)
 
 
 class TransposedAtom(Atom):
@@ -710,11 +703,9 @@ class TransposedAtom(Atom):
     def scaled(self, factor):
         return TransposedAtom(self.inner.scaled(factor))
 
-    def image_box(self, out_side, kernel_side, ctx):
-        return self.inner.image_box(_OTHER[out_side], _OTHER[kernel_side], ctx)
-
-    def bound_image(self, side, given_box, ctx):
-        return self.inner.bound_image(_OTHER[side], given_box, ctx)
+    def image(self, out_side, kernel_side, ctx, given=None):
+        return self.inner.image(_OTHER[out_side], _OTHER[kernel_side], ctx,
+                                given)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +724,7 @@ class FibredKernel:
             foliation = self.atoms[0].host.foliation
         self.foliation = foliation
         for a in self.atoms:
-            if a.host.foliation is not self.foliation:
+            if a.host.foliation.key() != foliation.key():
                 raise BaseMismatch("atoms hosted over different foliations")
 
     def is_zero(self):
@@ -755,7 +746,8 @@ class FibredKernel:
             return NotImplemented
         if other.side != self.side:
             raise SideMismatch("adding kernels fibred over different sides")
-        if other.foliation is not self.foliation and other.atoms and self.atoms:
+        if other.atoms and self.atoms \
+                and other.foliation.key() != self.foliation.key():
             raise BaseMismatch("adding kernels over different foliations")
         return FibredKernel(self.side, self.atoms + other.atoms,
                             self.foliation or other.foliation)
@@ -773,7 +765,8 @@ class FibredKernel:
 
 @dataclass
 class SupportBox:
-    """Conservative support bookkeeping: true support lies inside."""
+    """Sampled support bookkeeping: boxes of sampled support rows, padded
+    (``bisubmersion._padded_bounds``), not proven to hold the support."""
 
     r_box: object  # (n, 2) array or None
     s_box: object
@@ -790,16 +783,10 @@ def _union_boxes(boxes):
 
 
 def support_of(kernel, ctx=None) -> SupportBox:
-    """Union of per-atom r/s image boxes via interval sampling."""
+    """Union of the atoms' sampled r/s image boxes."""
     ctx = ctx or PairingCtx()
-    per_atom = []
-    for a in kernel.atoms:
-        per_atom.append(
-            {
-                "r": a.image_box("r", kernel.side, ctx),
-                "s": a.image_box("s", kernel.side, ctx),
-            }
-        )
+    per_atom = [{out: a.image(out, kernel.side, ctx) for out in ("r", "s")}
+                for a in kernel.atoms]
     return SupportBox(
         r_box=_union_boxes([d["r"] for d in per_atom]),
         s_box=_union_boxes([d["s"] for d in per_atom]),
@@ -887,10 +874,8 @@ def _convolve_atoms_r(A, B, ctx):
             out[va == 0.0] = 0.0
             return out
 
-        mapped = bis._sampled_image_box(
-            lambda x: SA.phi(x, flow, allow_escape=True), B.coeff_box
-        )
-        box = _intersect_boxes(A.coeff_box, mapped)
+        # A's r images over the rows whose s images lie in B's r support
+        box = A.image("r", "r", ctx, B.image("r", "r", ctx))
         if box is None:
             return None
         return DiracAtom(SC, coeff, box,
@@ -920,12 +905,9 @@ def _convolve_atoms_r(A, B, ctx):
             out = A.dens_fn(params, rbase) * B.coeff_fn(s_inner)
             return np.where(ok, out, np.nan)
 
-        s_hint = bis._sampled_image_box(
-            lambda x: TB.phi_inv(x, flow, allow_escape=True), B.coeff_box
-        )
         return DensityAtom(host, dens, A.xi_box, A.base_box,
                            needs_rbase=A.needs_rbase, quad_order=A.quad_order,
-                           r_hint=A.r_hint, s_hint=s_hint,
+                           r_hint=A.r_hint, s_hint=B.image("s", "r", ctx),
                            dens_key=("translate_right", A.key(), B.key(), flow))
 
     return ConvolvedAtom(A, B)
@@ -942,14 +924,14 @@ def convolve(a: FibredKernel, b: FibredKernel, ctx=None) -> FibredKernel:
     if a.side != b.side:
         raise SideMismatch(f"convolving side {a.side} with side {b.side}")
     if a.foliation is not None and b.foliation is not None \
-            and a.foliation is not b.foliation:
+            and a.foliation.key() != b.foliation.key():
         raise BaseMismatch("convolving kernels over different foliations")
     ctx = ctx or PairingCtx()
+    r_boxes = [B.image("r", b.side, ctx) for B in b.atoms]
     atoms = []
     for A in a.atoms:
-        sA = A.image_box("s", a.side, ctx)
-        for B in b.atoms:
-            rB = B.image_box("r", b.side, ctx)
+        sA = A.image("s", a.side, ctx)
+        for B, rB in zip(b.atoms, r_boxes):
             if sA is not None and rB is not None and _intersect_boxes(sA, rB) is None:
                 continue
             if a.side == "r":
@@ -1032,12 +1014,9 @@ def _reduce_addition(pi, atom, ctx, quad_order):
         return contrib.reshape(K, Q).sum(axis=1)
 
     def dens(params, rbase):
-        return _in_row_blocks(
-            len(params), Q,
-            lambda rows: dens_block(
-                params[rows], rbase[rows] if rbase is not None else None
-            ),
-        )
+        parts = [dens_block(params[rows], None if rbase is None else rbase[rows])
+                 for rows in _row_slices(len(params), Q)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     zeta_box = A.xi_box + B.xi_box  # Minkowski interval sum
     # Keep node density over the wider zeta box on par with the factors.

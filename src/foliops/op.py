@@ -345,12 +345,14 @@ def apply_on_leaf(kernel: FibredKernel, leaf, f_values, ctx=None):
 
 
 def support_bound(kernel: FibredKernel, f_support, ctx=None):
-    """Conservative box containing supp(Op(a)f) for f supported in f_support."""
+    """Sampled box of supp(Op(a)f) for f supported in f_support: the
+    union of the atoms' r images over the rows whose s image lies in
+    f_support (``Atom.image``), padded but not proven to cover."""
     if kernel.side != "r":
         raise SideMismatch("support propagation acts on range-fibred kernels")
     ctx = ctx or PairingCtx()
     if f_support is None:
         return None
     f_support = np.atleast_2d(np.asarray(f_support, float))
-    return _union_boxes([atom.bound_image("r", f_support, ctx)
+    return _union_boxes([atom.image("r", "r", ctx, f_support)
                          for atom in kernel.atoms])

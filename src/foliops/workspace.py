@@ -185,12 +185,16 @@ class _Resolver:
                 elif kind == "density":
                     host = self.bisubmersion(aspec["host"])
                     expr = parse_scalar(aspec["expr"], host.param_len)
+                    order = aspec.get("quad_order")
+                    if order is not None:  # checked as QuadratureConfig.order
+                        order = _settings(QuadratureConfig(), {"order": order},
+                                          f"kernel {name!r} density").order
                     piece = ker.density(
                         host, expr,
                         xi_box=_box(aspec, "xi_box", host.fibre_dim, name),
                         base_box=_box(aspec, "base_box", host.base_dim, name),
                         side=side,
-                        quad_order=aspec.get("quad_order"),
+                        quad_order=order,
                     )
                 else:
                     raise ConfigError(f"unknown atom type {kind!r}")

@@ -168,6 +168,16 @@ _BOX_CONFIG = {
 _DENSITY = ("kernels", "k", "atoms", 0)
 
 
+def _apply_box_config(tmp_path, spec):
+    """Exit code and output grid of ``foliops apply`` of k to f under spec."""
+    cfg = tmp_path / "boxes.json"
+    cfg.write_text(json.dumps(spec))
+    out = tmp_path / "grid.csv"
+    code = run_cli("apply", "--config", str(cfg), "--kernel", "k", "--function",
+                   "f", "--box", "[[-1,1]]", "--res", "5", "--out", str(out))
+    return code, (GridFunction.from_csv(out.read_text()) if code == 0 else None)
+
+
 @pytest.mark.parametrize("where, box", [
     ((*_DENSITY, "xi_box"), [[1.2, -1.2]]),  # Op(a)f came out negated
     ((*_DENSITY, "xi_box"), "abc"),  # a ValueError traceback, exit 1
@@ -187,11 +197,41 @@ def test_bad_config_box_exit_2(tmp_path, capsys, where, box):
     for key in where[:-1]:
         node = node[key]
     node[where[-1]] = box
-    cfg = tmp_path / "boxes.json"
-    cfg.write_text(json.dumps(spec))
-    assert run_cli("apply", "--config", str(cfg), "--kernel", "k", "--function", "f",
-                   "--box", "[[-1,1]]", "--res", "3") == 2
+    assert _apply_box_config(tmp_path, spec)[0] == 2
     assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
+@pytest.mark.parametrize("order", [
+    1,  # wrote 2.4 where Op(a)f is 0.387
+    "abc",  # a ValueError traceback, exit 1
+    12.5,
+])
+def test_bad_density_quad_order_exit_2(tmp_path, capsys, order):
+    spec = copy.deepcopy(_BOX_CONFIG)
+    spec["kernels"]["k"]["atoms"][0]["quad_order"] = order
+    assert _apply_box_config(tmp_path, spec)[0] == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
+def test_density_quad_order_is_used(tmp_path):
+    spec = copy.deepcopy(_BOX_CONFIG)
+    code, default = _apply_box_config(tmp_path, spec)
+    spec["kernels"]["k"]["atoms"][0]["quad_order"] = 16
+    code16, low = _apply_box_config(tmp_path, spec)
+    assert code == code16 == 0
+    # 16 nodes resolve exp(-20 xi^2) on [-1.2, 1.2] to about 2e-4
+    assert 0.0 < np.max(np.abs(low.values - default.values)) <= 1e-3
+
+
+def test_density_on_composed_host_exit_2(tmp_path, capsys):
+    """A density's parameters are (fibre, base); a composed host's are not,
+    and such a density ended in an IndexError traceback, exit 1."""
+    spec = copy.deepcopy(_BOX_CONFIG)
+    spec["bisubmersions"]["UU"] = {"type": "compose", "left": "U", "right": "U"}
+    spec["kernels"]["k"]["atoms"][0].update(host="UU",
+                                            xi_box=[[-1.2, 1.2]] * 2)
+    assert _apply_box_config(tmp_path, spec)[0] == 2
+    assert capsys.readouterr().err.startswith("error: HostMismatch:")
 
 
 def test_apply_identity_kernel(tmp_path):

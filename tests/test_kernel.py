@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from foliops.errors import (
+    BaseMismatch,
     HostMismatch,
     NotTransverse,
     SideMismatch,
@@ -15,6 +16,7 @@ from foliops.errors import (
 from foliops.expr import parse_field, parse_scalar
 from foliops.foliation import SingularFoliation
 from foliops.bisubmersion import (
+    compose,
     constant_bisection,
     identity_bisection,
     make_addition_morphism,
@@ -166,6 +168,31 @@ def test_convolve_structural_types(dirac_shift, gauss_kernel, gauss_kernel2):
     assert isinstance(dD.atoms[0].host, TranslateRight)
     lazy = ker.convolve(gauss_kernel, gauss_kernel2)
     assert isinstance(lazy.atoms[0], ker.ConvolvedAtom)
+
+
+def test_kernels_from_two_loads_add_and_convolve():
+    """Foliations are compared by structure: kernels from two loads of one
+    config add and convolve, and act as kernels from one load do; kernels
+    over different foliations still do not mix."""
+    one, two = canonical_workspace(), canonical_workspace()
+    a, b = one.kernels["gauss_T"], one.kernels["gauss_T2"]
+    b2 = two.kernels["gauss_T2"]
+    f, pts = one.functions["f_T"], np.linspace(-2, 2, 9)[:, None]
+    for mixed, single in ((a + b2, a + b),
+                          (ker.convolve(a, b2), ker.convolve(a, b))):
+        got = oper.op_values(mixed, f, pts, ker.PairingCtx())
+        want = oper.op_values(single, f, pts, ker.PairingCtx())
+        assert got.tobytes() == want.tobytes() and np.any(got != 0.0)
+    plane = SingularFoliation(
+        dim=2, chart_box=[[-2, 2], [-2, 2]],
+        generators=[parse_field("[1, 0]", 2), parse_field("[0, 1]", 2)],
+        xi_radius=[1.5, 1.5])
+    with pytest.raises(BaseMismatch):
+        compose(one.bisubmersions["U_T"], make_path_holonomy(plane))
+    with pytest.raises(BaseMismatch):
+        a + two.kernels["gauss_R"]
+    with pytest.raises(BaseMismatch):
+        ker.convolve(a, two.kernels["gauss_R"])
 
 
 def test_convolve_side_mismatch(dirac_shift, gauss_kernel):

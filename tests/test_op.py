@@ -204,6 +204,23 @@ def test_support_bound_chains_through_convolution(ws, ctx):
     assert bound[0, 1] - bound[0, 0] < 3.0  # and it stays informative
 
 
+@pytest.mark.parametrize("name, f_box, res", [
+    ("gauss_R", [[0.0, 1.0], [0.0, 1.0]], 81),  # once one sampled point
+    ("dirac_shift", [[0.2, 0.21]], 1201),  # once None, an empty support
+])
+def test_support_bound_covers_a_small_input_support(ws, ctx, name, f_box, res):
+    """Support rows are sampled where their source lies in f's support, so
+    a support small next to the kernel's is not missed."""
+    f_box = np.array(f_box)
+    kernel = ws.kernels[name]
+    pts = oper.grid_points([[-3.0, 3.0]] * len(f_box), [res] * len(f_box))
+    vals = oper.op_values(kernel, bump_fn(f_box), pts, ctx)
+    hit = pts[np.abs(vals) > 1e-12]
+    bound = oper.support_bound(kernel, f_box, ctx)
+    assert len(hit) and bound is not None
+    assert np.all((hit >= bound[:, 0]) & (hit <= bound[:, 1]))
+
+
 def test_compactly_supported_functions_stay_compact(ws, ctx):
     bound = oper.support_bound(ws.kernels["gauss_T"], np.array([[-0.5, 0.5]]), ctx)
     assert np.all(np.isfinite(bound))

@@ -71,7 +71,7 @@ def _blocks(store):
 
 
 @pytest.mark.parametrize("name, res", [("gauss_R", 41), ("gauss_C", 41),
-                                       ("gauss_T", 17)])
+                                       ("gauss_T", 17), ("dirac_rot90", 41)])
 def test_plan_hit_matches_cold_pairing(ws, name, res):
     kernel = ws.get("kernels", name)
     pts = _grid(res) if name != "gauss_T" else np.linspace(-2, 2, res)[:, None]
@@ -131,6 +131,64 @@ def test_workspace_contexts_share_one_store(ws, monkeypatch):
     n = len(calls)
     oper.op_values(kernel, f, leaf.points, ws.ctx())
     assert len(calls) == n and len(ws.plans) == 1
+
+
+def test_source_side_dirac_plan_hit_matches_cold_pairing(ws, monkeypatch):
+    """Dirac pairings keep plans on either side: the source-fibred
+    transpose pairs its atom over range fibres, and a Dirac kernel built
+    over the source pairs over source fibres."""
+    d = ws.get("kernels", "dirac_shift")
+    S = d.atoms[0].bisection
+    kernels = [ker.transpose(d),
+               ker.dirac(S, parse_scalar("exp(-x1^2)", 1), side="s",
+                         coeff_box=[[-2.0, 2.0]])]
+    pts = np.linspace(-3, 3, 25)[:, None]
+
+    def phi(params, rows, atom):
+        return np.cos(params[:, 0] + 0.5 * params[:, 1])
+
+    rows = _flow_rows(monkeypatch)
+    for n, kernel in enumerate(kernels, start=1):
+        cold = kernel.pairing(phi, pts, ws.ctx())
+        built = len(rows)
+        hit = kernel.pairing(phi, pts, ws.ctx())
+        assert len(rows) == built  # the plan keeps the inverse images
+        fresh = kernel.pairing(phi, pts, ker.PairingCtx(ws.quad_cfg,
+                                                        ws.flow_cfg))
+        assert len(ws.plans) == n
+        assert hit.tobytes() == cold.tobytes() == fresh.tobytes()
+        assert np.any(cold != 0.0)
+
+
+def test_dirac_plan_is_shared_by_leaf_and_op_values(ws, monkeypatch):
+    """The leafwise action and op_values pair dirac_rot90 on the same leaf
+    points, so the second reads the first one's plan and runs no flow."""
+    R = ws.get("foliations", "R")
+    leaf = leaf_sweep(R, [1.0, 0.0], [2 * np.pi / 400], 400, ws.flow_cfg)
+    kernel = ws.get("kernels", "dirac_rot90")
+    f = _f(0.1)
+    on_leaf = oper.apply_on_leaf(kernel, leaf, f(leaf.points), ws.ctx())
+    rows = _flow_rows(monkeypatch)
+    on_points = oper.op_values(kernel, f, leaf.points, ws.ctx())
+    assert rows == [] and len(ws.plans) == 1
+    assert np.max(np.abs(on_leaf - on_points)) <= 0.05
+    assert np.any(on_points != 0.0)
+
+
+def test_rebuilt_dirac_composition_hits_one_plan(ws):
+    """A composed bisection is keyed by its factors, so each rebuilt
+    Dirac*Dirac pairs through one plan and gives the bits of a cold call."""
+    a, b = ws.get("kernels", "dirac_rot90"), ws.get("kernels", "dirac_rot_small")
+    pts = _grid(13)
+    vals = []
+    for _ in range(3):
+        ab = ker.convolve(a, b, ws.ctx())
+        vals.append(oper.op_values(ab, _f(0.2), pts, ws.ctx()))
+    assert len(ws.plans) == 1
+    cold = oper.op_values(ab, _f(0.2), pts, ker.PairingCtx(ws.quad_cfg,
+                                                          ws.flow_cfg))
+    assert all(v.tobytes() == cold.tobytes() for v in vals)
+    assert np.any(cold != 0.0)
 
 
 def test_key_changes_miss(ws, monkeypatch):
