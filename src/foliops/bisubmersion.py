@@ -487,6 +487,9 @@ def constant_bisection(host, xi0, base_box=None, label=""):
         raise NotABisection("constant-xi bisections live on path-holonomy terms")
     F = host.foliation
     xi0 = np.atleast_1d(np.asarray(xi0, float))
+    if xi0.shape != (F.num_generators,) or not np.all(np.isfinite(xi0)):
+        raise DimensionMismatch(f"xi {xi0.tolist()} needs {F.num_generators} "
+                                "finite entries, one per generator")
     if base_box is None:
         base_box = F.chart_box
 

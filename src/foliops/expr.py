@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 
@@ -31,16 +32,19 @@ __all__ = [
 
 
 class Node:
+    """``ev(X)`` evaluates a node on points, ``diff(i)`` is its derivative
+    in x(i+1) and ``children()`` lists its operands."""
+
     __slots__ = ()
 
-    def ev(self, X):
-        raise NotImplementedError
-
-    def diff(self, i):
-        raise NotImplementedError
+    def children(self):
+        return ()
 
     def max_var(self):
-        raise NotImplementedError
+        top = -1  # a loop, not a generator, keeps one frame per tree level
+        for c in self.children():
+            top = max(top, c.max_var())
+        return top
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,9 +56,6 @@ class Const(Node):
 
     def diff(self, i):
         return Const(0.0)
-
-    def max_var(self):
-        return -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,66 +72,31 @@ class Var(Node):
         return self.index
 
 
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
 @dataclass(frozen=True, slots=True)
-class Add(Node):
+class Bin(Node):
+    op: str  # one of _UFUNCS
     a: Node
     b: Node
 
     def ev(self, X):
-        return self.a.ev(X) + self.b.ev(X)
-
-    def diff(self, i):
-        return _add(self.a.diff(i), self.b.diff(i))
-
-    def max_var(self):
-        return max(self.a.max_var(), self.b.max_var())
-
-
-@dataclass(frozen=True, slots=True)
-class Sub(Node):
-    a: Node
-    b: Node
-
-    def ev(self, X):
-        return self.a.ev(X) - self.b.ev(X)
-
-    def diff(self, i):
-        return _sub(self.a.diff(i), self.b.diff(i))
-
-    def max_var(self):
-        return max(self.a.max_var(), self.b.max_var())
-
-
-@dataclass(frozen=True, slots=True)
-class Mul(Node):
-    a: Node
-    b: Node
-
-    def ev(self, X):
-        return self.a.ev(X) * self.b.ev(X)
-
-    def diff(self, i):
-        return _add(_mul(self.a.diff(i), self.b), _mul(self.a, self.b.diff(i)))
-
-    def max_var(self):
-        return max(self.a.max_var(), self.b.max_var())
-
-
-@dataclass(frozen=True, slots=True)
-class Div(Node):
-    a: Node
-    b: Node
-
-    def ev(self, X):
+        if self.op != "/":
+            return _UFUNCS[self.op](self.a.ev(X), self.b.ev(X))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.a.ev(X) / self.b.ev(X)
+            return np.divide(self.a.ev(X), self.b.ev(X))
 
     def diff(self, i):
-        num = _sub(_mul(self.a.diff(i), self.b), _mul(self.a, self.b.diff(i)))
-        return _div(num, _mul(self.b, self.b))
+        a, b, da, db = self.a, self.b, self.a.diff(i), self.b.diff(i)
+        if self.op in ("+", "-"):
+            return _BUILD[self.op](da, db)
+        if self.op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        return _div(_sub(_mul(da, b), _mul(a, db)), _mul(b, b))
 
-    def max_var(self):
-        return max(self.a.max_var(), self.b.max_var())
+    def children(self):
+        return (self.a, self.b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,8 +109,8 @@ class Neg(Node):
     def diff(self, i):
         return _neg(self.a.diff(i))
 
-    def max_var(self):
-        return self.a.max_var()
+    def children(self):
+        return (self.a,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,11 +129,12 @@ class Pow(Node):
             self.base.diff(i),
         )
 
-    def max_var(self):
-        return self.base.max_var()
+    def children(self):
+        return (self.base,)
 
 
 _FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+_DERIVS = {"exp": "exp", "sin": "cos", "cos": "sin"}  # up to sign: cos' = -sin
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,15 +146,11 @@ class Call(Node):
         return _FUNCS[self.fn](self.arg.ev(X))
 
     def diff(self, i):
-        du = self.arg.diff(i)
-        if self.fn == "exp":
-            return _mul(Call("exp", self.arg), du)
-        if self.fn == "sin":
-            return _mul(Call("cos", self.arg), du)
-        return _neg(_mul(Call("sin", self.arg), du))
+        d = _mul(Call(_DERIVS[self.fn], self.arg), self.arg.diff(i))
+        return _neg(d) if self.fn == "cos" else d
 
-    def max_var(self):
-        return self.arg.max_var()
+    def children(self):
+        return (self.arg,)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +169,7 @@ def _add(a, b):
         return b
     if _is_const(b, 0.0):
         return a
-    return Add(a, b)
+    return Bin("+", a, b)
 
 
 def _sub(a, b):
@@ -216,7 +179,7 @@ def _sub(a, b):
         return a
     if _is_const(a, 0.0):
         return _neg(b)
-    return Sub(a, b)
+    return Bin("-", a, b)
 
 
 def _mul(a, b):
@@ -228,7 +191,7 @@ def _mul(a, b):
         return b
     if _is_const(b, 1.0):
         return a
-    return Mul(a, b)
+    return Bin("*", a, b)
 
 
 def _div(a, b):
@@ -238,7 +201,10 @@ def _div(a, b):
         return a
     if _is_const(a) and _is_const(b) and b.value != 0.0:
         return Const(a.value / b.value)
-    return Div(a, b)
+    return Bin("/", a, b)
+
+
+_BUILD = {"+": _add, "-": _sub, "*": _mul, "/": _div}
 
 
 def _neg(a):
@@ -276,12 +242,8 @@ def _tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
             raise ParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
+        kind = m.lastgroup
+        out.append((kind, float(m.group(kind)) if kind == "num" else m.group(kind)))
         pos = m.end()
     out.append(("end", None))
     return out
@@ -307,19 +269,17 @@ class _Parser:
             raise ParseError(f"expected {op!r}, got {val!r}")
 
     def parse_expr(self):
-        node = self.parse_term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.parse_term()
-            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
-        return node
+        return self._level(self.parse_term, ("+", "-"))
 
     def parse_term(self):
-        node = self.parse_unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.parse_unary()
-            node = _mul(node, rhs) if op == "*" else _div(node, rhs)
+        return self._level(self.parse_unary, ("*", "/"))
+
+    def _level(self, operand, ops):
+        """``operand (op operand)*``, left-associative, for ``op`` in ``ops``."""
+        node = operand()
+        # kind first: num and end tokens carry a float or None
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = _BUILD[self.take()[1]](node, operand())
         return node
 
     def parse_unary(self):
@@ -365,40 +325,26 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # Pretty printing (round-trips through the parser)
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Call: 5, Const: 5, Var: 5}
-
-
-def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
-        return repr(float(v))
-    return repr(v)
+_BIN_FMT = {"+": (1, " + "), "-": (1, " - "), "*": (2, "*"), "/": (2, "/")}
 
 
 def _to_str(n, parent_prec=0):
-    prec = _PREC[type(n)]
-    if isinstance(n, Const):
-        s = _fmt_num(n.value) if n.value >= 0 else "(" + _fmt_num(n.value) + ")"
-        return s
-    elif isinstance(n, Var):
-        s = f"x{n.index + 1}"
-    elif isinstance(n, Add):
-        s = f"{_to_str(n.a, 1)} + {_to_str(n.b, 2)}"
-    elif isinstance(n, Sub):
-        s = f"{_to_str(n.a, 1)} - {_to_str(n.b, 2)}"
-    elif isinstance(n, Mul):
-        s = f"{_to_str(n.a, 2)}*{_to_str(n.b, 3)}"
-    elif isinstance(n, Div):
-        s = f"{_to_str(n.a, 2)}/{_to_str(n.b, 3)}"
+    if isinstance(n, Const):  # values and exponents are Python floats
+        s = repr(n.value)
+        return s if n.value >= 0 else "(" + s + ")"
+    if isinstance(n, Var):
+        return f"x{n.index + 1}"
+    if isinstance(n, Call):
+        return f"{n.fn}({_to_str(n.arg)})"
+    if isinstance(n, Bin):  # left operand binds at prec, right one level tighter
+        prec, sym = _BIN_FMT[n.op]
+        s = f"{_to_str(n.a, prec)}{sym}{_to_str(n.b, prec + 1)}"
     elif isinstance(n, Neg):
-        s = f"-{_to_str(n.a, 3)}"
-    elif isinstance(n, Pow):
-        e = _fmt_num(n.expo)
-        s = f"{_to_str(n.base, 5)}^{e if n.expo >= 0 else '(' + e + ')'}"
-    else:
-        return f"{n.fn}({_to_str(n.arg, 0)})"
-    if prec < parent_prec:
-        return "(" + s + ")"
-    return s
+        prec, s = 3, f"-{_to_str(n.a, 3)}"
+    else:  # Pow
+        e = repr(n.expo)
+        prec, s = 4, f"{_to_str(n.base, 5)}^{e if n.expo >= 0 else '(' + e + ')'}"
+    return "(" + s + ")" if prec < parent_prec else s
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +369,9 @@ class ScalarExpr:
     def __init__(self, node: Node, dim: int):
         if dim < 1:
             raise DimensionMismatch(f"dim must be positive, got {dim}")
-        if node.max_var() >= dim:
-            raise DimensionMismatch(
-                f"expression uses x{node.max_var() + 1} but dim is {dim}"
-            )
+        top = node.max_var()
+        if top >= dim:
+            raise DimensionMismatch(f"expression uses x{top + 1} but dim is {dim}")
         self.node = node
         self.dim = dim
 
@@ -458,23 +403,18 @@ class ScalarExpr:
         return f"ScalarExpr({str(self)!r}, dim={self.dim})"
 
     # small algebra for building fixtures programmatically
-    def _coerce(self, other):
+    def _bin(self, op, other):
         if isinstance(other, ScalarExpr):
             if other.dim != self.dim:
                 raise DimensionMismatch("mixing expressions of different dims")
-            return other.node
-        return Const(float(other))
+            other = other.node
+        else:
+            other = Const(float(other))
+        return ScalarExpr(_BUILD[op](self.node, other), self.dim)
 
-    def __add__(self, other):
-        return ScalarExpr(_add(self.node, self._coerce(other)), self.dim)
-
-    def __sub__(self, other):
-        return ScalarExpr(_sub(self.node, self._coerce(other)), self.dim)
-
-    def __mul__(self, other):
-        return ScalarExpr(_mul(self.node, self._coerce(other)), self.dim)
-
-    __rmul__ = __mul__
+    __add__ = partialmethod(_bin, "+")
+    __sub__ = partialmethod(_bin, "-")
+    __mul__ = __rmul__ = partialmethod(_bin, "*")
 
     def __neg__(self):
         return ScalarExpr(_neg(self.node), self.dim)
@@ -559,9 +499,7 @@ def parse_field(text: str, dim: int) -> VectorFieldExpr:
     p.expect("]")
     if p.peek() != ("end", None):
         raise ParseError(f"trailing input after field: {text!r}")
-    if len(comps) != dim:
-        raise DimensionMismatch(f"field has {len(comps)} components, expected {dim}")
-    return VectorFieldExpr([ScalarExpr(c, dim) for c in comps])
+    return VectorFieldExpr([ScalarExpr(c, dim) for c in comps], dim)
 
 
 def jacobian(X: VectorFieldExpr, p) -> np.ndarray:

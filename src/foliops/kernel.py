@@ -472,7 +472,7 @@ class DensityAtom(Atom):
     path-holonomy terms and their inverses, restrictions and translates.
     ``dens_fn(params, rbase)`` is evaluated only on chart rows whose base
     lies in ``base_box``; ``rbase`` is the rows' range base when
-    ``needs_rbase`` is set (by the translation and reduction rules) and
+    ``needs_rbase`` is set (by the Dirac translation rules) and
     None otherwise.  ``r_hint``/``s_hint`` are optional boxes for the r/s
     images, tighter than what parameter-box sampling alone can see: the
     Dirac*density rule sets ``r_hint`` to the coefficient's box, which is
@@ -805,7 +805,6 @@ def dirac(S, c, side="r", coeff_box=None, ctx=None) -> FibredKernel:
     on the requested side; a sampled violation raises SupportViolation.
     """
     ctx = ctx or PairingCtx()
-    n = S.host.base_dim
     if coeff_box is None:
         if side == "s":
             coeff_box = S.base_box
@@ -959,15 +958,15 @@ def _reduce_addition(pi, atom, ctx, quad_order):
     On the composed host the fibre coordinates are (eta, xi); the change
     of variables zeta = eta + xi turns the pushforward into an explicit
     xi-convolution evaluated by quadrature, using that the generators
-    commute.
+    commute.  Both factors must be densities on U itself that do not read
+    their range base; any other atom stays lazy.
     """
     U = pi.path_holonomy
     F = U.foliation
     m = F.num_generators
     A, B = atom.left, atom.right
-    if not (isinstance(A, DensityAtom) and isinstance(B, DensityAtom)):
-        return None
-    if not (A.host.same_term(U) and B.host.same_term(U)):
+    if not all(isinstance(X, DensityAtom) and X.host.same_term(U)
+               and not X.needs_rbase for X in (A, B)):
         return None
     n = F.dim
     order = quad_order or ctx.quad.order_for(m)
@@ -975,7 +974,7 @@ def _reduce_addition(pi, atom, ctx, quad_order):
     flow = ctx.flow
     Q = len(nodes)
 
-    def dens_block(params, rbase):
+    def dens_block(params):
         """Sum over the nodes xi of w A(zeta - xi, mid) B(xi, y), mid = exp(xi)y.
 
         Each factor is masked by its own base box: B's base y is the same
@@ -993,7 +992,7 @@ def _reduce_addition(pi, atom, ctx, quad_order):
             pb[:, m + k] = np.repeat(y[:, k], Q)
         mid, esc = _flow.exp_flow_batch(F, pb[:, :m], pb[:, m:], flow,
                                         allow_escape=True)
-        vb = B.dens_fn(pb, mid if B.needs_rbase else None)
+        vb = B.dens_fn(pb, None)
         del pb
         fb = np.where(np.repeat(_in_box(y, B.base_box), Q), vb, 0.0)
         del vb
@@ -1003,19 +1002,15 @@ def _reduce_addition(pi, atom, ctx, quad_order):
                         out=pa[:, j])
         pa[:, m:] = mid
         del mid
-        rb = None
-        if rbase is not None and A.needs_rbase:
-            rb = np.repeat(rbase, Q, axis=0)
-        contrib = np.where(_in_box(pa[:, m:], A.base_box), A.dens_fn(pa, rb), 0.0)
-        del pa, rb
+        contrib = np.where(_in_box(pa[:, m:], A.base_box), A.dens_fn(pa, None), 0.0)
+        del pa
         contrib.reshape(K, Q)[...] *= weights
         contrib *= fb
         contrib[esc] = np.nan
         return contrib.reshape(K, Q).sum(axis=1)
 
     def dens(params, rbase):
-        parts = [dens_block(params[rows], None if rbase is None else rbase[rows])
-                 for rows in _row_slices(len(params), Q)]
+        parts = [dens_block(params[rows]) for rows in _row_slices(len(params), Q)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     zeta_box = A.xi_box + B.xi_box  # Minkowski interval sum
@@ -1028,8 +1023,7 @@ def _reduce_addition(pi, atom, ctx, quad_order):
                        B.xi_box[:, 1] - B.xi_box[:, 0])
         )
         zeta_order = int(np.ceil(order * max(1.0, w_zeta / w_fac)))
-    return DensityAtom(U, dens, zeta_box, B.base_box, needs_rbase=A.needs_rbase,
-                       quad_order=zeta_order,
+    return DensityAtom(U, dens, zeta_box, B.base_box, quad_order=zeta_order,
                        dens_key=("reduce", A.key(), B.key(), order, flow))
 
 

@@ -80,7 +80,7 @@ class Workspace:
 
 class _Resolver:
     def __init__(self, data):
-        self.data = data
+        self.data = _object(data, "config")
         self.ws = Workspace(
             flow_cfg=_settings(FlowConfig(), data.get("flow", {}), "flow"),
             quad_cfg=_settings(QuadratureConfig(), data.get("quadrature", {}),
@@ -89,20 +89,23 @@ class _Resolver:
         self._visiting = set()
 
     def run(self):
-        for name, spec in self.data.get("foliations", {}).items():
+        for name, spec in self.section("foliations").items():
             try:
                 self.ws.foliations[name] = SingularFoliation.from_json(spec)
             except Exception as exc:
                 raise ConfigError(f"foliation {name!r}: {exc}") from exc
-        for name in self.data.get("bisubmersions", {}):
+        for name in self.section("bisubmersions"):
             self.bisubmersion(name)
-        for name in self.data.get("bisections", {}):
+        for name in self.section("bisections"):
             self.bisection(name)
-        for name, spec in self.data.get("kernels", {}).items():
+        for name, spec in self.section("kernels").items():
             self.ws.kernels[name] = self.kernel(name, spec)
-        for name, spec in self.data.get("functions", {}).items():
+        for name, spec in self.section("functions").items():
             self.ws.functions[name] = self.function(name, spec)
         return self.ws
+
+    def section(self, key):
+        return _object(self.data.get(key, {}), f"config {key!r}")
 
     def _enter(self, kind, name):
         key = (kind, name)
@@ -114,11 +117,11 @@ class _Resolver:
     def bisubmersion(self, name):
         if name in self.ws.bisubmersions:
             return self.ws.bisubmersions[name]
-        specs = self.data.get("bisubmersions", {})
+        specs = self.section("bisubmersions")
         if name not in specs:
             raise ConfigError(f"unknown bisubmersion {name!r}")
+        spec = _object(specs[name], f"bisubmersion {name!r}")
         key = self._enter("bisubmersion", name)
-        spec = specs[name]
         kind = spec.get("type")
         try:
             if kind == "path_holonomy":
@@ -134,9 +137,12 @@ class _Resolver:
                 out = bis.restrict(inner, _checked_box(
                     spec["param_box"], inner.param_len, f"{name!r} param_box"))
             elif kind == "translate":
+                side = spec.get("side", "right")
+                if side not in ("left", "right"):
+                    raise ConfigError(f"bisubmersion {name!r}: side must be "
+                                      f"'left' or 'right', got {side!r}")
                 out = bis.translate(self.bisubmersion(spec["inner"]),
-                                    self.bisection(spec["bisection"]),
-                                    spec.get("side", "right"),
+                                    self.bisection(spec["bisection"]), side,
                                     cfg=self.ws.flow_cfg)
             else:
                 raise ConfigError(f"unknown bisubmersion type {kind!r}")
@@ -150,15 +156,20 @@ class _Resolver:
     def bisection(self, name):
         if name in self.ws.bisections:
             return self.ws.bisections[name]
-        specs = self.data.get("bisections", {})
+        specs = self.section("bisections")
         if name not in specs:
             raise ConfigError(f"unknown bisection {name!r}")
+        spec = _object(specs[name], f"bisection {name!r}")
         key = self._enter("bisection", name)
-        spec = specs[name]
         try:
             host = self.bisubmersion(spec["host"])
+            try:
+                xi = np.asarray(spec["xi"], float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bisection {name!r}: xi {spec['xi']!r} is not "
+                                  "a list of numbers") from exc
             out = bis.constant_bisection(
-                host, np.asarray(spec["xi"], float),
+                host, xi,
                 base_box=_box(spec, "base_box", host.base_dim, name), label=name,
             )
         except KeyError as exc:
@@ -169,10 +180,15 @@ class _Resolver:
         return out
 
     def kernel(self, name, spec):
+        spec = _object(spec, f"kernel {name!r}")
         side = spec.get("side", "r")
+        atoms = spec.get("atoms", [])
+        if not isinstance(atoms, list):
+            raise ConfigError(f"kernel {name!r}: atoms must be a list, got "
+                              f"{type(atoms).__name__}")
         total = None
-        for aspec in spec.get("atoms", []):
-            kind = aspec.get("type")
+        for aspec in atoms:
+            kind = _object(aspec, f"kernel {name!r} atom").get("type")
             try:
                 if kind == "dirac":
                     S = self.bisection(aspec["bisection"])
@@ -208,9 +224,14 @@ class _Resolver:
     def function(self, name, spec):
         if isinstance(spec, str):
             spec = {"expr": spec}
+        spec = _object(spec, f"function {name!r}")
         try:
             if "dim" in spec:
-                dim = int(spec["dim"])
+                try:
+                    dim = int(spec["dim"])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"function {name!r}: dim {spec['dim']!r} "
+                                      "is not an integer") from exc
             else:
                 dims = {f.dim for f in self.ws.foliations.values()}
                 if len(dims) != 1:
@@ -232,6 +253,13 @@ class _Resolver:
         return masked
 
 
+def _object(value, what):
+    """``value`` if it is a JSON object, else ConfigError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _box(spec, key, dim, owner):
     """The box ``spec[key]`` of ``owner``, checked; None when it is absent."""
     value = spec.get(key)
@@ -242,11 +270,9 @@ def _settings(base, spec, what):
     """``base`` with the fields that ``spec`` names replaced, each value cast
     to the type of its field's default; ConfigError on an unknown field, a
     value that is not a number or a count that is not an integer."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{what} settings must be an object, got {spec!r}")
     kinds = {f.name: type(f.default) for f in dataclasses.fields(base)}
     values = {}
-    for name, raw in spec.items():
+    for name, raw in _object(spec, f"{what} settings").items():
         if name not in kinds:
             raise ConfigError(f"unknown {what} setting {name!r}")
         try:

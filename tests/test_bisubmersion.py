@@ -8,6 +8,7 @@ import pytest
 from foliops.errors import (
     BaseMismatch,
     BracketNotZero,
+    DimensionMismatch,
     EmptyTranslate,
     NotABisection,
 )
@@ -141,6 +142,14 @@ def test_constant_bisection_diffeo(U):
     assert np.linalg.norm(d(np.array([1.0, 0.0])) - [0.0, 1.0]) <= 1e-8
     x = np.array([0.3, 0.9])
     assert np.linalg.norm(d.inverse(d(x)) - x) <= 1e-7
+
+
+@pytest.mark.parametrize("xi", [[0.5], [1.0, 2.0, 3.0], [float("nan"), 0.0]])
+def test_constant_bisection_needs_one_finite_xi_per_generator(planeF, xi):
+    """A wrong-length xi used to build sections of the wrong width: on a
+    two-generator plane, [0.5] gave 3-column rows for a 4-column host."""
+    with pytest.raises(DimensionMismatch):
+        constant_bisection(make_path_holonomy(planeF), xi)
 
 
 def test_identity_bisection(U):

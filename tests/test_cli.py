@@ -168,6 +168,16 @@ _BOX_CONFIG = {
 _DENSITY = ("kernels", "k", "atoms", 0)
 
 
+def _with(path, value):
+    """A copy of _BOX_CONFIG with ``value`` at ``path``."""
+    spec = copy.deepcopy(_BOX_CONFIG)
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return spec
+
+
 def _apply_box_config(tmp_path, spec):
     """Exit code and output grid of ``foliops apply`` of k to f under spec."""
     cfg = tmp_path / "boxes.json"
@@ -192,12 +202,7 @@ def _apply_box_config(tmp_path, spec):
 ])
 def test_bad_config_box_exit_2(tmp_path, capsys, where, box):
     """Every config box passes the --box rule: shape (dim, 2), finite, lo < hi."""
-    spec = copy.deepcopy(_BOX_CONFIG)
-    node = spec
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = box
-    assert _apply_box_config(tmp_path, spec)[0] == 2
+    assert _apply_box_config(tmp_path, _with(where, box))[0] == 2
     assert capsys.readouterr().err.startswith("error: ConfigError:")
 
 
@@ -221,6 +226,40 @@ def test_density_quad_order_is_used(tmp_path):
     assert code == code16 == 0
     # 16 nodes resolve exp(-20 xi^2) on [-1.2, 1.2] to about 2e-4
     assert 0.0 < np.max(np.abs(low.values - default.values)) <= 1e-3
+
+
+def _info_exit(tmp_path, spec):
+    cfg = tmp_path / "shape.json"
+    cfg.write_text(json.dumps(spec))
+    return run_cli("info", "--config", str(cfg))
+
+
+@pytest.mark.parametrize("spec, named", [
+    ([_BOX_CONFIG], "config"),  # a list, not an object
+    (_with(("kernels", "k"), 5), "kernel 'k'"),
+    (_with(("kernels", "k", "atoms"), "abc"), "kernel 'k'"),
+    (_with(("kernels", "k", "atoms"), [5]), "kernel 'k' atom"),
+    (_with(("functions", "g"), 5), "function 'g'"),
+    (_with(("functions", "f", "dim"), "abc"), "function 'f'"),
+    (_with(("bisections", "shift", "xi"), "abc"), "bisection 'shift'"),
+    (_with(("bisubmersions", "W"), {"type": "translate", "inner": "U",
+                                    "bisection": "shift", "side": "up"}),
+     "bisubmersion 'W'"),
+])
+def test_malformed_config_shapes_exit_2(tmp_path, capsys, spec, named):
+    """Each of these ended in an AttributeError, TypeError or ValueError
+    traceback (exit 1)."""
+    assert _info_exit(tmp_path, spec) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:") and named in err
+
+
+@pytest.mark.parametrize("xi", [[1.0, 2.0], []])
+def test_bisection_xi_needs_one_entry_per_generator(tmp_path, capsys, xi):
+    """On the one-generator line ``"xi": [1.0, 2.0]`` loaded (info exit 0)
+    and only ``apply`` failed, on the dimension of its points."""
+    assert _info_exit(tmp_path, _with(("bisections", "shift", "xi"), xi)) == 2
+    assert capsys.readouterr().err.startswith("error: DimensionMismatch:")
 
 
 def test_density_on_composed_host_exit_2(tmp_path, capsys):

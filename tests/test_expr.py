@@ -208,3 +208,62 @@ def test_constants_broadcast_and_leave_the_ast_full_shape(monkeypatch):
     monkeypatch.setattr(expr.Const, "ev",
                         lambda self, X: np.full(X.shape[:-1], self.value))
     assert now.tobytes() == g(X).tobytes()
+
+
+# Texts pinned from the four-class printer that ``Bin`` replaced; plan keys
+# are ("expr", dim, str(fn)), so these bytes must not move.
+_PRINTED = [
+    ("x1 - (x2 - x3)", "x1 - (x2 - x3)"),
+    ("(x1 - x2) - x3", "x1 - x2 - x3"),
+    ("x1/(x2*x3)", "x1/(x2*x3)"),
+    ("x1/x2*x3", "x1/x2*x3"),
+    ("-(x1 + x2)*x3", "-(x1 + x2)*x3"),
+    ("(x1*x2)^2", "(x1*x2)^2.0"),
+    ("x1^-2 + 3", "x1^(-2.0) + 3.0"),
+    ("2*-x1 - -x3", "2.0*-x1 - -x3"),
+    ("(x1^2)^0.5/(1 - x2)^-1.5", "(x1^2.0)^0.5/(1.0 - x2)^(-1.5)"),
+    ("exp(x1 - 1e17)/7 + 2.5e-3*x2", "exp(x1 - 1e+17)/7.0 + 0.0025*x2"),
+    ("sin(x1)*(x2 + x3) - cos(-x3)", "sin(x1)*(x2 + x3) - cos(-x3)"),
+    ("2*3 - 2^-1 + x1*(1/4)", "5.5 + x1*0.25"),
+    ("0*x1 + 1*x2 - 0 + x3/1", "x2 + x3"),
+]
+
+
+def _nodes(node):
+    yield node
+    for child in node.children():
+        yield from _nodes(child)
+
+
+def test_one_binary_node_prints_walks_and_folds():
+    """+, -, * and / are one node, Bin(op, a, b).  It prints through one
+    per-op (precedence, symbol) table, lists its operands in children(),
+    and max_var walks those.  Folded constants stay Python floats, whose
+    repr is the printed text."""
+    for text, printed in _PRINTED:
+        e = parse_scalar(text, 3)
+        assert str(e) == printed and str(parse_scalar(printed, 3)) == printed
+        for d in (e, e.diff(0), e.diff(2)):
+            for n in _nodes(d.node):
+                if isinstance(n, expr.Const):
+                    assert type(n.value) is float
+                elif isinstance(n, expr.Pow):
+                    assert type(n.expo) is float
+    node = parse_scalar("x1 - x3/(x2 + 1)", 3).node
+    Bin, Var = expr.Bin, expr.Var
+    assert node == Bin("-", Var(0), Bin("/", Var(2), Bin("+", Var(1), expr.Const(1.0))))
+    assert node.children() == (Var(0), node.b) and node.max_var() == 2
+    assert parse_scalar("exp(2)", 2).node.max_var() == -1
+    # a long sum is a deep tree; max_var takes one frame per level
+    total = parse_scalar("+".join(["x2"] * 700), 2)
+    assert total.node.max_var() == 1 and total([0.0, 0.5]) == 350.0
+
+
+def test_constant_division_by_zero_is_non_finite():
+    """1/0 evaluates by np.divide to inf, which a checked call reports as
+    EvalError; Python float division raised ZeroDivisionError."""
+    e = parse_scalar("x1 + 1/0", 1)
+    assert str(e) == "x1 + 1.0/0.0"
+    with pytest.raises(EvalError):
+        e([0.5])
+    assert np.all(np.isposinf(e(np.zeros((3, 1)), check_finite=False)))

@@ -109,6 +109,28 @@ def test_dirac_support_violation(UT):
                   coeff_box=[[-3.0, 3.0]])  # leaves r(S) = [-2, 4]
 
 
+@pytest.mark.parametrize("side", ["r", "s"])
+def test_dirac_without_coeff_box(UT, side):
+    """Without a coefficient box a range Dirac kernel takes the sampled
+    image of the bisection's base box, x -> x + 1 of [-3, 3], and a
+    source one takes the base box itself."""
+    S = constant_bisection(UT, [1.0])
+    c = _f("(1-((x1-1)/2.4)^2)^4")
+    k = ker.dirac(S, c, side=side)
+    box = k.atoms[0].coeff_box
+    if side == "r":
+        assert np.all(np.abs(box - [[-2.0, 4.0]]) <= 1e-2)
+        xs = np.linspace(-1.5, 3.5, 11)[:, None]
+        f = _f("exp(-0.7*(x1-0.2)^2)")
+        want = c(xs) * f(xs - 1.0)
+        assert np.max(np.abs(oper.op_values(k, f, xs) - want)) <= 1e-12
+    else:
+        assert np.array_equal(box, S.base_box)
+        xs = np.linspace(-2.5, 2.5, 11)[:, None]
+        got = k.pairing(lambda p, r, a: p[:, 0] + 10.0 * p[:, 1], xs)
+        assert np.max(np.abs(got - c(xs) * (1.0 + 10.0 * xs[:, 0]))) <= 1e-12
+
+
 # --- densities ----------------------------------------------------------------
 
 
@@ -224,6 +246,48 @@ def test_disjoint_supports_give_zero_kernel(UT):
     assert np.array_equal(got, np.zeros(9))
 
 
+def test_source_side_translated_density_reads_its_range_base(UT, dirac_shift):
+    """Paired over source fibres, a Dirac-translated density flows each row
+    to its range base.  As Op of the transpose it is the integral of
+    a(xi, x) c(x + xi + 1) f(x + xi + 1) over xi."""
+    a = ker.density(UT, _f("exp(-25*(x1-0.3)^2)*(1+0.3*sin(x2))", 2),
+                    xi_box=[[-0.8, 1.4]], base_box=[[-12, 12]])
+    k = ker.transpose(ker.FibredKernel("s", ker.convolve(dirac_shift, a).atoms))
+    assert k.atoms[0].inner.needs_rbase
+    xs = np.linspace(-2.0, 1.0, 13)[:, None]
+    got = oper.op_values(k, _f("exp(-1.2*(x1-0.5)^2)"), xs)
+
+    def c(y):
+        return (1 - ((y - 1) / 2.4) ** 2) ** 4 if -1.4 <= y <= 3.4 else 0.0
+
+    def oracle(x):
+        return quad(
+            lambda xi: math.exp(-25 * (xi - 0.3) ** 2) * (1 + 0.3 * math.sin(x))
+            * c(x + xi + 1) * math.exp(-1.2 * (x + xi + 0.5) ** 2),
+            -0.8, 1.4, epsabs=1e-13, epsrel=1e-13,
+        )[0]
+
+    want = np.array([oracle(x) for x in xs[:, 0]])
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_dirac_translates_a_translated_density(UT, dirac_shift, gauss_kernel):
+    """Dirac*(Dirac*density) pulls the outer range base back through the
+    outer bisection before the inner coefficient reads it."""
+    c2 = parse_scalar("(1-((x1+0.6)/2.2)^2)^4", 1)
+    d2 = ker.dirac(constant_bisection(UT, [-0.6]), c2, side="r",
+                   coeff_box=[[-2.8, 1.6]])
+    k = ker.convolve(d2, ker.convolve(dirac_shift, gauss_kernel))
+    assert len(k.atoms) == 1 and isinstance(k.atoms[0], ker.DensityAtom)
+    f = _f("exp(-1.2*(x1-0.5)^2)")
+    pts = np.linspace(-1.5, 1.5, 17)[:, None]
+    lhs = oper.op_values(k, f, pts)
+    rhs = oper.op_values(d2, lambda q: oper.op_values(
+        dirac_shift, lambda p: oper.op_values(gauss_kernel, f, p), q), pts)
+    assert np.max(np.abs(rhs)) > 0.05
+    assert np.max(np.abs(lhs - rhs)) <= 1e-14
+
+
 def test_dirac_dirac_operator_composition_oracle(UT, dirac_shift):
     c2 = parse_scalar("(1-((x1+0.6)/2.2)^2)^4", 1)
     b = ker.dirac(constant_bisection(UT, [-0.6]), c2, side="r",
@@ -323,6 +387,35 @@ def test_pushforward_vs_nested_quadrature_oracle(UT, gauss_kernel, gauss_kernel2
 
     want = np.array([oracle(x) for x in xs[:, 0]])
     assert np.max(np.abs(got - want)) <= 1e-6
+
+
+def test_addition_keeps_range_base_densities_lazy(UT, gauss_kernel2):
+    """Only densities that do not read their range base reduce along the
+    addition morphism; a U-hosted one that does stays a lazy PushedAtom.
+    Its Op matches both Op(a*b) and the reduction of the same density
+    written without the range base."""
+    def by_rbase(params, rbase):
+        return np.exp(-25 * (params[:, 0] - 0.3) ** 2 - 0.2 * rbase[:, 0] ** 2)
+
+    def by_params(params, rbase):
+        return np.exp(-25 * (params[:, 0] - 0.3) ** 2
+                      - 0.2 * (params[:, 0] + params[:, 1]) ** 2)
+
+    box = dict(xi_box=[[-0.8, 1.4]], base_box=[[-12, 12]])
+    a = ker.FibredKernel("r", [ker.DensityAtom(UT, by_rbase, needs_rbase=True, **box)])
+    a0 = ker.FibredKernel("r", [ker.DensityAtom(UT, by_params, **box)])
+    pi = make_addition_morphism(UT)
+    ab = ker.convolve(a, gauss_kernel2)
+    (lazy,) = ker.pushforward(pi, ab).atoms
+    (reduced,) = ker.pushforward(pi, ker.convolve(a0, gauss_kernel2)).atoms
+    assert isinstance(lazy, ker.PushedAtom)
+    assert isinstance(reduced, ker.DensityAtom)
+    f = _f("exp(-1.2*(x1-0.5)^2)")
+    xs = np.array([[-0.5], [0.2], [0.9]])
+    got = oper.op_values(ker.FibredKernel("r", [lazy]), f, xs)
+    assert np.max(np.abs(got - oper.op_values(ab, f, xs))) <= 1e-14
+    want = oper.op_values(ker.FibredKernel("r", [reduced]), f, xs)
+    assert np.max(np.abs(got - want)) <= 1e-7
 
 
 def _masked_reduction(family):
