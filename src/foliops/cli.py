@@ -289,10 +289,15 @@ def _add_ode(p):
 
 
 def _add_pairing(p):
+    """Settings and grid, for the commands that apply a kernel on a grid."""
     _add_ode(p)
     p.add_argument("--quad-order", type=int, default=None)
     p.add_argument("--strict", action="store_true",
                    help="fail hard on escaped points instead of masking")
+    p.add_argument("--function", required=True)
+    p.add_argument("--box", required=True, help="JSON box, e.g. [[-2,2],[-2,2]]")
+    p.add_argument("--res", required=True, help="per-axis resolution, e.g. 33,33")
+    p.add_argument("--svg", default=None)
 
 
 def build_parser():
@@ -329,20 +334,12 @@ def build_parser():
     p = sub.add_parser("apply", help="apply a kernel to a function on a grid")
     _add_pairing(p)
     p.add_argument("--kernel", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--box", required=True, help="JSON box, e.g. [[-2,2],[-2,2]]")
-    p.add_argument("--res", required=True, help="per-axis resolution, e.g. 33,33")
-    p.add_argument("--svg", default=None)
     p.set_defaults(fn=cmd_apply)
 
     p = sub.add_parser("convolve-apply",
                        help="convolve named kernels left to right, then apply")
     _add_pairing(p)
     p.add_argument("--kernels", required=True, help="comma-separated names")
-    p.add_argument("--function", required=True)
-    p.add_argument("--box", required=True)
-    p.add_argument("--res", required=True)
-    p.add_argument("--svg", default=None)
     p.set_defaults(fn=cmd_convolve_apply)
 
     # The suites take their flow and quadrature settings from the config

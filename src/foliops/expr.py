@@ -9,6 +9,7 @@ batches and is pure, so expressions are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import partialmethod
@@ -50,6 +51,10 @@ class Node:
 @dataclass(frozen=True, slots=True)
 class Const(Node):
     value: float
+
+    def __post_init__(self):  # a literal or fold: 1e999, 1e308*10, (-8)^0.5
+        if not (isinstance(self.value, float) and math.isfinite(self.value)):
+            raise ParseError(f"constant {self.value!r} is not a finite real")
 
     def ev(self, X):
         return self.value  # numpy broadcasts; ScalarExpr fills the shape
@@ -221,7 +226,10 @@ def _pow(base, expo):
     if expo == 1.0:
         return base
     if _is_const(base):
-        return Const(base.value**expo)
+        try:
+            return Const(base.value**expo)
+        except (ZeroDivisionError, OverflowError) as exc:  # 0^-1, 2^2000
+            raise ParseError(f"({base.value!r})^({expo!r}) does not fold") from exc
     return Pow(base, expo)
 
 

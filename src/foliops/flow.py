@@ -56,6 +56,7 @@ DP45 paths never load it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,20 @@ def _checked_box(value, dim, what):
     if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
         raise ConfigError(f"{what} needs finite bounds with lo < hi on every axis")
     return box
+
+
+def _number(value, what, integer=False):
+    """``value`` as a float, or as an int when ``integer``, or ConfigError
+    naming ``what``: the rule for every number a config or the command line
+    supplies.  It must be a JSON number (a boolean is not one) and finite,
+    and a count must be integral (``20.0`` passes)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} {value!r} is not a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, an int past the floats
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    if integer and value != int(value):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _row_norm(Y):

@@ -16,7 +16,7 @@ import numpy as np
 from . import flow as _flow
 from .errors import ConfigError, DimensionMismatch
 from .expr import VectorFieldExpr, lie_bracket, parse_field
-from .flow import _checked_box, _uniform
+from .flow import _checked_box, _number, _uniform
 
 __all__ = [
     "SingularFoliation",
@@ -116,14 +116,14 @@ class SingularFoliation:
 
     @classmethod
     def from_json(cls, data):
-        dim = int(data["dim"])
+        dim = _number(data["dim"], "dim", integer=True)
         gens = [parse_field(g, dim) for g in data["generators"]]
         return cls(
             dim=dim,
             chart_box=_checked_box(data["box"], dim, "box"),
             generators=gens,
             xi_radius=np.asarray(data["xi_radius"], float),
-            escape_factor=float(data.get("escape_factor", 4.0)),
+            escape_factor=_number(data.get("escape_factor", 4.0), "escape_factor"),
         )
 
     def __str__(self):

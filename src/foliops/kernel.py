@@ -311,6 +311,16 @@ def _intersect_boxes(a, b):
     return np.stack([lo, hi], axis=1)
 
 
+def _cut_to(box, bound, what):
+    """``box`` cut to ``bound``; ConfigError unless that leaves a box."""
+    box = np.atleast_2d(np.asarray(box, float))
+    cut = _intersect_boxes(box, bound) if box.shape == bound.shape else None
+    if cut is None or np.any(cut[:, 0] >= cut[:, 1]):
+        raise ConfigError(f"{what} {box.tolist()} has no part inside the "
+                          f"restriction box {bound.tolist()}")
+    return cut
+
+
 class _PlanBlock:
     """One row block of a fibre-quadrature plan: what pairing N base rows
     against Q nodes needs besides the test function.
@@ -840,12 +850,17 @@ def density(U, a, xi_box=None, base_box=None, side="r",
     that space.  It is masked once, by the base box: it is evaluated only
     on parameters whose base lies in ``base_box`` and is zero elsewhere.
     Support boxes are mandatory bookkeeping; the density should decay to
-    negligible values at their edges.
+    negligible values at their edges.  On a ``Restriction`` both boxes,
+    given or default, are cut to the restriction's parameter box.
     """
     if xi_box is None:
         xi_box = U.xi_box()
     if base_box is None:
         base_box = U.foliation.escape_box
+    if isinstance(U, bis.Restriction):  # the density lives inside the restriction
+        m = U.fibre_dim
+        xi_box = _cut_to(xi_box, U.box[:m], "xi box")
+        base_box = _cut_to(base_box, U.box[m:], "base box")
     atom = DensityAtom(U, _as_dens_fn(a), xi_box, base_box, quad_order=quad_order,
                        dens_key=_fn_key(a))
     return FibredKernel(side, [atom])

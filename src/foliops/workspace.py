@@ -16,13 +16,17 @@ import numpy as np
 
 from . import bisubmersion as bis
 from . import kernel as ker
-from .errors import ConfigError
+from .errors import ConfigError, FoliopsError, ParseError
 from .expr import parse_scalar
-from .flow import FlowConfig, _checked_box, _in_box
+from .flow import FlowConfig, _checked_box, _in_box, _number
 from .foliation import SingularFoliation
 from .kernel import QuadratureConfig
 
 __all__ = ["Workspace", "load_config"]
+
+# The named-object registries, each after those its objects may reference.
+_REGISTRIES = ("foliations", "bisubmersions", "bisections", "kernels",
+               "functions")
 
 
 @dataclass
@@ -59,19 +63,15 @@ class Workspace:
         if other is None:
             return self
         return Workspace(
-            foliations={**self.foliations, **other.foliations},
-            bisubmersions={**self.bisubmersions, **other.bisubmersions},
-            bisections={**self.bisections, **other.bisections},
-            kernels={**self.kernels, **other.kernels},
-            functions={**self.functions, **other.functions},
+            **{reg: {**getattr(self, reg), **getattr(other, reg)}
+               for reg in _REGISTRIES},
             flow_cfg=other.flow_cfg or self.flow_cfg,
             quad_cfg=other.quad_cfg or self.quad_cfg,
         )
 
     def summary(self):
         lines = []
-        for reg in ("foliations", "bisubmersions", "bisections", "kernels",
-                    "functions"):
+        for reg in _REGISTRIES:
             table = getattr(self, reg)
             names = ", ".join(sorted(table)) or "(none)"
             lines.append(f"{reg}: {names}")
@@ -89,98 +89,83 @@ class _Resolver:
         self._visiting = set()
 
     def run(self):
-        for name, spec in self.section("foliations").items():
-            try:
-                self.ws.foliations[name] = SingularFoliation.from_json(spec)
-            except Exception as exc:
-                raise ConfigError(f"foliation {name!r}: {exc}") from exc
-        for name in self.section("bisubmersions"):
-            self.bisubmersion(name)
-        for name in self.section("bisections"):
-            self.bisection(name)
-        for name, spec in self.section("kernels").items():
-            self.ws.kernels[name] = self.kernel(name, spec)
-        for name, spec in self.section("functions").items():
-            self.ws.functions[name] = self.function(name, spec)
+        # Foliations first, so that a function's default dim sees them all.
+        for reg in _REGISTRIES:
+            for name in self.section(reg):
+                self.named(reg[:-1], name)
         return self.ws
 
     def section(self, key):
         return _object(self.data.get(key, {}), f"config {key!r}")
 
-    def _enter(self, kind, name):
-        key = (kind, name)
-        if key in self._visiting:
+    def named(self, kind, name):
+        """The ``kind`` object ``name`` of the config, built once by the
+        method named ``kind``; every cross-reference resolves through here,
+        so each lookup, shape check and cycle guard is this one."""
+        specs = self.section(kind + "s")
+        if not isinstance(name, str) or name not in specs:
+            raise ConfigError(f"unknown {kind} {name!r}")
+        table = getattr(self.ws, kind + "s")
+        if name in table:
+            return table[name]
+        spec = specs[name]
+        if kind == "function" and isinstance(spec, str):
+            spec = {"expr": spec}
+        spec = _object(spec, f"{kind} {name!r}")
+        if (kind, name) in self._visiting:
             raise ConfigError(f"cyclic reference through {kind} {name!r}")
-        self._visiting.add(key)
-        return key
+        self._visiting.add((kind, name))
+        try:
+            table[name] = getattr(self, kind)(name, spec)
+        except KeyError as exc:
+            raise ConfigError(f"{kind} {name!r}: missing field {exc}") from exc
+        except ParseError as exc:
+            raise ParseError(f"{kind} {name!r}: {exc}") from exc
+        finally:
+            self._visiting.discard((kind, name))
+        return table[name]
 
-    def bisubmersion(self, name):
-        if name in self.ws.bisubmersions:
-            return self.ws.bisubmersions[name]
-        specs = self.section("bisubmersions")
-        if name not in specs:
-            raise ConfigError(f"unknown bisubmersion {name!r}")
-        spec = _object(specs[name], f"bisubmersion {name!r}")
-        key = self._enter("bisubmersion", name)
+    def foliation(self, name, spec):
+        try:
+            return SingularFoliation.from_json(spec)
+        except (FoliopsError, TypeError, ValueError) as exc:
+            raise ConfigError(f"foliation {name!r}: {exc}") from exc
+
+    def bisubmersion(self, name, spec):
         kind = spec.get("type")
-        try:
-            if kind == "path_holonomy":
-                out = bis.make_path_holonomy(
-                    self.ws.get("foliations", spec["foliation"]))
-            elif kind == "compose":
-                out = bis.compose(self.bisubmersion(spec["left"]),
-                                  self.bisubmersion(spec["right"]))
-            elif kind == "inverse":
-                out = bis.invert(self.bisubmersion(spec["inner"]))
-            elif kind == "restriction":
-                inner = self.bisubmersion(spec["inner"])
-                out = bis.restrict(inner, _checked_box(
-                    spec["param_box"], inner.param_len, f"{name!r} param_box"))
-            elif kind == "translate":
-                side = spec.get("side", "right")
-                if side not in ("left", "right"):
-                    raise ConfigError(f"bisubmersion {name!r}: side must be "
-                                      f"'left' or 'right', got {side!r}")
-                out = bis.translate(self.bisubmersion(spec["inner"]),
-                                    self.bisection(spec["bisection"]), side,
-                                    cfg=self.ws.flow_cfg)
-            else:
-                raise ConfigError(f"unknown bisubmersion type {kind!r}")
-        except KeyError as exc:
-            raise ConfigError(f"bisubmersion {name!r}: missing field {exc}") from exc
-        finally:
-            self._visiting.discard(key)
-        self.ws.bisubmersions[name] = out
-        return out
+        if kind == "path_holonomy":
+            return bis.make_path_holonomy(self.named("foliation", spec["foliation"]))
+        if kind == "compose":
+            return bis.compose(self.named("bisubmersion", spec["left"]),
+                               self.named("bisubmersion", spec["right"]))
+        if kind == "inverse":
+            return bis.invert(self.named("bisubmersion", spec["inner"]))
+        if kind == "restriction":
+            inner = self.named("bisubmersion", spec["inner"])
+            return bis.restrict(inner, _checked_box(
+                spec["param_box"], inner.param_len, f"{name!r} param_box"))
+        if kind == "translate":
+            side = spec.get("side", "right")
+            if side not in ("left", "right"):
+                raise ConfigError(f"bisubmersion {name!r}: side must be "
+                                  f"'left' or 'right', got {side!r}")
+            return bis.translate(self.named("bisubmersion", spec["inner"]),
+                                 self.named("bisection", spec["bisection"]), side,
+                                 cfg=self.ws.flow_cfg)
+        raise ConfigError(f"unknown bisubmersion type {kind!r}")
 
-    def bisection(self, name):
-        if name in self.ws.bisections:
-            return self.ws.bisections[name]
-        specs = self.section("bisections")
-        if name not in specs:
-            raise ConfigError(f"unknown bisection {name!r}")
-        spec = _object(specs[name], f"bisection {name!r}")
-        key = self._enter("bisection", name)
+    def bisection(self, name, spec):
+        host = self.named("bisubmersion", spec["host"])
         try:
-            host = self.bisubmersion(spec["host"])
-            try:
-                xi = np.asarray(spec["xi"], float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bisection {name!r}: xi {spec['xi']!r} is not "
-                                  "a list of numbers") from exc
-            out = bis.constant_bisection(
-                host, xi,
-                base_box=_box(spec, "base_box", host.base_dim, name), label=name,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"bisection {name!r}: missing field {exc}") from exc
-        finally:
-            self._visiting.discard(key)
-        self.ws.bisections[name] = out
-        return out
+            xi = np.asarray(spec["xi"], float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bisection {name!r}: xi {spec['xi']!r} is not "
+                              "a list of numbers") from exc
+        return bis.constant_bisection(
+            host, xi, base_box=_box(spec, "base_box", host.base_dim, name),
+            label=name)
 
     def kernel(self, name, spec):
-        spec = _object(spec, f"kernel {name!r}")
         side = spec.get("side", "r")
         atoms = spec.get("atoms", [])
         if not isinstance(atoms, list):
@@ -188,60 +173,44 @@ class _Resolver:
                               f"{type(atoms).__name__}")
         total = None
         for aspec in atoms:
-            kind = _object(aspec, f"kernel {name!r} atom").get("type")
-            try:
-                if kind == "dirac":
-                    S = self.bisection(aspec["bisection"])
-                    c = parse_scalar(aspec["coeff"], S.host.base_dim)
-                    piece = ker.dirac(
-                        S, c, side=side,
-                        coeff_box=_box(aspec, "coeff_box", S.host.base_dim, name),
-                        ctx=self.ws.ctx(),
-                    )
-                elif kind == "density":
-                    host = self.bisubmersion(aspec["host"])
-                    expr = parse_scalar(aspec["expr"], host.param_len)
-                    order = aspec.get("quad_order")
-                    if order is not None:  # checked as QuadratureConfig.order
-                        order = _settings(QuadratureConfig(), {"order": order},
-                                          f"kernel {name!r} density").order
-                    piece = ker.density(
-                        host, expr,
-                        xi_box=_box(aspec, "xi_box", host.fibre_dim, name),
-                        base_box=_box(aspec, "base_box", host.base_dim, name),
-                        side=side,
-                        quad_order=order,
-                    )
-                else:
-                    raise ConfigError(f"unknown atom type {kind!r}")
-            except KeyError as exc:
-                raise ConfigError(f"kernel {name!r}: missing field {exc}") from exc
+            piece = self.atom(name, _object(aspec, f"kernel {name!r} atom"), side)
             total = piece if total is None else total + piece
         if total is None:
             raise ConfigError(f"kernel {name!r} has no atoms")
         return total
 
+    def atom(self, name, spec, side):
+        kind = spec.get("type")
+        if kind == "dirac":
+            S = self.named("bisection", spec["bisection"])
+            return ker.dirac(
+                S, parse_scalar(spec["coeff"], S.host.base_dim), side=side,
+                coeff_box=_box(spec, "coeff_box", S.host.base_dim, name),
+                ctx=self.ws.ctx(),
+            )
+        if kind == "density":
+            host = self.named("bisubmersion", spec["host"])
+            order = spec.get("quad_order")
+            if order is not None:  # checked as QuadratureConfig.order
+                order = _settings(QuadratureConfig(), {"order": order},
+                                  f"kernel {name!r} density").order
+            return ker.density(
+                host, parse_scalar(spec["expr"], host.param_len),
+                xi_box=_box(spec, "xi_box", host.fibre_dim, name),
+                base_box=_box(spec, "base_box", host.base_dim, name),
+                side=side, quad_order=order,
+            )
+        raise ConfigError(f"unknown atom type {kind!r}")
+
     def function(self, name, spec):
-        if isinstance(spec, str):
-            spec = {"expr": spec}
-        spec = _object(spec, f"function {name!r}")
-        try:
-            if "dim" in spec:
-                try:
-                    dim = int(spec["dim"])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"function {name!r}: dim {spec['dim']!r} "
-                                      "is not an integer") from exc
-            else:
-                dims = {f.dim for f in self.ws.foliations.values()}
-                if len(dims) != 1:
-                    raise ConfigError(
-                        f"function {name!r} needs an explicit dim"
-                    )
-                dim = dims.pop()
-            expr = parse_scalar(spec["expr"], dim)
-        except KeyError as exc:
-            raise ConfigError(f"function {name!r}: missing field {exc}") from exc
+        if "dim" in spec:
+            dim = _number(spec["dim"], f"function {name!r} dim", integer=True)
+        else:
+            dims = {f.dim for f in self.ws.foliations.values()}
+            if len(dims) != 1:
+                raise ConfigError(f"function {name!r} needs an explicit dim")
+            dim = dims.pop()
+        expr = parse_scalar(spec["expr"], dim)
         box = _box(spec, "support", dim, name)
         if box is None:
             return expr
@@ -267,21 +236,15 @@ def _box(spec, key, dim, owner):
 
 
 def _settings(base, spec, what):
-    """``base`` with the fields that ``spec`` names replaced, each value cast
-    to the type of its field's default; ConfigError on an unknown field, a
-    value that is not a number or a count that is not an integer."""
+    """``base`` with the fields that ``spec`` names replaced, each value
+    read by the number rule, integral when its field's default is an int;
+    ConfigError on an unknown field or a value the rule rejects."""
     kinds = {f.name: type(f.default) for f in dataclasses.fields(base)}
     values = {}
     for name, raw in _object(spec, f"{what} settings").items():
         if name not in kinds:
             raise ConfigError(f"unknown {what} setting {name!r}")
-        try:
-            values[name] = kinds[name](raw)
-            exact = kinds[name] is float or values[name] == float(raw)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{what} {name} {raw!r} is not a number") from exc
-        if not exact:
-            raise ConfigError(f"{what} {name} must be an integer, got {raw!r}")
+        values[name] = _number(raw, f"{what} {name}", integer=kinds[name] is int)
     return dataclasses.replace(base, **values)
 
 

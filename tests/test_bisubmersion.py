@@ -339,3 +339,16 @@ def test_other_bisections_keep_object_identity(U):
     assert S.key() == S.key() and S.key() != T.key()
     assert S.key()[1] is S  # held, so the key cannot outlive the bisection
     assert not translate(U, S, "left").same_term(translate(U, T, "left"))
+
+
+def test_inverse_chart_is_inner_other_side_chart(U):
+    """A fibre of the inverse over x is the inner term's opposite fibre
+    over x: its rows are the inner term's other-side chart rows, and the
+    inverse's own map of that side sends them back to x."""
+    Ut = invert(U)
+    xi = np.linspace(-1.2, 1.2, 7)[:, None]
+    x = np.tile([0.8, -0.3], (7, 1))
+    for side, other in (("r", "s"), ("s", "r")):
+        params = Ut.chart(side, xi, x)
+        assert np.array_equal(params, U.chart(other, xi, x))
+        assert np.max(np.abs(getattr(Ut, side)(params) - x)) <= 1e-7

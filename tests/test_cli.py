@@ -245,6 +245,7 @@ def _info_exit(tmp_path, spec):
     (_with(("bisubmersions", "W"), {"type": "translate", "inner": "U",
                                     "bisection": "shift", "side": "up"}),
      "bisubmersion 'W'"),
+    (_with(("bisubmersions", "U", "foliation"), ["line"]), "unknown foliation"),
 ])
 def test_malformed_config_shapes_exit_2(tmp_path, capsys, spec, named):
     """Each of these ended in an AttributeError, TypeError or ValueError
@@ -252,6 +253,71 @@ def test_malformed_config_shapes_exit_2(tmp_path, capsys, spec, named):
     assert _info_exit(tmp_path, spec) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:") and named in err
+
+
+@pytest.mark.parametrize("where, value, error, named", [
+    (("foliations", "line", "dim"), 1.5, "ConfigError", "foliation 'line'"),
+    (("foliations", "line", "dim"), True, "ConfigError", "foliation 'line'"),
+    (("foliations", "line", "escape_factor"), True, "ConfigError",
+     "foliation 'line'"),
+    (("functions", "f", "dim"), 2.5, "ConfigError", "function 'f'"),
+    (("functions", "f", "dim"), True, "ConfigError", "function 'f'"),
+    (("flow",), {"abs_tol": True}, "ConfigError", "flow abs_tol"),
+    (("flow",), {"max_steps": True}, "ConfigError", "flow max_steps"),
+    (("functions", "f", "dim"), float("inf"), "ConfigError", "function 'f'"),
+    (("flow",), {"abs_tol": 10**400}, "ConfigError", "flow abs_tol"),
+    (("functions", "f", "expr"), "0^-1", "ParseError", "function 'f'"),
+    (("functions", "f", "expr"), "2^2000", "ParseError", "function 'f'"),
+    (("functions", "f", "expr"), "(-8)^0.5*x1", "ParseError", "function 'f'"),
+    (("functions", "f", "expr"), "1e308*10", "ParseError", "function 'f'"),
+])
+def test_config_numbers_and_constant_folds_exit_2(tmp_path, capsys, where,
+                                                  value, error, named):
+    """Each of these but the infinite dim and the 400-digit tolerance
+    loaded (info exit 0, with a dim cast by int(), a boolean read as 1.0
+    or a complex or infinite constant) or ended in a ZeroDivisionError or
+    OverflowError traceback (exit 1)."""
+    assert _info_exit(tmp_path, _with(where, value)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}:") and named in err
+
+
+def test_integral_float_counts_still_load(tmp_path):
+    spec = _with(("functions", "f", "dim"), 1.0)
+    spec["flow"] = {"max_steps": 20.0, "abs_tol": 1}
+    spec["foliations"]["line"]["dim"] = 1.0
+    ws = load_config(spec)
+    assert ws.flow_cfg.max_steps == 20 and isinstance(ws.flow_cfg.max_steps, int)
+    assert ws.flow_cfg.abs_tol == 1.0 and ws.foliations["line"].dim == 1
+    assert _info_exit(tmp_path, spec) == 0
+
+
+def test_config_density_on_a_restriction_stays_inside_it(tmp_path, capsys):
+    """With no boxes, the density on the restriction V of U to
+    [-1, 1] x [0, 1] took the escape box as its base box: Op(a)1 read 2.0
+    at x = -1.5, 0.5 and 2.5.  It now reads as the density on U with V's
+    boxes, and a box that misses V exits 2."""
+    spec = _with(("bisubmersions", "V", "param_box"), [[-1, 1], [0, 1]])
+    spec["functions"]["f"]["expr"] = "1"
+    spec["kernels"]["k"]["atoms"][0].update(expr="1", xi_box=[[-1, 1]],
+                                            base_box=[[0, 1]])
+    spec["kernels"]["kv"] = {"atoms": [{"type": "density", "host": "V",
+                                        "expr": "1"}]}
+    cfg = tmp_path / "restricted.json"
+    cfg.write_text(json.dumps(spec))
+    grids = []
+    for kernel in ("k", "kv"):
+        out = tmp_path / f"{kernel}.csv"
+        assert run_cli("apply", "--config", str(cfg), "--kernel", kernel,
+                       "--function", "f", "--box", "[[-1.5,2.5]]", "--res", "3",
+                       "--out", str(out)) == 0
+        grids.append(out.read_text().splitlines()[1:])
+    assert grids[0] == grids[1]
+    values = [float(line.split(",")[-1]) for line in grids[1]]
+    assert values[0] == values[2] == 0.0 and abs(values[1] - 1.0) <= 0.1
+    spec["kernels"]["kv"]["atoms"][0]["xi_box"] = [[1.5, 2.0]]
+    assert _info_exit(tmp_path, spec) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError: xi box")
 
 
 @pytest.mark.parametrize("xi", [[1.0, 2.0], []])
@@ -428,6 +494,40 @@ def test_plot_command(tmp_path):
     svg = tmp_path / "grid.svg"
     assert run_cli("plot", "--input", str(grid), "--svg", str(svg)) == 0
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("kernel, function, box, res", [
+    ("gauss_R", "f_R", "[[-2,2],[-2,2]]", "7,5"),  # a heatmap
+    ("gauss_T", "f_T", "[[-2,2]]", "9"),  # a curve
+])
+def test_apply_svg_is_plot_of_its_csv(tmp_path, kernel, function, box, res):
+    csv, svg, plotted = (tmp_path / n for n in ("g.csv", "a.svg", "p.svg"))
+    assert run_cli("apply", "--kernel", kernel, "--function", function, "--box",
+                   box, "--res", res, "--out", str(csv), "--svg", str(svg)) == 0
+    assert run_cli("plot", "--input", str(csv), "--svg", str(plotted)) == 0
+    assert svg.read_bytes() == plotted.read_bytes()
+    shape = [int(n) for n in reversed(res.split(","))]
+    marks = svg.read_text().count("<rect ") - 1  # less the background
+    assert marks == (math.prod(shape) if len(shape) == 2 else 0)
+
+
+def test_plot_of_a_leaf_csv_places_each_point(tmp_path):
+    """Each circle of the plot maps back to its CSV point through the plot
+    box, the points' bounding box widened by 0.1."""
+    csv, svg = tmp_path / "leaf.csv", tmp_path / "leaf.svg"
+    assert run_cli("leaf", "--foliation", "R", "--point", "1,0", "--budget", "60",
+                   "--out", str(csv)) == 0
+    assert run_cli("plot", "--input", str(csv), "--svg", str(svg)) == 0
+    pts = np.loadtxt(csv, delimiter=",", comments="#", ndmin=2)
+    lo, hi = pts.min(axis=0) - 0.1, pts.max(axis=0) + 0.1
+    circles = [line.split('"') for line in svg.read_text().splitlines()
+               if line.startswith("<circle")]
+    cx = np.array([float(c[1]) for c in circles])
+    cy = np.array([float(c[3]) for c in circles])
+    back = np.stack([lo[0] + (cx - 10) / 460 * (hi[0] - lo[0]),
+                     lo[1] + (470 - cy) / 460 * (hi[1] - lo[1])], axis=1)
+    assert len(back) == len(pts) > 10
+    assert np.max(np.abs(back - pts)) <= 0.01
 
 
 def test_config_loading_full_round_trip(tmp_path):

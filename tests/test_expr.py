@@ -226,6 +226,7 @@ _PRINTED = [
     ("sin(x1)*(x2 + x3) - cos(-x3)", "sin(x1)*(x2 + x3) - cos(-x3)"),
     ("2*3 - 2^-1 + x1*(1/4)", "5.5 + x1*0.25"),
     ("0*x1 + 1*x2 - 0 + x3/1", "x2 + x3"),
+    ("(-2)^3*x1 + 1e308/4*2 - 4^0.5", "(-8.0)*x1 + 5e+307 - 2.0"),
 ]
 
 
@@ -267,3 +268,15 @@ def test_constant_division_by_zero_is_non_finite():
     with pytest.raises(EvalError):
         e([0.5])
     assert np.all(np.isposinf(e(np.zeros((3, 1)), check_finite=False)))
+
+
+@pytest.mark.parametrize("text", [
+    "0^-1",  # ZeroDivisionError from Python's float power
+    "2^2000",  # OverflowError
+    "(-8)^0.5", "(-1)^(1/3)",  # complex constants, which did not print
+    "1e308*10", "-1e308-1e308", "1e308/1e-10",  # inf
+    "1e999*x1",  # a literal beyond the float range
+])
+def test_constant_folds_stay_finite_reals(text):
+    with pytest.raises(ParseError):
+        parse_scalar(text, 1)

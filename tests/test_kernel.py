@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from foliops.errors import (
     BaseMismatch,
+    ConfigError,
     HostMismatch,
     NotTransverse,
     SideMismatch,
@@ -691,3 +692,74 @@ def test_kernel_linear_combinations(dirac_shift, gauss_kernel):
     rhs = 2.0 * oper.op_values(dirac_shift, f, pts) \
         - 0.5 * oper.op_values(gauss_kernel, f, pts)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def _restricted_density(UT, restriction, **boxes):
+    from foliops.bisubmersion import restrict
+
+    return ker.density(restrict(UT, restriction), _f("1", 2), **boxes)
+
+
+def test_density_on_a_restriction_stays_inside_it(UT):
+    """With no boxes the density on restrict(U_T, [-1, 1] x [0, 1]) took
+    the escape box [-12, 12] as its base box, so Op(a)1 read 2 at every
+    point.  Its boxes are now cut to the restriction's: it pairs as the
+    density on U_T with the restriction's boxes."""
+    xs = np.array([[-1.5], [0.5], [2.5]])
+    box = [[-1.0, 1.0], [0.0, 1.0]]
+    want = oper.op_values(ker.density(UT, _f("1", 2), xi_box=[[-1, 1]],
+                                      base_box=[[0, 1]]), _f("1"), xs)
+    for boxes in ({}, {"xi_box": [[-2, 2]], "base_box": [[-12, 12]]}):
+        got = oper.op_values(_restricted_density(UT, box, **boxes), _f("1"), xs)
+        assert np.array_equal(got, want)
+    # x = 0.5 sees the bases 0.5 - xi in [0, 1]: a unit interval of xi
+    assert want[0] == want[2] == 0.0 and abs(want[1] - 1.0) <= 0.1
+
+
+def test_density_outside_its_restriction_is_an_error(UT):
+    with pytest.raises(ConfigError, match="restriction"):
+        _restricted_density(UT, [[-1, 1], [0, 1]], base_box=[[2, 3]])
+    with pytest.raises(ConfigError, match="restriction"):
+        _restricted_density(UT, [[-1, 1], [0, 1]], xi_box=[[-1, 1], [0, 1]])
+
+
+def test_scaled_lazy_atoms_scale_their_pairing(UT, gauss_kernel, gauss_kernel2):
+    """2*k pairs to twice k's pairing for convolved, pushed and transposed
+    atoms; a factor of 2 is exact in floating point."""
+    from foliops.bisubmersion import Morphism
+
+    ab = ker.convolve(gauss_kernel, gauss_kernel2)
+    identity = Morphism(UT, UT, lambda p: p, label="identity")
+    kernels = {ker.ConvolvedAtom: ab,
+               ker.PushedAtom: ker.pushforward(identity, gauss_kernel),
+               ker.TransposedAtom: ker.transpose(ab)}
+    xs = np.linspace(-1.5, 1.5, 7)[:, None]
+
+    def phi(params, rows, atom):
+        return np.exp(-params[:, -1] ** 2)
+
+    for kind, k in kernels.items():
+        doubled = 2 * k
+        assert isinstance(doubled.atoms[0], kind)
+        once = k.pairing(phi, xs)
+        assert np.max(np.abs(once)) > 1e-2
+        assert np.array_equal(doubled.pairing(phi, xs), 2 * once)
+
+
+def test_support_bound_of_lazy_and_pushed_convolutions(UT, gauss_kernel,
+                                                       gauss_kernel2):
+    """On translations r = s + xi, so a*b carries f supported in F to
+    F + xi_box(b) + xi_box(a) = [-0.5 - 1.4 - 0.8, 0.5 + 1.0 + 1.4]."""
+    from foliops.bisubmersion import Morphism
+
+    ab = ker.convolve(gauss_kernel, gauss_kernel2)
+    pushed = ker.pushforward(Morphism(ab.atoms[0].host, ab.atoms[0].host,
+                                      lambda p: p, label="identity"), ab)
+    F = [[-0.5, 0.5]]
+    exact = np.array([[-2.7, 2.9]])
+    for k in (ab, pushed):
+        box = oper.support_bound(k, F)  # sampled, then padded by about 0.22
+        assert box[0, 0] <= exact[0, 0] and box[0, 1] >= exact[0, 1]
+        assert np.all(np.abs(box - exact) <= 0.3)
+        assert oper.support_bound(k, [[100.0, 101.0]]) is None
+    assert isinstance(pushed.atoms[0], ker.PushedAtom)
