@@ -510,9 +510,9 @@ def constant_bisection(host, xi0, base_box=None, label=""):
                      label=label or f"xi0={xi0.tolist()}", key=key)
 
 
-def identity_bisection(host, base_box=None):
+def identity_bisection(host):
     m = host.foliation.num_generators
-    return constant_bisection(host, np.zeros(m), base_box, label="identity")
+    return constant_bisection(host, np.zeros(m), label="identity")
 
 
 def general_bisection(host, section_fn, base_box, label=""):
@@ -767,10 +767,11 @@ class FibreChart:
         self.dim = host.fibre_dim
         self._cfg = cfg
 
-    def map(self, xi, allow_escape=False):
+    def map(self, xi):
+        """The chart rows over ``xi``; DomainEscape if any escaped."""
         xi = np.atleast_2d(np.asarray(xi, float))
         bases = np.tile(self.base_point, (len(xi), 1))
-        return self.host.chart(self.side, xi, bases, self._cfg, allow_escape)
+        return self.host.chart(self.side, xi, bases, self._cfg)
 
 
 def fibre_param(U, side, x, cfg=None) -> FibreChart:

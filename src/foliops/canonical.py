@@ -114,7 +114,7 @@ def bump_fn(box):
     return fn
 
 
-def canonical_workspace(flow_cfg=None, quad_cfg=None):
+def canonical_workspace():
     """The named registry the verification suites and CLI defaults use."""
     from .workspace import Workspace
 
@@ -223,6 +223,4 @@ def canonical_workspace(flow_cfg=None, quad_cfg=None):
         bisections=bisections,
         kernels=kernels,
         functions=functions,
-        flow_cfg=flow_cfg,
-        quad_cfg=quad_cfg,
     )

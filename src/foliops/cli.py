@@ -96,7 +96,11 @@ def _workspace(args):
 # SVG emission (static plots only; hand-rolled for byte determinism)
 
 
-def _svg_header(w, h):
+_SVG_SIZE = 480  # px, width and height of every plot
+
+
+def _svg_header():
+    w = h = _SVG_SIZE
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">\n'
@@ -104,7 +108,7 @@ def _svg_header(w, h):
     )
 
 
-def svg_leaf(points, box, size=480):
+def svg_leaf(points, box):
     """Scatter/polyline plot of leaf samples (1-D or 2-D base)."""
     pts = np.atleast_2d(points)
     if pts.shape[1] == 1:
@@ -112,30 +116,30 @@ def svg_leaf(points, box, size=480):
         box = np.array([box[0], [-1.0, 1.0]])
     lo, hi = box[:, 0], box[:, 1]
     span = np.where(hi > lo, hi - lo, 1.0)
-    out = [_svg_header(size, size)]
+    out = [_svg_header()]
     for p in pts:
-        cx = (p[0] - lo[0]) / span[0] * (size - 20) + 10
-        cy = size - ((p[1] - lo[1]) / span[1] * (size - 20) + 10)
+        cx = (p[0] - lo[0]) / span[0] * (_SVG_SIZE - 20) + 10
+        cy = _SVG_SIZE - ((p[1] - lo[1]) / span[1] * (_SVG_SIZE - 20) + 10)
         out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="1.5" fill="#1f4e79"/>\n')
     out.append("</svg>\n")
     return "".join(out)
 
 
-def svg_grid(grid: oper.GridFunction, size=480):
+def svg_grid(grid: oper.GridFunction):
     """Heatmap (2-D) or curve (1-D) of a grid function."""
     vals = grid.values
     finite = vals[np.isfinite(vals)]
     vmin = float(finite.min()) if finite.size else 0.0
     vmax = float(finite.max()) if finite.size else 1.0
     spanv = vmax - vmin if vmax > vmin else 1.0
-    out = [_svg_header(size, size)]
+    out = [_svg_header()]
     if vals.ndim == 1:
-        xs = np.linspace(10, size - 10, len(vals))
+        xs = np.linspace(10, _SVG_SIZE - 10, len(vals))
         pts = []
         for x, v in zip(xs, vals):
             if not np.isfinite(v):
                 continue
-            y = size - 10 - (v - vmin) / spanv * (size - 20)
+            y = _SVG_SIZE - 10 - (v - vmin) / spanv * (_SVG_SIZE - 20)
             pts.append(f"{x:.2f},{y:.2f}")
         out.append(
             f'<polyline fill="none" stroke="#1f4e79" stroke-width="1.5" '
@@ -143,7 +147,7 @@ def svg_grid(grid: oper.GridFunction, size=480):
         )
     else:
         ny, nx = vals.shape[0], vals.shape[1]
-        cw, ch = (size - 20) / nx, (size - 20) / ny
+        cw, ch = (_SVG_SIZE - 20) / nx, (_SVG_SIZE - 20) / ny
         for i in range(ny):
             for j in range(nx):
                 v = vals[i, j]

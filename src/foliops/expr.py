@@ -98,6 +98,8 @@ class Bin(Node):
             return _BUILD[self.op](da, db)
         if self.op == "*":
             return _add(_mul(da, b), _mul(a, db))
+        if isinstance(b, Const):  # b*b could overflow: (a/b)' = a'/b
+            return _div(da, b)
         return _div(_sub(_mul(da, b), _mul(a, db)), _mul(b, b))
 
     def children(self):

@@ -227,17 +227,14 @@ def _uniform(box, rng, count):
 
 
 def _checked_box(value, dim, what):
-    """``value`` as a (dim, 2) box with finite bounds and lo < hi on every
-    axis, or ConfigError: the rule for every box a config or the command
-    line supplies."""
-    try:
-        box = np.atleast_2d(np.asarray(value, float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} {value!r} is not a list of [lo, hi]") from exc
+    """``value`` as a (dim, 2) box whose bounds pass the number rule, with
+    lo < hi on every axis, or ConfigError: the rule for every box a config
+    or the command line supplies."""
+    box = np.atleast_2d(_numbers(value, f"{what} bound"))
     if box.shape != (dim, 2):
         raise ConfigError(f"{what} has shape {box.shape}, expected ({dim}, 2)")
-    if not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
-        raise ConfigError(f"{what} needs finite bounds with lo < hi on every axis")
+    if not np.all(box[:, 0] < box[:, 1]):
+        raise ConfigError(f"{what} needs lo < hi on every axis")
     return box
 
 
@@ -253,6 +250,18 @@ def _number(value, what, integer=False):
     if integer and value != int(value):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def _numbers(value, what):
+    """``value``, a number or nested lists of them, as a float array whose
+    every entry passed ``_number``; ConfigError naming ``what``."""
+    if not isinstance(value, (list, tuple)):
+        return np.array(_number(value, what))
+    entries = [_numbers(v, what) for v in value]
+    try:
+        return np.array(entries, float)
+    except ValueError as exc:  # rows of different lengths
+        raise ConfigError(f"{what} {value!r} is not a regular array") from exc
 
 
 def _row_norm(Y):

@@ -16,7 +16,7 @@ import numpy as np
 from . import flow as _flow
 from .errors import ConfigError, DimensionMismatch
 from .expr import VectorFieldExpr, lie_bracket, parse_field
-from .flow import _checked_box, _number, _uniform
+from .flow import _checked_box, _number, _numbers, _uniform
 
 __all__ = [
     "SingularFoliation",
@@ -122,7 +122,7 @@ class SingularFoliation:
             dim=dim,
             chart_box=_checked_box(data["box"], dim, "box"),
             generators=gens,
-            xi_radius=np.asarray(data["xi_radius"], float),
+            xi_radius=_numbers(data["xi_radius"], "xi_radius"),
             escape_factor=_number(data.get("escape_factor", 4.0), "escape_factor"),
         )
 

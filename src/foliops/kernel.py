@@ -219,8 +219,7 @@ def _as_dens_fn(a):
     """A ScalarExpr over (xi, base) params or a callable ``a(params)`` as
     a density ``fn(params, rbase)``; DensityAtom masks it by its base box.
 
-    ``rbase`` holds the range base of each row for the densities that
-    read it (``DensityAtom.needs_rbase``) and is None for the others.
+    ``rbase``, each row's range base or None, is not read.
     """
     if isinstance(a, ScalarExpr):
         return lambda params, rbase: a(params, check_finite=False)
@@ -325,15 +324,26 @@ class _PlanBlock:
     """One row block of a fibre-quadrature plan: what pairing N base rows
     against Q nodes needs besides the test function.
 
-    ``live`` marks the N x Q nodes whose weight x density ``wd`` is
-    nonzero and finite, ``params`` and ``rows`` are their parameter rows
-    and base-row indices, ``nan`` holds the flat indices of the nodes
-    whose chart escaped or whose density is not finite, and ``geometry``
-    maps an integrand's key to its geometry on ``params``.  The arrays
-    are read-only, since stored plans serve many calls.
+    The N x Q nodes come in (base row, node) order, with their chart or
+    bisection map's ``ok`` mask and density ``dens``.  A node is NaN where
+    ``ok`` is False or the density is not finite, and live where it is
+    finite and nonzero.  ``live`` marks the live nodes, ``params`` (from
+    ``params_of`` on their flat indices) and ``rows`` are their parameter
+    rows and base-row indices, ``wd`` is ``weights[node]`` x density, ``nan``
+    holds the flat indices of the NaN nodes, and ``geometry`` maps an
+    integrand's key to its geometry on ``params``.  The arrays are
+    read-only, since stored plans serve many calls.
     """
 
-    def __init__(self, Q, live, nan, params, rows, wd):
+    def __init__(self, Q, ok, dens, params_of, weights, row_offset=0):
+        finite = np.isfinite(dens)
+        nan = np.flatnonzero(~(ok & finite)).astype(np.int32)
+        live = ok & finite & (dens != 0.0)
+        idx = np.flatnonzero(live)
+        wd = weights[idx % Q] * dens[idx]
+        del dens, finite
+        params = params_of(idx)
+        rows = (idx // Q + row_offset).astype(np.int32)
         self.Q = Q
         self.arrays = (live, nan, params, rows, wd)
         for a in self.arrays:
@@ -437,13 +447,12 @@ class DiracAtom(Atom):
         valid[ok] = S.in_base(under[ok])
         coeff = np.zeros(N)
         coeff[valid] = self.coeff_fn(bases[valid])
-        finite = np.isfinite(coeff)
-        live = valid & finite & (coeff != 0.0)
-        nan = np.flatnonzero(~ok | (valid & ~finite)).astype(np.int32)
-        params = (S.section(under[live]) if np.any(live)
-                  else np.empty((0, self.host.param_len)))
-        rows = np.flatnonzero(live).astype(np.int32)
-        yield _PlanBlock(1, live, nan, params, rows, coeff[live])
+
+        def params_of(idx):
+            return (S.section(under[idx]) if len(idx)
+                    else np.empty((0, self.host.param_len)))
+
+        yield _PlanBlock(1, ok, coeff, params_of, np.ones(1))
 
     def scaled(self, factor):
         return DiracAtom(self.bisection, _scaled_fn(self.coeff_fn, factor),
@@ -481,24 +490,23 @@ class DensityAtom(Atom):
     The host's parameters must be laid out as (fibre, base), as on
     path-holonomy terms and their inverses, restrictions and translates.
     ``dens_fn(params, rbase)`` is evaluated only on chart rows whose base
-    lies in ``base_box``; ``rbase`` is the rows' range base when
-    ``needs_rbase`` is set (by the Dirac translation rules) and
-    None otherwise.  ``r_hint``/``s_hint`` are optional boxes for the r/s
-    images, tighter than what parameter-box sampling alone can see: the
-    Dirac*density rule sets ``r_hint`` to the coefficient's box, which is
-    exact, and the density*Dirac rule sets ``s_hint`` to the sampled s
-    image of the coefficient's support.  ``dens_key`` names what
-    ``dens_fn`` computes (by default ``dens_fn`` itself); atoms with equal
-    ``key()`` pair alike.
+    lies in ``base_box``; ``rbase`` is the rows' range base on range
+    fibres and None elsewhere, where a density that reads it (as the Dirac
+    translation rules do) maps ``params`` itself.  ``r_hint``/``s_hint``
+    are optional boxes for the r/s images, tighter than what parameter-box
+    sampling alone can see: the Dirac*density rule sets ``r_hint`` to the
+    coefficient's box, which is exact, and the density*Dirac rule sets
+    ``s_hint`` to the sampled s image of the coefficient's support.
+    ``dens_key`` names what ``dens_fn`` computes (by default ``dens_fn``
+    itself); atoms with equal ``key()`` pair alike.
     """
 
-    def __init__(self, host, dens_fn, xi_box, base_box, needs_rbase=False,
-                 quad_order=None, r_hint=None, s_hint=None, *, dens_key=None):
+    def __init__(self, host, dens_fn, xi_box, base_box, quad_order=None,
+                 r_hint=None, s_hint=None, *, dens_key=None):
         self.host = host
         self.dens_fn = dens_fn
         self.xi_box = np.atleast_2d(np.asarray(xi_box, float))
         self.base_box = np.atleast_2d(np.asarray(base_box, float))
-        self.needs_rbase = needs_rbase
         self.quad_order = quad_order
         self.r_hint = r_hint
         self.s_hint = s_hint
@@ -514,7 +522,7 @@ class DensityAtom(Atom):
             )
         self.dens_key = _fn_key(dens_fn) if dens_key is None else dens_key
         self._key = (host.key(), self.dens_key, self.xi_box.tobytes(),
-                     self.base_box.tobytes(), needs_rbase, quad_order)
+                     self.base_box.tobytes(), quad_order)
 
     def _nodes(self, ctx):
         order = self.quad_order or ctx.quad.order_for(self.host.fibre_dim)
@@ -536,47 +544,28 @@ class DensityAtom(Atom):
                                    rows.start)
 
     def _plan_block(self, side, bases, nodes, weights, ctx, row_offset):
+        """The density is evaluated once, on the chart rows in the base box,
+        and is zero elsewhere; a range fibre's base is its range base."""
         N, Q = len(bases), len(nodes)
         base_rep = np.repeat(bases, Q, axis=0)
         params, ok = self.host.chart(side, np.tile(nodes, (N, 1)), base_rep,
                                      ctx.flow, allow_escape=True)
-        dens, ok = self._densities(side, params, ok, base_rep, ctx)
-        del base_rep
-        finite = np.isfinite(dens)
-        nan = np.flatnonzero(~(ok & finite)).astype(np.int32)
-        live = ok & finite & (dens != 0.0)
-        idx = np.flatnonzero(live)
-        wd = weights[idx % Q] * dens[idx]
-        del dens, finite
-        if len(idx) < len(params):
-            params = params[idx]
-        rows = (idx // Q + row_offset).astype(np.int32)
-        return _PlanBlock(Q, live, nan, params, rows, wd)
-
-    def _densities(self, side, params, ok, base_rep, ctx):
-        """(density, ok) on the chart rows: the density is evaluated once,
-        on the rows in the base box, and is zero elsewhere and where the
-        chart escaped; ``ok`` is also False where the range map escaped."""
         dens = np.zeros(len(params))
-        if not np.any(ok):
-            return dens, ok
-        rbase = None
-        if self.needs_rbase:
-            if side == "r":  # a range fibre's base is its range base
-                rbase = base_rep
-            else:
-                rbase, ok_r = self.host.r(params, ctx.flow, allow_escape=True)
-                ok = ok & ok_r
-        live = ok & _in_box(params[:, self.host.fibre_dim:], self.base_box)
-        if np.any(live):
-            dens[live] = self.dens_fn(params[live],
-                                      None if rbase is None else rbase[live])
-        return dens, ok
+        inside = ok & _in_box(params[:, self.host.fibre_dim:], self.base_box)
+        if np.any(inside):
+            dens[inside] = self.dens_fn(
+                params[inside], base_rep[inside] if side == "r" else None)
+        del base_rep, inside
+
+        def params_of(idx):  # no copy when every node is live
+            return params if len(idx) == len(params) else params[idx]
+
+        return _PlanBlock(Q, ok, dens, params_of, weights, row_offset)
 
     def scaled(self, factor):
         return DensityAtom(self.host, _scaled_fn(self.dens_fn, factor),
-                           self.xi_box, self.base_box, self.needs_rbase,
-                           self.quad_order, self.r_hint, self.s_hint,
+                           self.xi_box, self.base_box, self.quad_order,
+                           self.r_hint, self.s_hint,
                            dens_key=("scaled", repr(factor), self.dens_key))
 
     def _clip(self, box, side):
@@ -899,15 +888,14 @@ def _convolve_atoms_r(A, B, ctx):
         host = bis.TranslateLeft(B.host, SA)
 
         def dens(params, rbase):
-            va = A.coeff_fn(rbase)
-            rb_inner = None
-            if B.needs_rbase:
-                rb_inner, ok = SA.phi_inv(rbase, flow, allow_escape=True)
-                va = np.where(ok, va, np.nan)
-            return va * B.dens_fn(params, rb_inner)
+            ok = True
+            if rbase is None:  # NaN where the range map escaped
+                rbase, ok = host.r(params, flow, allow_escape=True)
+            va = np.where(ok, A.coeff_fn(rbase), np.nan)
+            return va * B.dens_fn(params, None)
 
         return DensityAtom(host, dens, B.xi_box, B.base_box,
-                           needs_rbase=True, quad_order=B.quad_order,
+                           quad_order=B.quad_order,
                            r_hint=A.coeff_box, s_hint=B.s_hint,
                            dens_key=("translate_left", A.key(), B.key(), flow))
 
@@ -920,7 +908,7 @@ def _convolve_atoms_r(A, B, ctx):
             return np.where(ok, out, np.nan)
 
         return DensityAtom(host, dens, A.xi_box, A.base_box,
-                           needs_rbase=A.needs_rbase, quad_order=A.quad_order,
+                           quad_order=A.quad_order,
                            r_hint=A.r_hint, s_hint=B.image("s", "r", ctx),
                            dens_key=("translate_right", A.key(), B.key(), flow))
 
@@ -973,15 +961,15 @@ def _reduce_addition(pi, atom, ctx, quad_order):
     On the composed host the fibre coordinates are (eta, xi); the change
     of variables zeta = eta + xi turns the pushforward into an explicit
     xi-convolution evaluated by quadrature, using that the generators
-    commute.  Both factors must be densities on U itself that do not read
-    their range base; any other atom stays lazy.
+    commute.  Both factors must be densities on U itself, which get no
+    range base; any other atom stays lazy.
     """
     U = pi.path_holonomy
     F = U.foliation
     m = F.num_generators
     A, B = atom.left, atom.right
     if not all(isinstance(X, DensityAtom) and X.host.same_term(U)
-               and not X.needs_rbase for X in (A, B)):
+               for X in (A, B)):
         return None
     n = F.dim
     order = quad_order or ctx.quad.order_for(m)
@@ -1104,20 +1092,17 @@ def r_to_s_convert(a: FibredKernel, mu_weight=None, ctx=None) -> FibredKernel:
                 f"{type(atom).__name__} cannot be re-fibred; only smooth "
                 "densities are transverse here"
             )
-        host = atom.host
-        m = host.fibre_dim
-        afn = atom.dens_fn
-        needs_rb = atom.needs_rbase
 
-        def dens(params, rbase, host=host, afn=afn, needs_rb=needs_rb, m=m):
+        def dens(params, rbase, atom=atom):
+            m = atom.host.fibre_dim
             under = params[:, m:]
-            rb, det, ok = host.chart_jac_det(params[:, :m], under, flow)
-            out_vals = afn(params, rb if needs_rb else None) * det
+            rb, det, ok = atom.host.chart_jac_det(params[:, :m], under, flow)
+            out_vals = atom.dens_fn(params, rb) * det
             if mu_weight is not None:
                 out_vals = out_vals * mu_weight(rb) / mu_weight(under)
             return np.where(ok, out_vals, np.nan)
 
-        out.append(DensityAtom(host, dens, atom.xi_box, atom.base_box,
+        out.append(DensityAtom(atom.host, dens, atom.xi_box, atom.base_box,
                                quad_order=atom.quad_order,
                                dens_key=("r_to_s", atom.key(),
                                          _fn_key(mu_weight), flow)))

@@ -108,13 +108,14 @@ def suite_translation(ws):
 # --- 3. Op homomorphism over atom-type pairs --------------------------------
 
 
-def _compose_check(ws, ctx, name_a, name_b, f, pts, label, tol=1e-6):
+def _compose_check(ws, ctx, name_a, name_b, f, pts, label):
     a = ws.get("kernels", name_a)
     b = ws.get("kernels", name_b)
     ab = ker.convolve(a, b, ctx)
     lhs = oper.op_values(ab, f, pts, ctx)
     rhs = oper.op_values(a, lambda q: oper.op_values(b, f, q, ctx), pts, ctx)
-    return CheckResult.bounded(f"Op(a*b) = Op(a)Op(b) [{label}]", _sup(lhs, rhs), tol)
+    return CheckResult.bounded(f"Op(a*b) = Op(a)Op(b) [{label}]", _sup(lhs, rhs),
+                               1e-6)
 
 
 def suite_composition(ws):

@@ -18,7 +18,7 @@ from . import bisubmersion as bis
 from . import kernel as ker
 from .errors import ConfigError, FoliopsError, ParseError
 from .expr import parse_scalar
-from .flow import FlowConfig, _checked_box, _in_box, _number
+from .flow import FlowConfig, _checked_box, _in_box, _number, _numbers
 from .foliation import SingularFoliation
 from .kernel import QuadratureConfig
 
@@ -156,11 +156,7 @@ class _Resolver:
 
     def bisection(self, name, spec):
         host = self.named("bisubmersion", spec["host"])
-        try:
-            xi = np.asarray(spec["xi"], float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bisection {name!r}: xi {spec['xi']!r} is not "
-                              "a list of numbers") from exc
+        xi = _numbers(spec["xi"], f"bisection {name!r} xi")
         return bis.constant_bisection(
             host, xi, base_box=_box(spec, "base_box", host.base_dim, name),
             label=name)

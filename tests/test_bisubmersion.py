@@ -9,6 +9,7 @@ from foliops.errors import (
     BaseMismatch,
     BracketNotZero,
     DimensionMismatch,
+    DomainEscape,
     EmptyTranslate,
     NotABisection,
 )
@@ -352,3 +353,21 @@ def test_inverse_chart_is_inner_other_side_chart(U):
         params = Ut.chart(side, xi, x)
         assert np.array_equal(params, U.chart(other, xi, x))
         assert np.max(np.abs(getattr(Ut, side)(params) - x)) <= 1e-7
+
+
+def test_strict_maps_raise_where_the_escape_mask_is_false():
+    """S flows x to x e^xi, monotonically, so a row (xi, x) escapes the
+    escape box [-12, 12] exactly when |x| e^xi > 12."""
+    U_S = canonical_workspace().bisubmersions["U_S"]
+    params = np.array([[0.5, 2.0], [1.6, 11.0], [-1.0, -11.0], [1.6, -5.0],
+                       [-1.6, 11.0]])
+    want = np.abs(params[:, 1]) * np.exp(params[:, 0]) <= 12.0
+    pts, ok = U_S.r(params, allow_escape=True)
+    assert np.array_equal(ok, want) and not np.all(want)
+    assert np.allclose(pts[ok, 0], params[ok, 1] * np.exp(params[ok, 0]),
+                       rtol=1e-12, atol=0.0)
+    with pytest.raises(DomainEscape, match="range map: 2 parameter rows escaped"):
+        U_S.r(params)
+    with pytest.raises(DomainEscape):
+        U_S.r([[1.6, 11.0]])
+    assert np.array_equal(U_S.r(params[want]), pts[ok])

@@ -168,13 +168,20 @@ _BOX_CONFIG = {
 _DENSITY = ("kernels", "k", "atoms", 0)
 
 
+_ABSENT = object()
+
+
 def _with(path, value):
-    """A copy of _BOX_CONFIG with ``value`` at ``path``."""
+    """A copy of _BOX_CONFIG with ``value`` at ``path``, or without the
+    field there if ``value`` is _ABSENT."""
     spec = copy.deepcopy(_BOX_CONFIG)
     node = spec
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is _ABSENT:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return spec
 
 
@@ -318,6 +325,106 @@ def test_config_density_on_a_restriction_stays_inside_it(tmp_path, capsys):
     spec["kernels"]["kv"]["atoms"][0]["xi_box"] = [[1.5, 2.0]]
     assert _info_exit(tmp_path, spec) == 2
     assert capsys.readouterr().err.startswith("error: ConfigError: xi box")
+
+
+@pytest.mark.parametrize("where, value, named", [
+    (("foliations", "line", "xi_radius"), [True], "foliation 'line': xi_radius"),
+    (("foliations", "line", "box"), [[False, True]], "foliation 'line': box"),
+    (("bisections", "shift", "xi"), [True], "bisection 'shift' xi"),
+    (("bisections", "shift", "base_box"), [[-3, True]], "'shift' base_box"),
+    (("bisubmersions", "V", "param_box"), [[-1, 1], [-3, True]], "'V' param_box"),
+    ((*_DENSITY, "xi_box"), [[-1.2, "1.2"]], "'k' xi_box"),
+    (("functions", "g", "support"), [[False, 1]], "'g' support"),
+    (None, "[[false, true]]", "--box"),
+])
+def test_config_list_entries_pass_the_number_rule(tmp_path, capsys, where,
+                                                  value, named):
+    """List entries and box bounds, in a config or in --box, are read by the
+    number rule; each of these ran (apply exit 0), with true read as 1.0,
+    false as 0.0 and "1.2" as 1.2."""
+    spec = _BOX_CONFIG if where is None else _with(where, value)
+    cfg = tmp_path / "lists.json"
+    cfg.write_text(json.dumps(spec))
+    assert run_cli("apply", "--config", str(cfg), "--kernel", "k", "--function",
+                   "f", "--box", value if where is None else "[[-1,1]]",
+                   "--res", "5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:") and named in err
+
+
+@pytest.mark.parametrize("jacobian", [[], ["--jacobian"]])
+@pytest.mark.parametrize("c", [1e200, 4.0])
+def test_flow_of_a_quotient_by_a_constant(tmp_path, c, jacobian):
+    """x1/c flows x to x e^(xi/c).  With c = 1e200 the quotient rule of the
+    generator's Jacobian folded c*c to inf, so every flow exited 2."""
+    cfg = tmp_path / "quotient.json"
+    cfg.write_text(json.dumps({"foliations": {"Q": {
+        "dim": 1, "box": [[-2, 2]], "generators": [f"[x1/{c!r}]"],
+        "xi_radius": [1.0]}}}))
+    out = tmp_path / "flow.json"
+    assert run_cli("flow", "--config", str(cfg), "--foliation", "Q", "--xi",
+                   "0.5", "--point", "1", *jacobian, "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert abs(data["point"][0] - math.exp(0.5 / c)) <= 1e-14
+    if jacobian:
+        assert abs(data["jacobian"][0][0] - math.exp(0.5 / c)) <= 1e-14
+
+
+def _two_dimensions():
+    spec = _with(("functions", "f", "dim"), _ABSENT)
+    spec["foliations"]["plane"] = {"dim": 2, "box": [[-1, 1], [-1, 1]],
+                                   "generators": ["[1, 0]"], "xi_radius": [1.0]}
+    return spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_with((*_DENSITY, "expr"), _ABSENT), "kernel 'k': missing field 'expr'"),
+    (_with(("bisubmersions", "V", "type"), "blowup"),
+     "unknown bisubmersion type 'blowup'"),
+    (_with(("kernels", "k", "atoms"), []), "kernel 'k' has no atoms"),
+    (_with((*_DENSITY, "type"), "smooth"), "unknown atom type 'smooth'"),
+    (_two_dimensions(), "function 'f' needs an explicit dim"),
+])
+def test_incomplete_config_exit_2(tmp_path, capsys, spec, message):
+    assert _info_exit(tmp_path, spec) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("info", "--config", "{missing}"), "cannot read config"),
+    (("info", "--config", "{malformed}"), "malformed JSON config"),
+    (("leaf", "--foliation", "R", "--point", "2.5,0"),
+     "point lies outside the chart box"),
+    (("convolve-apply", "--kernels", "gauss_T", "--function", "f_T", "--box",
+      "[[-1,1]]", "--res", "5"), "convolve-apply needs at least two kernel names"),
+])
+def test_unusable_inputs_exit_2(tmp_path, capsys, args, message):
+    (tmp_path / "malformed.json").write_text('{"foliations": {')
+    paths = {"missing": tmp_path / "missing.json",
+             "malformed": tmp_path / "malformed.json"}
+    assert run_cli(*(a.format(**paths) for a in args)) == 2
+    assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
+
+
+def test_apply_reports_its_masked_points(tmp_path, capsys):
+    """With escape factor 1 the range fibre over x leaves [-3, 3] for some
+    xi in [-1.5, 1.5] exactly when |x| > 1.5: 4 of the 7 points."""
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps({
+        "foliations": {"line": {"dim": 1, "box": [[-3, 3]], "generators": ["[1]"],
+                                "xi_radius": [2.0], "escape_factor": 1.0}},
+        "bisubmersions": {"U": {"type": "path_holonomy", "foliation": "line"}},
+        "kernels": {"k": {"atoms": [{"type": "density", "host": "U",
+                                     "expr": "exp(-x1^2)",
+                                     "xi_box": [[-1.5, 1.5]]}]}},
+    }))
+    out = tmp_path / "grid.csv"
+    assert run_cli("apply", "--config", str(cfg), "--kernel", "k", "--function",
+                   "f_T", "--box", "[[-3,3]]", "--res", "7", "--out", str(out)) == 0
+    values = out.read_text().splitlines()[1:]  # one per x = -3, -2, ..., 3
+    masked = [x for x, v in zip(range(-3, 4), values) if v == "nan"]
+    assert masked == [x for x in range(-3, 4) if abs(x) > 1.5]
+    assert capsys.readouterr().err == f"masked points: {len(masked)}\n"
 
 
 @pytest.mark.parametrize("xi", [[1.0, 2.0], []])
@@ -479,6 +586,21 @@ def test_verify_corrupted_fixture_fails(tmp_path):
     assert bad and all(e["measured"] > e["tolerance"] for e in bad)
 
 
+def test_verify_negative_suite_fails_on_an_involutive_family(tmp_path):
+    """Shadowing the non-involutive control with the commuting {[1,0],[0,1]}
+    leaves the negative suite nothing to detect: both entries fail, exit 1."""
+    cfg = tmp_path / "involutive.json"
+    cfg.write_text(json.dumps({"foliations": {"noninvolutive": {
+        "dim": 2, "box": [[-2, 2], [-2, 2]], "generators": ["[1, 0]", "[0, 1]"],
+        "xi_radius": [1.0, 1.0]}}}))
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--suite", "negative", "--config", str(cfg),
+                   "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    assert [e["status"] for e in report] == ["fail", "fail"]
+    assert all(e["measured"] == 1.0 > e["tolerance"] for e in report)
+
+
 def test_verify_report_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -528,6 +650,23 @@ def test_plot_of_a_leaf_csv_places_each_point(tmp_path):
                      lo[1] + (470 - cy) / 460 * (hi[1] - lo[1])], axis=1)
     assert len(back) == len(pts) > 10
     assert np.max(np.abs(back - pts)) <= 0.01
+
+
+def test_plot_of_a_1d_leaf_csv_places_each_point(tmp_path):
+    """A 1-D leaf is plotted on the line y = 0 of the box [lo, hi] x [-1, 1],
+    so every circle sits at mid height and maps back to its point."""
+    csv, svg = tmp_path / "leaf.csv", tmp_path / "leaf.svg"
+    assert run_cli("leaf", "--foliation", "T", "--point", "0.5", "--budget",
+                   "40", "--out", str(csv)) == 0
+    assert run_cli("plot", "--input", str(csv), "--svg", str(svg)) == 0
+    pts = np.loadtxt(csv, delimiter=",", comments="#", ndmin=2)[:, 0]
+    lo, hi = pts.min() - 0.1, pts.max() + 0.1
+    circles = [line.split('"') for line in svg.read_text().splitlines()
+               if line.startswith("<circle")]
+    cx = np.array([float(c[1]) for c in circles])
+    assert {c[3] for c in circles} == {"240.00"}
+    assert len(cx) == len(pts) > 10
+    assert np.max(np.abs(lo + (cx - 10) / 460 * (hi - lo) - pts)) <= 0.01
 
 
 def test_config_loading_full_round_trip(tmp_path):

@@ -280,3 +280,20 @@ def test_constant_division_by_zero_is_non_finite():
 def test_constant_folds_stay_finite_reals(text):
     with pytest.raises(ParseError):
         parse_scalar(text, 1)
+
+
+@pytest.mark.parametrize("text, printed, want", [
+    ("x1/1e200", "1e-200", lambda x: np.full_like(x, 1e-200)),  # b*b overflowed
+    ("x1^2/3", "2.0*x1/3.0", lambda x: 2.0 * x / 3.0),
+    ("sin(x1)/(-7)", None, lambda x: -np.cos(x) / 7.0),
+    ("x1/(1+x1)", None, lambda x: 1.0 / (1.0 + x) ** 2),  # the quotient rule
+], ids=["by-1e200", "square-by-3", "sin-by-minus-7", "by-1+x1"])
+def test_quotient_by_a_constant_differentiates_as_a_prime_over_b(text, printed,
+                                                                want):
+    """(a/b)' is a'/b for a constant b; the quotient rule folded b*b, so a
+    denominator above about 1e154 raised ParseError."""
+    d = parse_scalar(text, 1).diff(0)
+    if printed is not None:
+        assert str(d) == printed
+    x = np.linspace(-0.9, 2.0, 7)
+    assert np.allclose(d(x[:, None]), want(x), rtol=1e-14, atol=0.0)

@@ -191,3 +191,20 @@ def test_leaf_sample_fills_its_buffer_with_distinct_points():
     # A mesh wider than the leaf keeps the basepoint alone.
     wide = leaf_sample(F, [0.2, -0.1], budget=64, mesh=100.0, seed=5)
     assert np.array_equal(wide.points, [[0.2, -0.1]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_sample_counts_its_escapes(seed):
+    """A budget of 8 is one fan from the basepoint.  On [-1, 1] with escape
+    factor 1, the row x0 + xi escapes exactly when it leaves [-1, 1]; the
+    count must equal the number of such rows among the replayed draws."""
+    F = SingularFoliation(dim=1, chart_box=[[-1, 1]],
+                          generators=[parse_field("[1]", 1)],
+                          xi_radius=[1.5], escape_factor=1.0)
+    leaf = leaf_sample(F, [0.5], budget=8, seed=seed)
+    rng = np.random.default_rng(seed)
+    ends = [0.5 + rng.uniform(-F.xi_radius, F.xi_radius)[0] for _ in range(8)]
+    want = sum(not -1.0 <= y <= 1.0 for y in ends)
+    assert leaf.escapes == want
+    assert 0 < want < 8
+    assert len(leaf.points) == 1 + 8 - want  # no two ends within the mesh

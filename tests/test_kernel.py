@@ -254,7 +254,6 @@ def test_source_side_translated_density_reads_its_range_base(UT, dirac_shift):
     a = ker.density(UT, _f("exp(-25*(x1-0.3)^2)*(1+0.3*sin(x2))", 2),
                     xi_box=[[-0.8, 1.4]], base_box=[[-12, 12]])
     k = ker.transpose(ker.FibredKernel("s", ker.convolve(dirac_shift, a).atoms))
-    assert k.atoms[0].inner.needs_rbase
     xs = np.linspace(-2.0, 1.0, 13)[:, None]
     got = oper.op_values(k, _f("exp(-1.2*(x1-0.5)^2)"), xs)
 
@@ -390,12 +389,15 @@ def test_pushforward_vs_nested_quadrature_oracle(UT, gauss_kernel, gauss_kernel2
     assert np.max(np.abs(got - want)) <= 1e-6
 
 
-def test_addition_keeps_range_base_densities_lazy(UT, gauss_kernel2):
-    """Only densities that do not read their range base reduce along the
-    addition morphism; a U-hosted one that does stays a lazy PushedAtom.
-    Its Op matches both Op(a*b) and the reduction of the same density
-    written without the range base."""
+def test_addition_reduces_range_base_densities(UT, gauss_kernel2):
+    """A U-hosted density that reads its range base reduces along the
+    addition morphism: the reduction gives it no range base, so it maps
+    its parameters itself.  Its Op matches both Op(a*b) and the reduction
+    of the same density written without the range base."""
     def by_rbase(params, rbase):
+        if rbase is None:
+            rbase, ok = UT.r(params, allow_escape=True)
+            rbase = np.where(ok[:, None], rbase, np.nan)
         return np.exp(-25 * (params[:, 0] - 0.3) ** 2 - 0.2 * rbase[:, 0] ** 2)
 
     def by_params(params, rbase):
@@ -403,20 +405,21 @@ def test_addition_keeps_range_base_densities_lazy(UT, gauss_kernel2):
                       - 0.2 * (params[:, 0] + params[:, 1]) ** 2)
 
     box = dict(xi_box=[[-0.8, 1.4]], base_box=[[-12, 12]])
-    a = ker.FibredKernel("r", [ker.DensityAtom(UT, by_rbase, needs_rbase=True, **box)])
+    a = ker.FibredKernel("r", [ker.DensityAtom(UT, by_rbase, **box)])
     a0 = ker.FibredKernel("r", [ker.DensityAtom(UT, by_params, **box)])
     pi = make_addition_morphism(UT)
     ab = ker.convolve(a, gauss_kernel2)
-    (lazy,) = ker.pushforward(pi, ab).atoms
-    (reduced,) = ker.pushforward(pi, ker.convolve(a0, gauss_kernel2)).atoms
-    assert isinstance(lazy, ker.PushedAtom)
+    (reduced,) = ker.pushforward(pi, ab).atoms
+    (reduced0,) = ker.pushforward(pi, ker.convolve(a0, gauss_kernel2)).atoms
     assert isinstance(reduced, ker.DensityAtom)
+    assert isinstance(reduced0, ker.DensityAtom)
     f = _f("exp(-1.2*(x1-0.5)^2)")
     xs = np.array([[-0.5], [0.2], [0.9]])
-    got = oper.op_values(ker.FibredKernel("r", [lazy]), f, xs)
-    assert np.max(np.abs(got - oper.op_values(ab, f, xs))) <= 1e-14
-    want = oper.op_values(ker.FibredKernel("r", [reduced]), f, xs)
-    assert np.max(np.abs(got - want)) <= 1e-7
+    got = oper.op_values(ker.FibredKernel("r", [reduced]), f, xs)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - oper.op_values(ab, f, xs))) <= 1e-7
+    want = oper.op_values(ker.FibredKernel("r", [reduced0]), f, xs)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _masked_reduction(family):
@@ -763,3 +766,30 @@ def test_support_bound_of_lazy_and_pushed_convolutions(UT, gauss_kernel,
         assert np.all(np.abs(box - exact) <= 0.3)
         assert oper.support_bound(k, [[100.0, 101.0]]) is None
     assert isinstance(pushed.atoms[0], ker.PushedAtom)
+
+
+def test_node_counts_of_lazy_atoms(UT, gauss_kernel, gauss_kernel2, dirac_shift):
+    """A lazy convolution pairs every node of one factor with every node of
+    the other, and a pushed atom pairs its inner atom's nodes."""
+    ctx = ker.PairingCtx()
+    per_density = len(ker.gauss_nodes([[-0.8, 1.4]], ctx.quad.order)[0])
+    ab = ker.convolve(gauss_kernel, gauss_kernel2).atoms[0]
+    assert isinstance(ab, ker.ConvolvedAtom)
+    assert ab.node_count(ctx) == per_density ** 2 == 32 * 32
+    lazy_dirac = ker.ConvolvedAtom(dirac_shift.atoms[0], gauss_kernel.atoms[0])
+    assert lazy_dirac.node_count(ctx) == per_density
+    pushed = ker.PushedAtom(make_addition_morphism(UT), ab)
+    assert pushed.node_count(ctx) == per_density ** 2
+
+
+def test_source_fibre_escape_masks_only_inside_the_base_box(UT, dirac_shift):
+    """Over source fibres a Dirac-translated density maps each row to its
+    range base x + xi + 1, which leaves the escape box [-12, 12] once
+    xi > 11 - x.  Such a node is masked only inside the density's base box
+    [-2, 11]: x = 10.5 pairs to NaN, x = 11.5 (outside it) to 0."""
+    a = ker.density(UT, _f("exp(-25*(x1-0.3)^2)", 2), xi_box=[[-0.8, 1.4]],
+                    base_box=[[-2, 11]])
+    (atom,) = ker.convolve(dirac_shift, a).atoms
+    xs = np.array([[0.0], [10.5], [11.5]])
+    got = atom.pair("s", xs, lambda p, r: np.ones(len(p)), ker.PairingCtx())
+    assert got[0] > 0.1 and np.isnan(got[1]) and got[2] == 0.0
