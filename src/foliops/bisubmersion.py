@@ -29,7 +29,7 @@ from .errors import (
     NotTransverse,
 )
 from .expr import lie_bracket
-from .flow import _in_box, _uniform
+from .flow import _checked_box, _in_box, _uniform
 
 __all__ = [
     "Bisubmersion",
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 _OTHER = {"r": "s", "s": "r"}
-_MAP_NAME = {"r": "range", "s": "source"}
 
 # Sampled checks and their tolerances; sampling is seeded with 0 unless noted.
 _BASE_TOL = 1e-9  # slack of Bisection.in_base on the base box
@@ -102,16 +101,21 @@ class Bisubmersion:
         return self.dim - self.base_dim
 
     # --- maps -----------------------------------------------------------
+    # Each map returns ``(values, ok)`` with allow_escape and otherwise the
+    # values, raising DomainEscape if any row escaped.  A term supplies the
+    # hooks ``_map(side, params, cfg)`` and ``_chart(side, xi, bases, cfg)``,
+    # which return ``(values, ok)``.
     def r(self, params, cfg=None, allow_escape=False):
-        raise NotImplementedError
+        return _checked(*self._map("r", params, cfg), allow_escape, "range map")
 
     def s(self, params, cfg=None, allow_escape=False):
-        raise NotImplementedError
+        return _checked(*self._map("s", params, cfg), allow_escape, "source map")
 
     def chart(self, side, xi, bases, cfg=None, allow_escape=False):
         """Parameter rows of the ``side`` fibre over ``bases`` at fibre
         coordinates ``xi``; shapes (K, fibre_dim) and (K, n)."""
-        raise NotImplementedError
+        return _checked(*self._chart(side, xi, bases, cfg), allow_escape,
+                        f"{side}-fibre chart of {type(self).__name__}")
 
     def xi_box(self):
         raise NotImplementedError
@@ -220,14 +224,23 @@ class PathHolonomy(Bisubmersion):
 
 
 class _OnInner(Bisubmersion):
-    """A term on the parameter space of ``inner``, with its boxes and
-    membership unless a subclass overrides them."""
+    """A term on the parameter space of ``inner``, with its boxes,
+    membership and maps unless a subclass overrides them; ``_sides`` names
+    the inner side that serves each side."""
+
+    _sides = {"r": "r", "s": "s"}
 
     def __init__(self, inner):
         self.inner = inner
         self.foliation = inner.foliation
         self.param_len = inner.param_len
         self.dim = inner.dim
+
+    def _map(self, side, params, cfg):
+        return getattr(self.inner, self._sides[side])(params, cfg, allow_escape=True)
+
+    def _chart(self, side, xi, bases, cfg):
+        return self.inner.chart(self._sides[side], xi, bases, cfg, allow_escape=True)
 
     def xi_box(self):
         return self.inner.xi_box()
@@ -242,14 +255,7 @@ class _OnInner(Bisubmersion):
 class InverseBisubmersion(_OnInner):
     """Same space, range and source swapped."""
 
-    def r(self, params, cfg=None, allow_escape=False):
-        return self.inner.s(params, cfg, allow_escape)
-
-    def s(self, params, cfg=None, allow_escape=False):
-        return self.inner.r(params, cfg, allow_escape)
-
-    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
-        return self.inner.chart(_OTHER[side], xi, bases, cfg, allow_escape)
+    _sides = _OTHER
 
     def key(self):
         return ("inverse", self.inner.key())
@@ -274,15 +280,13 @@ class Composition(Bisubmersion):
         p = np.atleast_2d(np.asarray(params, float))
         return p[:, : self.left.param_len], p[:, self.left.param_len :]
 
-    def r(self, params, cfg=None, allow_escape=False):
-        u, _ = self.split(params)
-        return self.left.r(u, cfg, allow_escape)
+    def _map(self, side, params, cfg):
+        u, v = self.split(params)
+        if side == "r":
+            return self.left.r(u, cfg, allow_escape=True)
+        return self.right.s(v, cfg, allow_escape=True)
 
-    def s(self, params, cfg=None, allow_escape=False):
-        _, v = self.split(params)
-        return self.right.s(v, cfg, allow_escape)
-
-    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
+    def _chart(self, side, xi, bases, cfg):
         xi = np.atleast_2d(np.asarray(xi, float))
         bases = np.atleast_2d(np.asarray(bases, float))
         kl = self.left.fibre_dim
@@ -295,10 +299,7 @@ class Composition(Bisubmersion):
             u, ok1 = self.left.chart("r", xl, bases, cfg, allow_escape=True)
             mid, ok2 = self.left.s(u, cfg, allow_escape=True)
             v, ok3 = self.right.chart("r", xr, mid, cfg, allow_escape=True)
-        params = np.concatenate([u, v], axis=1)
-        ok = ok1 & ok2 & ok3
-        return _checked(params, ok, allow_escape,
-                        f"{side}-fibre chart of composition")
+        return np.concatenate([u, v], axis=1), ok1 & ok2 & ok3
 
     def contains(self, params, tol=1e-7, cfg=None):
         u, v = self.split(params)
@@ -327,19 +328,9 @@ class Restriction(_OnInner):
 
     def __init__(self, inner, box):
         super().__init__(inner)
-        self.box = np.asarray(box, float)
-        if self.box.shape != (inner.param_len, 2):
-            raise DimensionMismatch("restriction box must cover the parameter space")
+        self.box = _checked_box(box, inner.param_len, "restriction box",
+                                DimensionMismatch)
         self.fibred_layout = inner.fibred_layout
-
-    def r(self, params, cfg=None, allow_escape=False):
-        return self.inner.r(params, cfg, allow_escape)
-
-    def s(self, params, cfg=None, allow_escape=False):
-        return self.inner.s(params, cfg, allow_escape)
-
-    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
-        return self.inner.chart(side, xi, bases, cfg, allow_escape)
 
     def contains(self, params, tol=1e-7, cfg=None):
         return _in_box(params, self.box, tol) & self.inner.contains(params, tol, cfg)
@@ -380,29 +371,19 @@ class Translate(_OnInner):
         """Phi_S composed onto the range map, Phi_S^{-1} onto the source."""
         return self.bisection.phi if side == "r" else self.bisection.phi_inv
 
-    def _map(self, side, params, cfg, allow_escape):
-        inner_map = getattr(self.inner, side)
+    def _map(self, side, params, cfg):
+        pts, ok1 = super()._map(side, params, cfg)
         if side != self.moved:
-            return inner_map(params, cfg, allow_escape)
-        pts, ok1 = inner_map(params, cfg, allow_escape=True)
+            return pts, ok1
         out, ok2 = self._diffeo(side)(pts, cfg, allow_escape=True)
-        return _checked(out, ok1 & ok2, allow_escape,
-                        f"translated {_MAP_NAME[side]} map")
+        return out, ok1 & ok2
 
-    def r(self, params, cfg=None, allow_escape=False):
-        return self._map("r", params, cfg, allow_escape)
-
-    def s(self, params, cfg=None, allow_escape=False):
-        return self._map("s", params, cfg, allow_escape)
-
-    def chart(self, side, xi, bases, cfg=None, allow_escape=False):
-        bases = np.atleast_2d(np.asarray(bases, float))
+    def _chart(self, side, xi, bases, cfg):
         if side != self.moved:
-            return self.inner.chart(side, xi, bases, cfg, allow_escape)
+            return super()._chart(side, xi, bases, cfg)
         mapped, ok0 = self._diffeo(_OTHER[side])(bases, cfg, allow_escape=True)
-        params, ok1 = self.inner.chart(side, xi, mapped, cfg, allow_escape=True)
-        return _checked(params, ok0 & ok1, allow_escape,
-                        f"{side}-fibre chart of {self.name} translate")
+        params, ok1 = super()._chart(side, xi, mapped, cfg)
+        return params, ok0 & ok1
 
     def key(self):
         return (f"translate_{self.name}", self.inner.key(), self.bisection.key())
@@ -433,14 +414,15 @@ class Bisection:
     Stored in graph form over the source: ``section(x)`` is the parameter
     point over ``x``, and the induced diffeomorphism is
     ``phi = r o section`` with an explicit or Newton inverse.
+    ``section_fn(x, cfg)`` and ``phi_inv_fn(x, cfg)`` return
+    ``(values, ok)`` for 2-D ``x``.
     """
 
-    def __init__(self, host, base_box, section_fn, phi_fn, phi_inv_fn, label="",
+    def __init__(self, host, base_box, section_fn, phi_inv_fn, label="",
                  valid_fn=None, key=None):
         self.host = host
         self.base_box = np.asarray(base_box, float)
         self._section = section_fn
-        self._phi = phi_fn
         self._phi_inv = phi_inv_fn
         self._valid = valid_fn
         self._key = key
@@ -453,11 +435,14 @@ class Bisection:
         return self._key if self._key is not None else ("object", self)
 
     def section(self, x):
-        return self._section(np.atleast_2d(np.asarray(x, float)))
+        """The parameter point over each row of ``x``."""
+        params, ok = self._section(np.atleast_2d(np.asarray(x, float)), None)
+        return _checked(params, ok, False, "section")
 
     def phi(self, x, cfg=None, allow_escape=False):
-        out, ok = self._phi(np.atleast_2d(np.asarray(x, float)), cfg)
-        return _checked(out, ok, allow_escape, "bisection diffeomorphism")
+        params, ok1 = self._section(np.atleast_2d(np.asarray(x, float)), cfg)
+        out, ok2 = self.host.r(params, cfg, allow_escape=True)
+        return _checked(out, ok1 & ok2, allow_escape, "bisection diffeomorphism")
 
     def phi_inv(self, x, cfg=None, allow_escape=False):
         out, ok = self._phi_inv(np.atleast_2d(np.asarray(x, float)), cfg)
@@ -490,23 +475,19 @@ def constant_bisection(host, xi0, base_box=None, label=""):
     if xi0.shape != (F.num_generators,) or not np.all(np.isfinite(xi0)):
         raise DimensionMismatch(f"xi {xi0.tolist()} needs {F.num_generators} "
                                 "finite entries, one per generator")
-    if base_box is None:
-        base_box = F.chart_box
+    base_box = (F.chart_box if base_box is None
+                else _checked_box(base_box, F.dim, "base_box"))
 
-    def section(x):
-        return np.concatenate([np.tile(xi0, (len(x), 1)), x], axis=1)
-
-    def phi(x, cfg):
-        pts, esc = _flow.exp_flow_batch(F, np.tile(xi0, (len(x), 1)), x, cfg, True)
-        return pts, ~esc
+    def section(x, cfg):
+        return (np.concatenate([np.tile(xi0, (len(x), 1)), x], axis=1),
+                np.ones(len(x), dtype=bool))
 
     def phi_inv(x, cfg):
         pts, esc = _flow.back_flow_batch(F, np.tile(xi0, (len(x), 1)), x, cfg, True)
         return pts, ~esc
 
-    key = ("constant", host.key(), xi0.tobytes(),
-           np.asarray(base_box, float).tobytes())
-    return Bisection(host, base_box, section, phi, phi_inv,
+    key = ("constant", host.key(), xi0.tobytes(), base_box.tobytes())
+    return Bisection(host, base_box, section, phi_inv,
                      label=label or f"xi0={xi0.tolist()}", key=key)
 
 
@@ -519,11 +500,9 @@ def general_bisection(host, section_fn, base_box, label=""):
     """Bisection from an arbitrary section map; inverse by damped Newton."""
     base_box = np.asarray(base_box, float)
 
-    def section(x):
-        return np.atleast_2d(section_fn(np.atleast_2d(np.asarray(x, float))))
-
-    def phi(x, cfg):
-        return host.r(section(x), cfg, allow_escape=True)
+    def section(x, cfg):
+        params = np.atleast_2d(section_fn(x))
+        return params, np.ones(len(params), dtype=bool)
 
     def phi_inv(targets, cfg):
         # Damped Newton on g(y) = phi(y) - target with FD Jacobians.
@@ -532,7 +511,7 @@ def general_bisection(host, section_fn, base_box, label=""):
         n = targets.shape[1]
         h = 1e-6
         for _ in range(50):
-            fy, okf = phi(y, cfg)
+            fy, okf = S.phi(y, cfg, allow_escape=True)
             res = fy - targets
             if np.max(np.linalg.norm(res[okf], axis=1), initial=0.0) < _NEWTON_TOL:
                 ok &= okf
@@ -541,7 +520,7 @@ def general_bisection(host, section_fn, base_box, label=""):
             for j in range(n):
                 dy = y.copy()
                 dy[:, j] += h
-                fj, okj = phi(dy, cfg)
+                fj, okj = S.phi(dy, cfg, allow_escape=True)
                 okf &= okj
                 J[:, :, j] = (fj - fy) / h
             try:
@@ -552,7 +531,7 @@ def general_bisection(host, section_fn, base_box, label=""):
             damping = 1.0
             for _ in range(8):
                 trial = y - damping * step
-                ft, okt = phi(trial, cfg)
+                ft, okt = S.phi(trial, cfg, allow_escape=True)
                 better = np.linalg.norm(ft - targets, axis=1) <= norm0
                 if np.all(better | ~okt):
                     y = np.where((better & okt)[:, None], trial, y)
@@ -565,21 +544,18 @@ def general_bisection(host, section_fn, base_box, label=""):
             raise NotABisection("Newton inversion did not converge in 50 iterations")
         return y, ok
 
-    return Bisection(host, base_box, section, phi, phi_inv, label=label)
+    S = Bisection(host, base_box, section, phi_inv, label=label)
+    return S
 
 
 def transpose_bisection(S):
     """The same submanifold as a bisection of the inverse bisubmersion."""
     host = invert(S.host)
 
-    def section(x):
-        y, ok = S.phi_inv(x, allow_escape=True)
-        if not np.all(ok):
-            raise DomainEscape("transposed section escaped")
-        return S.section(y)
-
-    def phi(x, cfg):
-        return S.phi_inv(x, cfg, allow_escape=True)
+    def section(x, cfg):
+        y, ok1 = S.phi_inv(x, cfg, allow_escape=True)
+        params, ok2 = S._section(y, cfg)
+        return params, ok1 & ok2
 
     def phi_inv(x, cfg):
         return S.phi(x, cfg, allow_escape=True)
@@ -590,7 +566,7 @@ def transpose_bisection(S):
         mask, _ = S.in_range(x)
         return mask
 
-    return Bisection(host, base_box, section, phi, phi_inv,
+    return Bisection(host, base_box, section, phi_inv,
                      label=f"transpose({S.label})", valid_fn=valid)
 
 
@@ -598,17 +574,11 @@ def compose_bisections(S, T):
     """Bisection of host(S) o host(T) inducing Phi_S o Phi_T."""
     host = compose(S.host, T.host)
 
-    def section(x):
-        tx = T.section(x)
-        mid, ok = T.phi(x, allow_escape=True)
-        if not np.all(ok):
-            raise DomainEscape("composed section escaped")
-        return np.concatenate([S.section(mid), tx], axis=1)
-
-    def phi(x, cfg):
-        mid, ok1 = T.phi(x, cfg, allow_escape=True)
-        out, ok2 = S.phi(mid, cfg, allow_escape=True)
-        return out, ok1 & ok2
+    def section(x, cfg):
+        tx, ok1 = T._section(x, cfg)
+        mid, ok2 = T.host.r(tx, cfg, allow_escape=True)  # Phi_T, section reused
+        sm, ok3 = S._section(mid, cfg)
+        return np.concatenate([sm, tx], axis=1), ok1 & ok2 & ok3
 
     def phi_inv(x, cfg):
         mid, ok1 = S.phi_inv(x, cfg, allow_escape=True)
@@ -621,16 +591,9 @@ def compose_bisections(S, T):
         out[ok] = S.in_base(mid[ok])
         return out & T.in_base(x)
 
-    return Bisection(
-        host,
-        T.base_box,
-        section,
-        phi,
-        phi_inv,
-        label=f"{S.label} o {T.label}",
-        valid_fn=valid,
-        key=("compose", S.key(), T.key()),
-    )
+    return Bisection(host, T.base_box, section, phi_inv,
+                     label=f"{S.label} o {T.label}", valid_fn=valid,
+                     key=("compose", S.key(), T.key()))
 
 
 def _sample_box(box, rng, count):

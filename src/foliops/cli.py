@@ -27,7 +27,7 @@ from .errors import (
     QuadratureFailure,
     StepLimit,
 )
-from .flow import _checked_box, _in_box
+from .flow import _checked_box, _in_box, _number
 from .foliation import leaf_sample
 from .verify import SUITES, report_to_json, run_suites
 from .workspace import _settings, load_config
@@ -48,23 +48,37 @@ _EXIT_CODES = (
 )
 
 
-def _parse_vector(text, dim, what, kind=float):
-    """Comma-separated numbers; ConfigError unless there are ``dim``."""
+def _json(text, what):
     try:
-        vec = np.array([kind(t) for t in text.split(",") if t.strip() != ""])
-    except ValueError as exc:
-        raise ConfigError(f"{what} {text!r} is not a list of numbers") from exc
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{what} {text!r} is not JSON") from exc
+
+
+def _parse_number(text, what, integer=False):
+    """A JSON number that passes the number rule, or ConfigError."""
+    return _number(_json(text, what), what, integer)
+
+
+def _parse_count(text, what):
+    count = _parse_number(text, what, integer=True)
+    if count < 0:
+        raise ConfigError(f"{what} must be non-negative, got {count}")
+    return count
+
+
+def _parse_vector(text, dim, what, integer=False, nan=False):
+    """``dim`` comma-separated numbers, each read by ``_parse_number`` (or,
+    with ``nan``, the word nan), or ConfigError."""
+    vec = np.array([np.nan if nan and t.strip() == "nan"
+                    else _parse_number(t, what, integer) for t in text.split(",")])
     if len(vec) != dim:
         raise ConfigError(f"{what} has {len(vec)} entries, expected {dim}")
     return vec
 
 
 def _parse_box(text, dim):
-    try:
-        value = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"--box {text!r} is not JSON") from exc
-    return _checked_box(value, dim, "--box")
+    return _checked_box(_json(text, "--box"), dim, "--box")
 
 
 def _write(path, text):
@@ -184,12 +198,16 @@ def cmd_leaf(args):
     x0 = _parse_vector(args.point, F.dim, "--point")
     if not _in_box(x0, F.chart_box)[0]:
         raise ConfigError("point lies outside the chart box")
-    leaf = leaf_sample(F, x0, budget=args.budget, cfg=ws.flow_cfg,
-                       mesh=args.mesh, seed=args.seed)
+    mesh = _parse_number(args.mesh, "--mesh")
+    if mesh <= 0:
+        raise ConfigError(f"--mesh must be positive, got {mesh!r}")
+    seed = _parse_count(args.seed, "--seed")
+    leaf = leaf_sample(F, x0, budget=_parse_count(args.budget, "--budget"),
+                       cfg=ws.flow_cfg, mesh=mesh, seed=seed)
     lines = [
         f"# foliation={args.foliation};basepoint=["
         + ",".join(oper._fmt(v) for v in x0)
-        + f"];seed={args.seed};mesh={oper._fmt(leaf.mesh)};leaf_dim={leaf.leaf_dim}"
+        + f"];seed={seed};mesh={oper._fmt(leaf.mesh)};leaf_dim={leaf.leaf_dim}"
         + f";escapes={leaf.escapes}"
     ]
     for p in leaf.points:
@@ -203,7 +221,8 @@ def cmd_leaf(args):
 def cmd_flow(args):
     ws = _workspace(args)
     F = ws.get("foliations", args.foliation)
-    xi = _parse_vector(args.xi, F.num_generators, "--xi")
+    # A NaN xi is read as such: its flow escapes (exit 3), as the library's do.
+    xi = _parse_vector(args.xi, F.num_generators, "--xi", nan=True)
     x = _parse_vector(args.point, F.dim, "--point")
     result = {"point": [float(v) for v in _flow.exp_flow(F, xi, x, ws.flow_cfg)]}
     if args.jacobian:
@@ -216,7 +235,7 @@ def cmd_flow(args):
 def _apply_and_emit(ws, kernel, fname, args):
     f = ws.get("functions", fname)
     box = _parse_box(args.box, kernel.foliation.dim)
-    res = tuple(_parse_vector(args.res, len(box), "--res", int))
+    res = tuple(_parse_vector(args.res, len(box), "--res", integer=True))
     if min(res) < 2:
         raise ConfigError("--res must be at least 2 per axis")
     grid = oper.apply_op(kernel, f, box, res, ws.ctx(), strict=args.strict)
@@ -319,11 +338,11 @@ def build_parser():
 
     p = sub.add_parser("leaf", help="sample one leaf and emit CSV")
     _add_ode(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--foliation", required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.add_argument("--budget", type=int, default=400)
-    p.add_argument("--mesh", type=float, default=1e-3)
+    p.add_argument("--budget", default="400")
+    p.add_argument("--mesh", default="1e-3")
     p.add_argument("--svg", default=None)
     p.set_defaults(fn=cmd_leaf)
 

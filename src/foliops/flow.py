@@ -226,13 +226,14 @@ def _uniform(box, rng, count):
     return lo + (hi - lo) * rng.random((count, len(box)))
 
 
-def _checked_box(value, dim, what):
+def _checked_box(value, dim, what, shape_error=ConfigError):
     """``value`` as a (dim, 2) box whose bounds pass the number rule, with
-    lo < hi on every axis, or ConfigError: the rule for every box a config
-    or the command line supplies."""
+    lo < hi on every axis, or ConfigError (``shape_error`` for a wrong
+    shape): the rule for every box a config, the command line or a public
+    constructor takes."""
     box = np.atleast_2d(_numbers(value, f"{what} bound"))
     if box.shape != (dim, 2):
-        raise ConfigError(f"{what} has shape {box.shape}, expected ({dim}, 2)")
+        raise shape_error(f"{what} has shape {box.shape}, expected ({dim}, 2)")
     if not np.all(box[:, 0] < box[:, 1]):
         raise ConfigError(f"{what} needs lo < hi on every axis")
     return box
@@ -253,8 +254,10 @@ def _number(value, what, integer=False):
 
 
 def _numbers(value, what):
-    """``value``, a number or nested lists of them, as a float array whose
-    every entry passed ``_number``; ConfigError naming ``what``."""
+    """``value``, a number or nested lists (or an array) of them, as a float
+    array whose every entry passed ``_number``; ConfigError naming ``what``."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if not isinstance(value, (list, tuple)):
         return np.array(_number(value, what))
     entries = [_numbers(v, what) for v in value]

@@ -49,15 +49,12 @@ class SingularFoliation:
     escape_factor: float = 4.0
 
     def __post_init__(self):
-        object.__setattr__(self, "chart_box", np.asarray(self.chart_box, float))
+        object.__setattr__(self, "chart_box", _checked_box(
+            self.chart_box, self.dim, "chart box", DimensionMismatch))
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(
             self, "xi_radius", np.atleast_1d(np.asarray(self.xi_radius, float))
         )
-        if self.chart_box.shape != (self.dim, 2):
-            raise DimensionMismatch(
-                f"chart box shape {self.chart_box.shape} for dim {self.dim}"
-            )
         for g in self.generators:
             if g.dim != self.dim:
                 raise DimensionMismatch(

@@ -40,7 +40,7 @@ from .errors import (
     SupportViolation,
 )
 from .expr import ScalarExpr
-from .flow import _in_box
+from .flow import _checked_box, _in_box
 
 __all__ = [
     "QuadratureConfig",
@@ -145,7 +145,6 @@ class PairingCtx:
     quad: QuadratureConfig = field(default_factory=lambda: DEFAULT_QUAD)
     flow: object = None  # FlowConfig or None for the default
     depth: int = 0
-    diag: list = None  # optional sink for (out_rows, f_points) records
     # None for pairings that keep no plans
     plans: PlanStore = field(default_factory=PlanStore, repr=False)
 
@@ -157,7 +156,7 @@ class PairingCtx:
                 f"convolution nesting exceeded {self.quad.nesting_limit}"
             )
         plans = self.plans if keep_plans else None
-        return PairingCtx(self.quad, self.flow, self.depth + 1, self.diag, plans)
+        return PairingCtx(self.quad, self.flow, self.depth + 1, plans)
 
     def nested_in(self, atom, side, bases):
         """One level down, for pairings on points that the rows of
@@ -804,17 +803,17 @@ def dirac(S, c, side="r", coeff_box=None, ctx=None) -> FibredKernel:
     on the requested side; a sampled violation raises SupportViolation.
     """
     ctx = ctx or PairingCtx()
-    if coeff_box is None:
-        if side == "s":
-            coeff_box = S.base_box
-        else:
-            coeff_box = bis._sampled_image_box(
-                lambda x: S.phi(x, ctx.flow, allow_escape=True), S.base_box,
-                pad=0.0,
-            )
-            if coeff_box is None:
-                raise SupportViolation("bisection image could not be sampled")
-    coeff_box = np.asarray(coeff_box, float)
+    if coeff_box is not None:
+        coeff_box = _checked_box(coeff_box, S.host.base_dim, "coeff_box")
+    elif side == "s":
+        coeff_box = S.base_box
+    else:
+        coeff_box = bis._sampled_image_box(
+            lambda x: S.phi(x, ctx.flow, allow_escape=True), S.base_box,
+            pad=0.0,
+        )
+        if coeff_box is None:
+            raise SupportViolation("bisection image could not be sampled")
     rng = np.random.default_rng(3)
     probe = bis._sample_box(coeff_box, rng, 128)
     if side == "s":
@@ -850,6 +849,8 @@ def density(U, a, xi_box=None, base_box=None, side="r",
         m = U.fibre_dim
         xi_box = _cut_to(xi_box, U.box[:m], "xi box")
         base_box = _cut_to(base_box, U.box[m:], "base box")
+    xi_box = _checked_box(xi_box, U.fibre_dim, "xi_box", HostMismatch)
+    base_box = _checked_box(base_box, U.base_dim, "base_box")
     atom = DensityAtom(U, _as_dens_fn(a), xi_box, base_box, quad_order=quad_order,
                        dens_key=_fn_key(a))
     return FibredKernel(side, [atom])

@@ -185,10 +185,7 @@ def op_values(kernel: FibredKernel, f, points, ctx=None):
 
         def gather(params, rows, geom):
             spts, ok = geom
-            vals = np.where(ok, f_fn(spts), np.nan)
-            if ctx.diag is not None:
-                ctx.diag.append((points[rows], spts))
-            return vals
+            return np.where(ok, f_fn(spts), np.nan)
 
         phi = Integrand(sources, gather, ("op", host.key()))
         total = total + atom.pair("r", points, phi, ctx)

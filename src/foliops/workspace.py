@@ -49,8 +49,8 @@ class Workspace:
         if self.quad_cfg is None:
             self.quad_cfg = QuadratureConfig()
 
-    def ctx(self, diag=None):
-        return ker.PairingCtx(self.quad_cfg, self.flow_cfg, 0, diag, self.plans)
+    def ctx(self):
+        return ker.PairingCtx(self.quad_cfg, self.flow_cfg, 0, self.plans)
 
     def get(self, registry, name):
         table = getattr(self, registry)

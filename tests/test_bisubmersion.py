@@ -268,6 +268,24 @@ def test_compose_bisections(U):
     assert np.linalg.norm(back - x) <= 1e-7
 
 
+def test_nested_composed_section_flows_each_factor_once(U, monkeypatch):
+    """A composed section takes Phi_T from T's own section: the section of
+    S o (A o B) flows B once, where it flowed B again inside Phi_{A o B}."""
+    A, B, S = (constant_bisection(U, [v]) for v in (0.3, 0.5, 0.7))
+    SAB = compose_bisections(S, compose_bisections(A, B))
+    x = np.array([[0.4, 0.2], [0.1, -0.3]])
+    rows, flow = [], bis._flow.exp_flow_batch
+
+    def counted(F, xi, *args, **kwargs):
+        rows.append(len(xi))
+        return flow(F, xi, *args, **kwargs)
+
+    monkeypatch.setattr(bis._flow, "exp_flow_batch", counted)
+    SAB.section(x)
+    assert rows == [2, 2]  # B, then A; S's section flows nothing
+    assert SAB.phi(x).tobytes() == S.phi(A.phi(B.phi(x))).tobytes()
+
+
 def test_transpose_bisection_inverts_diffeo(U):
     S = constant_bisection(U, [0.9])
     St = transpose_bisection(S)

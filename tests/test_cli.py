@@ -42,6 +42,47 @@ def test_flow_nan_xi_exit_3(foliation, xi, capsys):
     assert capsys.readouterr().err.startswith("error: DomainEscape:")
 
 
+_LEAF = ["leaf", "--foliation", "T", "--point", "0"]
+_FLOW = ["flow", "--foliation", "T"]
+_APPLY_T = ["apply", "--kernel", "gauss_T", "--function", "f_T", "--box", "[[-2,2]]"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (_FLOW + ["--point", "0"], "--xi", "inf"),
+    (_FLOW + ["--point", "0"], "--xi", "1e999"),
+    (_FLOW + ["--point", "0"], "--xi", "1_0"),
+    (_FLOW + ["--xi", "0.5"], "--point", "nan"),
+    (_APPLY_T, "--res", "3,,"),
+    (_LEAF, "--mesh", "nan"),
+    (_LEAF, "--mesh", "inf"),
+    (_LEAF, "--mesh", "-1"),
+    (_LEAF, "--mesh", "0"),
+    (_LEAF, "--budget", "-3"),
+    (_LEAF, "--seed", "-1"),
+])
+def test_command_line_numbers_pass_the_number_rule(command, flag, value, capsys):
+    """Each of these flowed, sampled or failed with another exit code: a
+    non-finite --xi or --point escaped (exit 3), 1_0 read as 10, --res 3,,
+    read as 3, a NaN, infinite or non-positive mesh ran, a negative budget
+    ran, and a negative seed ended in a numpy traceback (exit 1)."""
+    assert run_cli(*command, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:") and flag in err
+
+
+@pytest.mark.parametrize("command, flag, value, same", [
+    (_APPLY_T, "--res", "1e1", "10"),
+    (_LEAF, "--seed", "3.0", "3"),
+])
+def test_integral_floats_read_as_counts(tmp_path, command, flag, value, same):
+    """The number rule reads an integral float as an integer; ``--res 1e1``
+    exited 2."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*command, flag, value, "--out", str(a)) == 0
+    assert run_cli(*command, flag, same, "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_leaf_command_circle(tmp_path):
     out = tmp_path / "leaf.csv"
     svg = tmp_path / "leaf.svg"

@@ -22,6 +22,7 @@ from foliops.bisubmersion import (
     identity_bisection,
     make_addition_morphism,
     make_path_holonomy,
+    restrict,
 )
 from foliops import kernel as ker
 from foliops import op as oper
@@ -724,6 +725,31 @@ def test_density_outside_its_restriction_is_an_error(UT):
         _restricted_density(UT, [[-1, 1], [0, 1]], base_box=[[2, 3]])
     with pytest.raises(ConfigError, match="restriction"):
         _restricted_density(UT, [[-1, 1], [0, 1]], xi_box=[[-1, 1], [0, 1]])
+
+
+_BAD_BOX = {"reversed": [[1.4, -0.8]], "nan": [[float("nan"), 1.0]],
+            "empty": [[1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_BOX))
+@pytest.mark.parametrize("build", [
+    lambda U, box: ker.density(U, _f("1", 2), xi_box=box),
+    lambda U, box: ker.density(U, _f("1", 2), base_box=box),
+    lambda U, box: ker.dirac(constant_bisection(U, [1.0]), _f("1"), coeff_box=box),
+    lambda U, box: constant_bisection(U, [0.5], base_box=box),
+    lambda U, box: SingularFoliation(dim=1, chart_box=box,
+                                     generators=[parse_field("[1]", 1)],
+                                     xi_radius=[1.0]),
+    lambda U, box: restrict(U, [[-1.0, 1.0]] + box),
+], ids=["density xi_box", "density base_box", "dirac coeff_box",
+        "bisection base_box", "chart_box", "restriction"])
+def test_api_boxes_pass_the_box_rule(UT, build, bad):
+    """A config with any of these boxes exits 2, but the API took them: a
+    density with xi_box [[1.4, -0.8]] negated Op(a)f, a reversed base or
+    coefficient box made Op 0, and a reversed chart box made every flow
+    escape."""
+    with pytest.raises(ConfigError, match="lo < hi|finite"):
+        build(UT, _BAD_BOX[bad])
 
 
 def test_scaled_lazy_atoms_scale_their_pairing(UT, gauss_kernel, gauss_kernel2):

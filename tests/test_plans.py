@@ -590,18 +590,23 @@ def test_integrands_never_share_a_geometry(ws):
                                    ("adjoint", "s", host.key())}
 
 
-def test_diag_is_recorded_on_hits(ws):
+def test_f_points_repeat_on_plan_hits(ws):
+    """A test function receives bit-identical points on the cold call and
+    on the call that hits its plan."""
     kernel = ws.get("kernels", "gauss_R")
     pts = _grid(5)
     records = []
     for _ in range(2):
-        diag = []
-        oper.op_values(kernel, _f(0.0), pts, ws.ctx(diag=diag))
-        records.append(diag)
+        seen = []
+
+        def f(p, seen=seen):
+            seen.append(p.copy())
+            return _f(0.0)(p)
+
+        oper.op_values(kernel, f, pts, ws.ctx())
+        records.append(seen)
     assert len(ws.plans) == 1 and records[0]
-    assert len(records[1]) == len(records[0])
-    for (o0, f0), (o1, f1) in zip(*records):
-        assert o0.tobytes() == o1.tobytes() and f0.tobytes() == f1.tobytes()
+    assert [p.tobytes() for p in records[1]] == [p.tobytes() for p in records[0]]
 
 
 def test_plan_keeps_no_copy_of_the_source_points(ws):
