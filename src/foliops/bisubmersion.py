@@ -123,11 +123,11 @@ class Bisubmersion:
     def param_box(self):
         raise NotImplementedError
 
-    def contains(self, params, tol=1e-7, cfg=None):
+    def contains(self, params, cfg, tol=1e-7):
         """Sampled membership mask (fibred-product constraints)."""
         return _in_box(params, self.param_box(), tol)
 
-    def chart_jac_det(self, xi, under, cfg=None):
+    def chart_jac_det(self, xi, under, cfg):
         """(range points, |det|, ok) of the range map at (xi, under) and of
         its base derivative, both from one flow, ``ok`` False on escaped
         rows; defined where the term supports r<->s density conversion."""
@@ -143,11 +143,11 @@ class Bisubmersion:
     def describe(self):
         raise NotImplementedError
 
-    def sample_params(self, count, rng, cfg=None):
+    def sample_params(self, count, rng, cfg):
         """Valid parameter rows drawn via source-fibre charts."""
         bases = self.foliation.sample_points(count, rng)
         xi = _uniform(self.xi_box(), rng, count)
-        params, ok = self.chart("s", xi, bases, cfg=cfg, allow_escape=True)
+        params, ok = self.chart("s", xi, bases, cfg, allow_escape=True)
         return params[ok]
 
     def __repr__(self):
@@ -197,13 +197,13 @@ class PathHolonomy(Bisubmersion):
             ok = ~escaped
         return _checked(params, ok, allow_escape, f"{side}-fibre chart")
 
-    def chart_jac_det(self, xi, under, cfg=None):
+    def chart_jac_det(self, xi, under, cfg):
         pts, J, escaped = _flow.flow_jacobian_batch(
             self.foliation, xi, under, cfg, allow_escape=True
         )
         return pts, np.abs(np.linalg.det(J)), ~escaped
 
-    def contains(self, params, tol=1e-7, cfg=None):
+    def contains(self, params, cfg, tol=1e-7):
         # Under-points may wander into the integration domain: compositions
         # produce intermediate basepoints outside the chart box.
         xi, under = self._split(params)
@@ -248,8 +248,8 @@ class _OnInner(Bisubmersion):
     def param_box(self):
         return self.inner.param_box()
 
-    def contains(self, params, tol=1e-7, cfg=None):
-        return self.inner.contains(params, tol, cfg)
+    def contains(self, params, cfg, tol=1e-7):
+        return self.inner.contains(params, cfg, tol)
 
 
 class InverseBisubmersion(_OnInner):
@@ -301,10 +301,10 @@ class Composition(Bisubmersion):
             v, ok3 = self.right.chart("r", xr, mid, cfg, allow_escape=True)
         return np.concatenate([u, v], axis=1), ok1 & ok2 & ok3
 
-    def contains(self, params, tol=1e-7, cfg=None):
+    def contains(self, params, cfg, tol=1e-7):
         u, v = self.split(params)
-        okl = self.left.contains(u, tol, cfg)
-        okr = self.right.contains(v, tol, cfg)
+        okl = self.left.contains(u, cfg, tol)
+        okr = self.right.contains(v, cfg, tol)
         su, ok1 = self.left.s(u, cfg, allow_escape=True)
         rv, ok2 = self.right.r(v, cfg, allow_escape=True)
         glue = np.linalg.norm(su - rv, axis=1) <= tol
@@ -332,10 +332,10 @@ class Restriction(_OnInner):
                                 DimensionMismatch)
         self.fibred_layout = inner.fibred_layout
 
-    def contains(self, params, tol=1e-7, cfg=None):
-        return _in_box(params, self.box, tol) & self.inner.contains(params, tol, cfg)
+    def contains(self, params, cfg, tol=1e-7):
+        return _in_box(params, self.box, tol) & self.inner.contains(params, cfg, tol)
 
-    def chart_jac_det(self, xi, under, cfg=None):
+    def chart_jac_det(self, xi, under, cfg):
         return self.inner.chart_jac_det(xi, under, cfg)
 
     def xi_box(self):
@@ -415,7 +415,8 @@ class Bisection:
     point over ``x``, and the induced diffeomorphism is
     ``phi = r o section`` with an explicit or Newton inverse.
     ``section_fn(x, cfg)`` and ``phi_inv_fn(x, cfg)`` return
-    ``(values, ok)`` for 2-D ``x``.
+    ``(values, ok)`` for 2-D ``x``; ``valid_fn(x, cfg)``, if given, masks
+    the base box further.
     """
 
     def __init__(self, host, base_box, section_fn, phi_inv_fn, label="",
@@ -434,9 +435,9 @@ class Bisection:
         collection."""
         return self._key if self._key is not None else ("object", self)
 
-    def section(self, x):
+    def section(self, x, cfg):
         """The parameter point over each row of ``x``."""
-        params, ok = self._section(np.atleast_2d(np.asarray(x, float)), None)
+        params, ok = self._section(np.atleast_2d(np.asarray(x, float)), cfg)
         return _checked(params, ok, False, "section")
 
     def phi(self, x, cfg=None, allow_escape=False):
@@ -448,18 +449,18 @@ class Bisection:
         out, ok = self._phi_inv(np.atleast_2d(np.asarray(x, float)), cfg)
         return _checked(out, ok, allow_escape, "inverse bisection diffeomorphism")
 
-    def in_base(self, x):
+    def in_base(self, x, cfg):
         p = np.atleast_2d(np.asarray(x, float))
         mask = _in_box(p, self.base_box, _BASE_TOL)
         if self._valid is not None:
-            mask = mask & self._valid(p)
+            mask = mask & self._valid(p, cfg)
         return mask
 
-    def in_range(self, x, cfg=None):
+    def in_range(self, x, cfg):
         """Mask for x in Phi_S(base_box), via the inverse map."""
         y, ok = self.phi_inv(x, cfg, allow_escape=True)
         inside = np.zeros(len(y), dtype=bool)
-        inside[ok] = self.in_base(y[ok])
+        inside[ok] = self.in_base(y[ok], cfg)
         return inside & ok, y
 
     def __repr__(self):
@@ -548,8 +549,9 @@ def general_bisection(host, section_fn, base_box, label=""):
     return S
 
 
-def transpose_bisection(S):
-    """The same submanifold as a bisection of the inverse bisubmersion."""
+def transpose_bisection(S, cfg=None):
+    """The same submanifold as a bisection of the inverse bisubmersion;
+    its base box is Phi_S(base box of S), sampled at ``cfg``."""
     host = invert(S.host)
 
     def section(x, cfg):
@@ -560,10 +562,10 @@ def transpose_bisection(S):
     def phi_inv(x, cfg):
         return S.phi(x, cfg, allow_escape=True)
 
-    base_box = _sampled_image_box(lambda x: S.phi(x, allow_escape=True), S.base_box)
+    base_box = _sampled_image_box(S.phi, S.base_box, cfg)
 
-    def valid(x):
-        mask, _ = S.in_range(x)
+    def valid(x, cfg):
+        mask, _ = S.in_range(x, cfg)
         return mask
 
     return Bisection(host, base_box, section, phi_inv,
@@ -585,11 +587,11 @@ def compose_bisections(S, T):
         out, ok2 = T.phi_inv(mid, cfg, allow_escape=True)
         return out, ok1 & ok2
 
-    def valid(x):
-        mid, ok = T.phi(x, allow_escape=True)
+    def valid(x, cfg):
+        mid, ok = T.phi(x, cfg, allow_escape=True)
         out = np.zeros(len(x), dtype=bool)
-        out[ok] = S.in_base(mid[ok])
-        return out & T.in_base(x)
+        out[ok] = S.in_base(mid[ok], cfg)
+        return out & T.in_base(x, cfg)
 
     return Bisection(host, T.base_box, section, phi_inv,
                      label=f"{S.label} o {T.label}", valid_fn=valid,
@@ -614,33 +616,35 @@ def _padded_bounds(vals, pad=0.02):
     return np.stack([lo - margin, hi + margin], axis=1)
 
 
-def _sampled_image_box(fn, box, pad=0.02):
+def _sampled_image_box(fn, box, cfg, pad=0.02):
     """Sampled bounding box of fn(box) from uniform, corner and centre
-    points, padded as ``_padded_bounds`` pads; ``fn(points)`` returns
-    ``(values, ok)`` and only ok rows count."""
+    points, padded as ``_padded_bounds`` pads; ``fn`` is a bisection map,
+    run at ``cfg`` with escapes allowed, and only ok rows count."""
     box = np.asarray(box, float)
     rng = np.random.default_rng(12345)
     pts = np.concatenate([_sample_box(box, rng, _IMAGE_SAMPLES),
                           box.mean(axis=1)[None, :]])
-    vals, ok = fn(pts)
+    vals, ok = fn(pts, cfg, allow_escape=True)
     return _padded_bounds(vals[ok], pad)
 
 
 class LocalDiffeo:
-    """Evaluable local diffeomorphism with inverse, from a bisection."""
+    """Evaluable local diffeomorphism with inverse, from a bisection,
+    flowing at the settings ``cfg`` it was validated at."""
 
-    def __init__(self, bisection):
+    def __init__(self, bisection, cfg):
         self.bisection = bisection
         self.base_box = bisection.base_box
+        self.cfg = cfg
 
-    def __call__(self, x, cfg=None):
+    def __call__(self, x):
         single = np.asarray(x, float).ndim == 1
-        out = self.bisection.phi(np.atleast_2d(np.asarray(x, float)), cfg)
+        out = self.bisection.phi(np.atleast_2d(np.asarray(x, float)), self.cfg)
         return out[0] if single else out
 
-    def inverse(self, x, cfg=None):
+    def inverse(self, x):
         single = np.asarray(x, float).ndim == 1
-        out = self.bisection.phi_inv(np.atleast_2d(np.asarray(x, float)), cfg)
+        out = self.bisection.phi_inv(np.atleast_2d(np.asarray(x, float)), self.cfg)
         return out[0] if single else out
 
 
@@ -651,7 +655,7 @@ def bisection_diffeo(S, cfg=None):
     Phi_S^{-1} o Phi_S = id; failure raises NotABisection.
     """
     pts = _uniform(S.base_box, np.random.default_rng(0), _DIFFEO_SAMPLES)
-    sec = S.section(pts)
+    sec = S.section(pts, cfg)
     back, ok = S.host.s(sec, cfg, allow_escape=True)
     if not np.all(ok) or np.max(np.linalg.norm(back - pts, axis=1)) > 1e-9:
         raise NotABisection("section is not a section of the source map")
@@ -669,7 +673,7 @@ def bisection_diffeo(S, cfg=None):
     rt, ok2 = S.phi_inv(vals[good], cfg, allow_escape=True)
     if len(rt) and np.max(np.linalg.norm(rt[ok2] - pts[good][ok2], axis=1)) > 1e-7:
         raise NotABisection("inverse round trip exceeded tolerance")
-    return LocalDiffeo(S)
+    return LocalDiffeo(S, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +717,7 @@ def translate(U, S, side, cfg=None):
             raise EmptyTranslate("source image misses the bisection's range")
         return TranslateRight(U, S)
     pts, ok = U.r(params, cfg, allow_escape=True)
-    inside = S.in_base(pts[ok])
+    inside = S.in_base(pts[ok], cfg)
     if not np.any(inside):
         raise EmptyTranslate("range image misses the bisection's base")
     return TranslateLeft(U, S)
@@ -722,7 +726,7 @@ def translate(U, S, side, cfg=None):
 class FibreChart:
     """Parameterization of one fibre: a box, a chart map, a dimension."""
 
-    def __init__(self, host, side, base_point, cfg=None):
+    def __init__(self, host, side, base_point, cfg):
         self.host = host
         self.side = side
         self.base_point = np.asarray(base_point, float)
@@ -756,7 +760,7 @@ class Morphism:
         self.target = target
         self._map = map_fn
         self.label = label
-        res = self.compatibility_residual(_MORPHISM_SAMPLES, cfg=cfg)
+        res = self.compatibility_residual(_MORPHISM_SAMPLES, cfg)
         if res > _MORPHISM_TOL:
             raise BaseMismatch(
                 f"morphism {label or ''} violates r/s compatibility: "
@@ -766,7 +770,7 @@ class Morphism:
     def map(self, params):
         return self._map(np.atleast_2d(np.asarray(params, float)))
 
-    def compatibility_residual(self, samples=100, cfg=None):
+    def compatibility_residual(self, samples, cfg):
         """Worst |r_V(map(p)) - r_U(p)| and s-analogue over sampled p."""
         rng = np.random.default_rng(0)
         params = self.source.sample_params(samples, rng, cfg)
@@ -789,7 +793,7 @@ class Morphism:
 class AdditionMorphism(Morphism):
     """(eta, y, xi, x) -> (eta + xi, x) on U o U for commuting generators."""
 
-    def __init__(self, U, cfg=None):
+    def __init__(self, U, cfg):
         self.path_holonomy = U
         m = U.foliation.num_generators
         n = U.foliation.dim
@@ -821,4 +825,4 @@ def make_addition_morphism(U, cfg=None):
                 raise BracketNotZero(
                     f"[X_{i + 1}, X_{j + 1}] has norm {worst:.3e} at sampled points"
                 )
-    return AdditionMorphism(U, cfg=cfg)
+    return AdditionMorphism(U, cfg)

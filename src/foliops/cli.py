@@ -67,11 +67,10 @@ def _parse_count(text, what):
     return count
 
 
-def _parse_vector(text, dim, what, integer=False, nan=False):
-    """``dim`` comma-separated numbers, each read by ``_parse_number`` (or,
-    with ``nan``, the word nan), or ConfigError."""
-    vec = np.array([np.nan if nan and t.strip() == "nan"
-                    else _parse_number(t, what, integer) for t in text.split(",")])
+def _parse_vector(text, dim, what, integer=False):
+    """``dim`` comma-separated numbers, each read by ``_parse_number``, or
+    ConfigError."""
+    vec = np.array([_parse_number(t, what, integer) for t in text.split(",")])
     if len(vec) != dim:
         raise ConfigError(f"{what} has {len(vec)} entries, expected {dim}")
     return vec
@@ -222,7 +221,7 @@ def cmd_flow(args):
     ws = _workspace(args)
     F = ws.get("foliations", args.foliation)
     # A NaN xi is read as such: its flow escapes (exit 3), as the library's do.
-    xi = _parse_vector(args.xi, F.num_generators, "--xi", nan=True)
+    xi = _parse_vector(args.xi, F.num_generators, "--xi")
     x = _parse_vector(args.point, F.dim, "--point")
     result = {"point": [float(v) for v in _flow.exp_flow(F, xi, x, ws.flow_cfg)]}
     if args.jacobian:

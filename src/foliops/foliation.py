@@ -132,7 +132,8 @@ class SingularFoliation:
 
 @dataclass
 class LeafSample:
-    """Points of one leaf reached by recorded flow words from a basepoint."""
+    """Points of one leaf reached by recorded flow words from a basepoint,
+    flowed at the settings ``cfg``."""
 
     foliation: SingularFoliation
     basepoint: np.ndarray
@@ -140,6 +141,7 @@ class LeafSample:
     words: list  # per point: list of xi vectors, composed left to right
     mesh: float
     leaf_dim: int
+    cfg: object  # the FlowConfig given to the sampler
     escapes: int = 0
     _tree: object = field(default=None, repr=False, compare=False)
 
@@ -153,7 +155,9 @@ class LeafSample:
         return idx, dist
 
     def replay(self, index, cfg=None):
-        """Re-run the recorded flow word of one sample from the basepoint."""
+        """Re-run the recorded flow word of one sample from the basepoint,
+        at ``cfg`` or else at the settings the sample was made with."""
+        cfg = self.cfg if cfg is None else cfg
         p = self.basepoint.copy()
         for xi in self.words[index]:
             p = _flow.exp_flow(self.foliation, xi, p, cfg)
@@ -287,6 +291,7 @@ def leaf_sample(F, x0, budget=400, cfg=None, mesh=1e-3, seed=0):
         words=words,
         mesh=mesh,
         leaf_dim=leaf_dimension(F, x0),
+        cfg=cfg,
         escapes=escapes,
     )
 
@@ -313,4 +318,5 @@ def leaf_sweep(F, x0, xi_step, count, cfg=None):
         words=words,
         mesh=mesh,
         leaf_dim=leaf_dimension(F, x0),
+        cfg=cfg,
     )

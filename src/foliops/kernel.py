@@ -40,7 +40,7 @@ from .errors import (
     SupportViolation,
 )
 from .expr import ScalarExpr
-from .flow import _checked_box, _in_box
+from .flow import DEFAULT_FLOW, FlowConfig, _checked_box, _in_box
 
 __all__ = [
     "QuadratureConfig",
@@ -142,8 +142,10 @@ class PlanStore:
 
 @dataclass
 class PairingCtx:
-    quad: QuadratureConfig = field(default_factory=lambda: DEFAULT_QUAD)
-    flow: object = None  # FlowConfig or None for the default
+    quad: QuadratureConfig = DEFAULT_QUAD
+    # Flow settings of every map a pairing runs, those of composed and
+    # transposed bisections included; a bare PairingCtx() has DEFAULT_FLOW.
+    flow: FlowConfig = DEFAULT_FLOW
     depth: int = 0
     # None for pairings that keep no plans
     plans: PlanStore = field(default_factory=PlanStore, repr=False)
@@ -443,12 +445,12 @@ class DiracAtom(Atom):
         under, ok = ((bases, np.ones(N, dtype=bool)) if side == "s"
                      else S.phi_inv(bases, ctx.flow, allow_escape=True))
         valid = np.zeros(N, dtype=bool)
-        valid[ok] = S.in_base(under[ok])
+        valid[ok] = S.in_base(under[ok], ctx.flow)
         coeff = np.zeros(N)
         coeff[valid] = self.coeff_fn(bases[valid])
 
         def params_of(idx):
-            return (S.section(under[idx]) if len(idx)
+            return (S.section(under[idx], ctx.flow) if len(idx)
                     else np.empty((0, self.host.param_len)))
 
         yield _PlanBlock(1, ok, coeff, params_of, np.ones(1))
@@ -467,8 +469,8 @@ class DiracAtom(Atom):
         to_out = S.phi if out_side == "r" else S.phi_inv
 
         def across(box):
-            return None if box is None else bis._sampled_image_box(
-                lambda x: to_out(x, ctx.flow, allow_escape=True), box)
+            return (None if box is None
+                    else bis._sampled_image_box(to_out, box, ctx.flow))
 
         def cut(box):
             return box if given is None else _intersect_boxes(box, given)
@@ -808,16 +810,13 @@ def dirac(S, c, side="r", coeff_box=None, ctx=None) -> FibredKernel:
     elif side == "s":
         coeff_box = S.base_box
     else:
-        coeff_box = bis._sampled_image_box(
-            lambda x: S.phi(x, ctx.flow, allow_escape=True), S.base_box,
-            pad=0.0,
-        )
+        coeff_box = bis._sampled_image_box(S.phi, S.base_box, ctx.flow, pad=0.0)
         if coeff_box is None:
             raise SupportViolation("bisection image could not be sampled")
     rng = np.random.default_rng(3)
     probe = bis._sample_box(coeff_box, rng, 128)
     if side == "s":
-        good = S.in_base(probe)
+        good = S.in_base(probe, ctx.flow)
     else:
         good, _ = S.in_range(probe, ctx.flow)
     if not np.all(good):
@@ -1085,7 +1084,7 @@ def r_to_s_convert(a: FibredKernel, mu_weight=None, ctx=None) -> FibredKernel:
     """
     if a.side != "r":
         raise SideMismatch("r_to_s_convert expects a range-fibred kernel")
-    flow = ctx.flow if ctx else None
+    flow = (ctx or PairingCtx()).flow
     out = []
     for atom in a.atoms:
         if not isinstance(atom, DensityAtom):

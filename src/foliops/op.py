@@ -212,7 +212,6 @@ def apply_op(kernel, f, out_box, out_res, ctx=None, strict=False):
     Masked points (fibre chart escaped the integration domain) are NaN in
     the result; with ``strict`` they raise DomainEscape instead.
     """
-    ctx = ctx or PairingCtx()
     return _on_grid(lambda pts: op_values(kernel, f, pts, ctx), out_box, out_res,
                     strict)
 
@@ -298,7 +297,6 @@ def apply_adjoint(kernel, k, out_box, out_res, ctx=None, mu_weight=None,
                   strict=False):
     """Adjoint action on a density-sampled generalized function, gridded;
     masking, ``strict`` and infinite values are handled as in apply_op."""
-    ctx = ctx or PairingCtx()
     return _on_grid(
         lambda pts: adjoint_values(kernel, k, pts, ctx, mu_weight=mu_weight),
         out_box, out_res, strict,
@@ -318,7 +316,6 @@ def apply_on_leaf(kernel: FibredKernel, leaf, f_values, ctx=None):
     """
     if kernel.side != "r":
         raise SideMismatch("the leafwise action expects a range-fibred kernel")
-    ctx = ctx or PairingCtx()
     f_values = np.asarray(f_values, float)
     if len(f_values) != len(leaf.points):
         raise InsufficientLeafSampling("one value per leaf sample is required")

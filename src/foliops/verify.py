@@ -84,7 +84,7 @@ def suite_translation(ws):
     a = ws.get("kernels", "dirac_rot90")
     f = ws.get("functions", "f_R")
     S = a.atoms[0].bisection
-    xi0 = float(S.section(np.zeros((1, 2)))[0, 0])
+    xi0 = float(S.section(np.zeros((1, 2)), ctx.flow)[0, 0])
     pts = oper.grid_points([[-2, 2], [-2, 2]], (33, 33))
     got = oper.op_values(a, f, pts, ctx)
     rot = np.stack(
@@ -95,7 +95,7 @@ def suite_translation(ws):
         axis=1,
     )
     cva = np.zeros(len(pts))
-    valid = S.in_base(rot)
+    valid = S.in_base(rot, ctx.flow)
     cva[valid] = a.atoms[0].coeff_fn(pts[valid])
     want = cva * f(rot, check_finite=False)
     return [
@@ -422,7 +422,7 @@ def suite_negative(ws):
     ]
     U = bis.make_path_holonomy(F)
     try:
-        bis.make_addition_morphism(U)
+        bis.make_addition_morphism(U, cfg=ws.flow_cfg)
         rejected = False
     except BracketNotZero:
         rejected = True

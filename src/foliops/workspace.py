@@ -18,9 +18,9 @@ from . import bisubmersion as bis
 from . import kernel as ker
 from .errors import ConfigError, FoliopsError, ParseError
 from .expr import parse_scalar
-from .flow import FlowConfig, _checked_box, _in_box, _number, _numbers
+from .flow import DEFAULT_FLOW, FlowConfig, _checked_box, _in_box, _number, _numbers
 from .foliation import SingularFoliation
-from .kernel import QuadratureConfig
+from .kernel import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = ["Workspace", "load_config"]
 
@@ -36,18 +36,12 @@ class Workspace:
     bisections: dict = field(default_factory=dict)
     kernels: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)
-    flow_cfg: FlowConfig = None
-    quad_cfg: QuadratureConfig = None
+    flow_cfg: FlowConfig = DEFAULT_FLOW
+    quad_cfg: QuadratureConfig = DEFAULT_QUAD
     # One plan store for every context this workspace hands out, so that
     # repeated pairings of one kernel on one point set share their plan.
     plans: ker.PlanStore = field(default_factory=ker.PlanStore, init=False,
                                  repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.flow_cfg is None:
-            self.flow_cfg = FlowConfig()
-        if self.quad_cfg is None:
-            self.quad_cfg = QuadratureConfig()
 
     def ctx(self):
         return ker.PairingCtx(self.quad_cfg, self.flow_cfg, 0, self.plans)
@@ -65,8 +59,8 @@ class Workspace:
         return Workspace(
             **{reg: {**getattr(self, reg), **getattr(other, reg)}
                for reg in _REGISTRIES},
-            flow_cfg=other.flow_cfg or self.flow_cfg,
-            quad_cfg=other.quad_cfg or self.quad_cfg,
+            flow_cfg=other.flow_cfg,
+            quad_cfg=other.quad_cfg,
         )
 
     def summary(self):
@@ -82,8 +76,8 @@ class _Resolver:
     def __init__(self, data):
         self.data = _object(data, "config")
         self.ws = Workspace(
-            flow_cfg=_settings(FlowConfig(), data.get("flow", {}), "flow"),
-            quad_cfg=_settings(QuadratureConfig(), data.get("quadrature", {}),
+            flow_cfg=_settings(DEFAULT_FLOW, data.get("flow", {}), "flow"),
+            quad_cfg=_settings(DEFAULT_QUAD, data.get("quadrature", {}),
                                "quadrature"),
         )
         self._visiting = set()
@@ -188,7 +182,7 @@ class _Resolver:
             host = self.named("bisubmersion", spec["host"])
             order = spec.get("quad_order")
             if order is not None:  # checked as QuadratureConfig.order
-                order = _settings(QuadratureConfig(), {"order": order},
+                order = _settings(DEFAULT_QUAD, {"order": order},
                                   f"kernel {name!r} density").order
             return ker.density(
                 host, parse_scalar(spec["expr"], host.param_len),

@@ -14,6 +14,7 @@ from foliops.errors import (
     NotABisection,
 )
 from foliops.expr import parse_field
+from foliops.flow import DEFAULT_FLOW
 from foliops.canonical import canonical_workspace
 from foliops.foliation import SingularFoliation
 from foliops import bisubmersion as bis
@@ -59,7 +60,7 @@ def planeF():
 
 def test_source_map_is_projection(U):
     rng = np.random.default_rng(0)
-    params = U.sample_params(50, rng)
+    params = U.sample_params(50, rng, DEFAULT_FLOW)
     assert np.array_equal(U.s(params), params[:, 1:])
 
 
@@ -88,17 +89,17 @@ def test_compose_base_mismatch(U, planeF):
 def test_compose_membership(U):
     C = compose(U, U)
     rng = np.random.default_rng(1)
-    good = C.sample_params(20, rng)
-    assert np.all(C.contains(good, tol=1e-6))
+    good = C.sample_params(20, rng, DEFAULT_FLOW)
+    assert np.all(C.contains(good, DEFAULT_FLOW, tol=1e-6))
     broken = good.copy()
     broken[:, U.param_len + 1 :] += 0.5  # break the gluing constraint
-    assert not np.any(C.contains(broken, tol=1e-6))
+    assert not np.any(C.contains(broken, DEFAULT_FLOW, tol=1e-6))
 
 
 def test_compose_range_rule(U):
     C = compose(U, U)
     rng = np.random.default_rng(2)
-    params = C.sample_params(30, rng)
+    params = C.sample_params(30, rng, DEFAULT_FLOW)
     u = params[:, : U.param_len]
     assert np.allclose(C.r(params), U.r(u))
     assert np.array_equal(C.s(params), U.s(params[:, U.param_len :]))
@@ -106,7 +107,7 @@ def test_compose_range_rule(U):
 
 def test_inverse_swaps_and_involution(U):
     rng = np.random.default_rng(3)
-    params = U.sample_params(30, rng)
+    params = U.sample_params(30, rng, DEFAULT_FLOW)
     Ut = invert(U)
     assert np.array_equal(Ut.r(params), U.s(params))
     assert np.allclose(Ut.s(params), U.r(params))
@@ -134,7 +135,7 @@ def test_fibre_chart_of_composition_is_product_box(U):
     assert np.array_equal(ch.box, np.concatenate([U.xi_box(), U.xi_box()]))
     xis = np.array([[0.3, -0.2], [0.1, 0.4]])
     params = ch.map(xis)
-    assert np.all(C.contains(params, tol=1e-6))
+    assert np.all(C.contains(params, DEFAULT_FLOW, tol=1e-6))
 
 
 def test_constant_bisection_diffeo(U):
@@ -163,7 +164,7 @@ def test_identity_bisection(U):
 def test_translate_rules(U):
     S = constant_bisection(U, [0.6])
     rng = np.random.default_rng(5)
-    params = U.sample_params(40, rng)
+    params = U.sample_params(40, rng, DEFAULT_FLOW)
 
     right = translate(U, S, "right")
     assert np.array_equal(right.r(params), U.r(params))
@@ -191,7 +192,7 @@ def test_translate_by_identity_keeps_maps(U):
     S = identity_bisection(U)
     tr = translate(U, S, "right")
     rng = np.random.default_rng(6)
-    params = U.sample_params(30, rng)
+    params = U.sample_params(30, rng, DEFAULT_FLOW)
     assert np.allclose(tr.s(params), U.s(params))
     assert np.allclose(tr.r(params), U.r(params))
 
@@ -231,7 +232,7 @@ def test_morphism_compatibility_invariant(U):
 def test_addition_morphism_commuting(planeF):
     Up = make_path_holonomy(planeF)
     pi = make_addition_morphism(Up)
-    assert pi.compatibility_residual(100) <= 1e-7
+    assert pi.compatibility_residual(100, DEFAULT_FLOW) <= 1e-7
     # explicit example on translations: r(pi(eta,xi,x)) = x + xi + eta
     line = SingularFoliation(dim=1, chart_box=[[-3, 3]],
                              generators=[parse_field("[1]", 1)],
@@ -281,7 +282,7 @@ def test_nested_composed_section_flows_each_factor_once(U, monkeypatch):
         return flow(F, xi, *args, **kwargs)
 
     monkeypatch.setattr(bis._flow, "exp_flow_batch", counted)
-    SAB.section(x)
+    SAB.section(x, DEFAULT_FLOW)
     assert rows == [2, 2]  # B, then A; S's section flows nothing
     assert SAB.phi(x).tobytes() == S.phi(A.phi(B.phi(x))).tobytes()
 

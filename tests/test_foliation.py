@@ -120,6 +120,20 @@ def test_leaf_replay_reachability(rotation):
             assert np.array_equal(leaf.replay(int(idx)), leaf.points[idx])
 
 
+def test_leaf_replay_uses_the_settings_of_its_sample():
+    """A leaf sampled at non-default tolerances replays at them: replay
+    missed its own points by about 1e-5 when it flowed at the defaults."""
+    pendulum = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                                 generators=[parse_field("[x2, -sin(x1)]", 2)],
+                                 xi_radius=[1.0])
+    cfg = _flow.FlowConfig(abs_tol=1e-4, rel_tol=1e-4)
+    for leaf in (leaf_sample(pendulum, [1.0, 0.0], budget=120, cfg=cfg, seed=2),
+                 leaf_sweep(pendulum, [1.0, 0.0], [0.3], 12, cfg)):
+        for idx in range(len(leaf.points)):
+            assert np.array_equal(leaf.replay(idx), leaf.points[idx])
+        assert leaf.cfg == cfg
+
+
 def test_leaf_sample_batches_fans(rotation, monkeypatch):
     rows = []
     batch = _flow.exp_flow_batch

@@ -13,6 +13,7 @@ from foliops.errors import (
     SideMismatch,
 )
 from foliops.expr import parse_field, parse_scalar
+from foliops.flow import DEFAULT_FLOW
 from foliops.foliation import SingularFoliation, leaf_sweep
 from foliops.bisubmersion import constant_bisection, make_path_holonomy
 from foliops import kernel as ker
@@ -73,7 +74,7 @@ def test_translation_operator_pointwise(ws, ctx):
     pts = oper.grid_points(np.array([[-2, 2], [-2, 2]]), (33, 33))
     got = oper.op_values(a, f, pts, ctx)
     S = a.atoms[0].bisection
-    xi0 = float(S.section(np.zeros((1, 2)))[0, 0])
+    xi0 = float(S.section(np.zeros((1, 2)), DEFAULT_FLOW)[0, 0])
     rot = np.stack(
         [
             math.cos(xi0) * pts[:, 0] + math.sin(xi0) * pts[:, 1],
@@ -82,7 +83,7 @@ def test_translation_operator_pointwise(ws, ctx):
         axis=1,
     )
     coeff = np.zeros(len(pts))
-    valid = S.in_base(rot)
+    valid = S.in_base(rot, DEFAULT_FLOW)
     coeff[valid] = a.atoms[0].coeff_fn(pts[valid])
     want = coeff * f(rot, check_finite=False)
     assert np.max(np.abs(got - want)) <= 1e-8
