@@ -67,7 +67,7 @@ _DIFFEO_SAMPLES = 64  # base points bisection_diffeo validates
 _TRANSLATE_PROBE = 64  # parameters translate() probes for an empty domain
 _IMAGE_SAMPLES = 256  # uniform draws of _sampled_image_box (seed 12345)
 _MORPHISM_SAMPLES = 32  # parameters of the Morphism compatibility check
-_MORPHISM_TOL = 1e-6
+_MORPHISM_TOL = 1e-6  # plus ten flow tolerances: both sides are flows
 _BRACKET_SAMPLES = 64  # base points of make_addition_morphism's bracket check
 _BRACKET_TOL = 1e-9
 
@@ -761,7 +761,8 @@ class Morphism:
         self._map = map_fn
         self.label = label
         res = self.compatibility_residual(_MORPHISM_SAMPLES, cfg)
-        if res > _MORPHISM_TOL:
+        tols = cfg or _flow.DEFAULT_FLOW
+        if res > _MORPHISM_TOL + 10 * max(tols.abs_tol, tols.rel_tol):
             raise BaseMismatch(
                 f"morphism {label or ''} violates r/s compatibility: "
                 f"residual {res:.3e}"

@@ -11,10 +11,11 @@ chosen from the batch and the generators themselves:
 * Other affine families (every generator Jacobian entry is a constant
   node, so X_i(y) = A_i y + b_i) take the exact flow.  With G(xi) the
   augmented matrix [[sum xi_i A_i, sum xi_i b_i], [0, 0]], the flow is
-  the affine map of expm(G) (scipy's scaling and squaring, Al-Mohy &
-  Higham 2009), its Jacobian is the linear block, and the back flow uses
-  -G.  One ``expm`` is taken per distinct xi row; fibre quadrature tiles
-  a few nodes over many base points, and that period is found in O(N).
+  the affine map of expm(G), its Jacobian is the linear block, and the
+  back flow uses -G.  ``_expm`` is numpy: the Pade [13/13] approximant
+  with scaling and squaring (Higham 2005), over the stack of distinct xi
+  rows at once, so no path imports scipy.  Fibre quadrature tiles a few
+  nodes over many base points, and that period is found in O(N).
   These two paths take no steps, so tolerances and the step budget do
   not apply.
 * Every other family takes one batched Dormand-Prince 5(4) integrator
@@ -47,10 +48,9 @@ step.  The ``expm`` path checks the endpoint of every row and, on rows
 that the log-norm ball |y(t)| <= e^{mu+} (|x| + |g|) does not already
 keep inside the box, the path at t = k/64; mu is the largest eigenvalue
 of the symmetric part of the linear block and g the constant part.
-That rule is sampled: an excursion between two samples goes unseen.
-
-scipy is imported on first use, by the ``expm`` path, so the shift and
-DP45 paths never load it.
+That rule is sampled: an excursion between two samples goes unseen.  A
+row whose matrix needs more squarings than its digits survive turns
+non-finite (see ``_expm``).
 """
 
 from __future__ import annotations
@@ -296,10 +296,53 @@ def _shift_flow(foliation, b, xi, x, with_jacobian):
     return Y, J, escaped
 
 
+# Pade [13/13] coefficients b_0..b_13 of exp over b_0, and the 1-norm below
+# which that approximant meets double precision unscaled (Higham 2005,
+# Table 2.3).  LAPACK divides by a pivot as a product with its reciprocal,
+# which rounds unless the pivot is a power of 2; with b_0 = 1 a zero matrix
+# solves I X = I and gives I exactly.
+_PADE13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+# Each squaring can double the relative error of the matrix it squares, so
+# past 52 of them the rounding of the approximant (2^-53) can reach the
+# result's leading digit: a rotation by 1e300 comes out as 0.  Such a
+# matrix is NaN, and its flow row escapes as non-finite.
+_MAX_SQUARINGS = 52
+
+
+def _expm(G):
+    """expm of each matrix of the (N, k, k) stack G by scaling and squaring.
+
+    A matrix is scaled by 2^-s, with s the least integer >= 0 that takes
+    its 1-norm below _THETA13, goes through the Pade [13/13] approximant
+    and is squared s times (Higham 2005).  Each operation acts on each
+    matrix alone, so a matrix's result is the same bits alone or in any
+    stack, and a zero matrix gives exactly I.  A matrix that needs more
+    than _MAX_SQUARINGS squarings is NaN.
+    """
+    s = np.maximum(np.frexp(np.abs(G).sum(axis=1).max(axis=1) / _THETA13)[1], 0)
+    X = np.ldexp(G, -s[:, None, None])
+    b, eye = _PADE13, np.eye(G.shape[-1])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    for j in range(int(s.max(initial=0))):
+        sq = np.flatnonzero(s > j)
+        E[sq] = E[sq] @ E[sq]
+    E[s > _MAX_SQUARINGS] = np.nan
+    return E
+
+
 def _affine_flow(foliation, A, b, xi, x, with_jacobian):
     """Exact unit-time flow of sum_i xi_i (A_i y + b_i); xi carries the sign."""
-    from scipy.linalg import expm
-
     N, n = x.shape
     lo, hi = foliation.escape_box.T
     reps, inv = _distinct_rows(xi)
@@ -312,16 +355,20 @@ def _affine_flow(foliation, A, b, xi, x, with_jacobian):
     G = np.zeros((len(reps), n + 1, n + 1))
     G[:, :n, :n] = np.einsum("dm,mij->dij", reps, A)
     G[:, :n, n] = reps @ b
-    E = expm(G)
-    Y3 = _affine_map(spread(E), x3)
-    escaped = (spread(bad) | _outside(x3, lo, hi) | _outside(Y3, lo, hi)).reshape(N)
-    Y = Y3.reshape(N, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows escape
+        E = _expm(G)
+        Y3 = _affine_map(spread(E), x3)
+        escaped = (spread(bad) | _outside(x3, lo, hi)
+                   | _outside(Y3, lo, hi)).reshape(N)
+        Y = Y3.reshape(N, n)
 
-    # Rows that the log-norm ball does not keep inside get their path sampled.
-    GA, g = G[:, :n, :n], G[:, :n, n]
-    mu = np.linalg.eigvalsh((GA + GA.transpose(0, 2, 1)) / 2)[:, -1]
-    radius = spread(np.exp(np.maximum(mu, 0.0))) * (_row_norm(x3) + spread(_row_norm(g)))
-    in_ball = (radius < np.min(np.minimum(hi, -lo))).reshape(N)
+        # Rows that the log-norm ball does not keep inside get their path
+        # sampled.
+        GA, g = G[:, :n, :n], G[:, :n, n]
+        mu = np.linalg.eigvalsh((GA + GA.transpose(0, 2, 1)) / 2)[:, -1]
+        radius = (spread(np.exp(np.maximum(mu, 0.0)))
+                  * (_row_norm(x3) + spread(_row_norm(g))))
+        in_ball = (radius < np.min(np.minimum(hi, -lo))).reshape(N)
     rows = np.flatnonzero(~escaped & ~in_ball)
     d = rows % Q if inv is None else inv[rows]
     escaped[rows] = _sampled_escape(G, d, x[rows], lo, hi)
@@ -334,12 +381,10 @@ def _affine_flow(foliation, A, b, xi, x, with_jacobian):
 
 def _sampled_escape(G, d, x, lo, hi):
     """Rows x that leave [lo, hi] at some t = k/_PATH_SAMPLES under expm(t G[d])."""
-    from scipy.linalg import expm
-
     out = np.zeros(len(x), dtype=bool)
     if len(x):
         dist, sub = np.unique(d, return_inverse=True)
-        step = expm(G[dist] / _PATH_SAMPLES)[sub]
+        step = _expm(G[dist] / _PATH_SAMPLES)[sub]
         for _ in range(_PATH_SAMPLES - 1):
             x = _affine_map(step, x)
             out |= _outside(x, lo, hi)

@@ -14,7 +14,7 @@ from foliops.errors import (
     NotABisection,
 )
 from foliops.expr import parse_field
-from foliops.flow import DEFAULT_FLOW
+from foliops.flow import DEFAULT_FLOW, FlowConfig
 from foliops.canonical import canonical_workspace
 from foliops.foliation import SingularFoliation
 from foliops import bisubmersion as bis
@@ -245,6 +245,22 @@ def test_addition_morphism_commuting(planeF):
     mapped = pil.map(comp)
     assert np.allclose(mapped[:, 0], comp[:, 0] + comp[:, 2])
     assert np.allclose(mapped[:, 1], comp[:, 3])
+
+
+def test_morphism_bound_follows_the_flow_settings():
+    """At tolerance 1e-4 the pendulum's addition morphism has residual
+    1.7e-4 and is valid; its map shifted by 0.1 is not, at 1e-4 or at the
+    defaults."""
+    pendulum = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                                 generators=[parse_field("[x2, -sin(x1)]", 2)],
+                                 xi_radius=[1.0])
+    Up = make_path_holonomy(pendulum)
+    coarse = FlowConfig(abs_tol=1e-4, rel_tol=1e-4)
+    pi = make_addition_morphism(Up, cfg=coarse)
+    assert pi.compatibility_residual(32, coarse) > 1e-4
+    for cfg in (coarse, DEFAULT_FLOW):
+        with pytest.raises(BaseMismatch):
+            Morphism(pi.source, Up, lambda p: pi.map(p) + 0.1, cfg=cfg)
 
 
 def test_addition_morphism_rejects_noncommuting():

@@ -17,7 +17,7 @@ from foliops.expr import parse_field, parse_scalar
 from foliops.flow import FlowConfig
 from foliops.foliation import SingularFoliation, leaf_sample
 
-CFG = FlowConfig(abs_tol=1e-7, rel_tol=1e-7)
+CFG = FlowConfig(abs_tol=1e-4, rel_tol=1e-4)
 BOX = [[-2.0, 2.0], [-2.0, 2.0]]
 
 
