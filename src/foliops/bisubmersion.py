@@ -795,7 +795,6 @@ class AdditionMorphism(Morphism):
     """(eta, y, xi, x) -> (eta + xi, x) on U o U for commuting generators."""
 
     def __init__(self, U, cfg):
-        self.path_holonomy = U
         m = U.foliation.num_generators
         n = U.foliation.dim
 

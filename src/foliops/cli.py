@@ -220,7 +220,7 @@ def cmd_leaf(args):
 def cmd_flow(args):
     ws = _workspace(args)
     F = ws.get("foliations", args.foliation)
-    # A NaN xi is read as such: its flow escapes (exit 3), as the library's do.
+    # A NaN --xi is not JSON (exit 2); a flow that escapes exits 3.
     xi = _parse_vector(args.xi, F.num_generators, "--xi")
     x = _parse_vector(args.point, F.dim, "--point")
     result = {"point": [float(v) for v in _flow.exp_flow(F, xi, x, ws.flow_cfg)]}

@@ -49,8 +49,8 @@ that the log-norm ball |y(t)| <= e^{mu+} (|x| + |g|) does not already
 keep inside the box, the path at t = k/64; mu is the largest eigenvalue
 of the symmetric part of the linear block and g the constant part.
 That rule is sampled: an excursion between two samples goes unseen.  A
-row whose matrix needs more squarings than its digits survive turns
-non-finite (see ``_expm``).
+row whose matrix needs more squarings than the default tolerance
+survives turns non-finite (see ``_expm``).
 """
 
 from __future__ import annotations
@@ -307,10 +307,10 @@ _PADE13 = tuple(c / 64764752532480000.0 for c in (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 _THETA13 = 5.371920351148152
 # Each squaring can double the relative error of the matrix it squares, so
-# past 52 of them the rounding of the approximant (2^-53) can reach the
-# result's leading digit: a rotation by 1e300 comes out as 0.  Such a
-# matrix is NaN, and its flow row escapes as non-finite.
-_MAX_SQUARINGS = 52
+# s of them can grow the approximant's rounding to 2^s 2^-53; 19 is the last
+# s that keeps it under the default flow tolerance 1e-10.  A matrix needing
+# more (on the rotations, |xi| >= 2.82e6) is NaN; its flow row escapes.
+_MAX_SQUARINGS = 19
 
 
 def _expm(G):

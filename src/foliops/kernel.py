@@ -874,7 +874,6 @@ def _convolve_atoms_r(A, B, ctx):
             good = ok & (va != 0.0)
             if np.any(good):
                 out[good] = va[good] * B.coeff_fn(y[good])
-            out[va == 0.0] = 0.0
             return out
 
         # A's r images over the rows whose s images lie in B's r support
@@ -955,16 +954,16 @@ def transpose(a: FibredKernel) -> FibredKernel:
 # Pushforward / pullback
 
 
-def _reduce_addition(pi, atom, ctx, quad_order):
+def _reduce_addition(pi, atom, ctx):
     """Integrate a density*density atom along the addition morphism.
 
     On the composed host the fibre coordinates are (eta, xi); the change
     of variables zeta = eta + xi turns the pushforward into an explicit
     xi-convolution evaluated by quadrature, using that the generators
-    commute.  Both factors must be densities on U itself, which get no
-    range base; any other atom stays lazy.
+    commute.  Both factors must be densities on U = pi.target itself,
+    which get no range base; any other atom stays lazy.  The xi nodes are B's.
     """
-    U = pi.path_holonomy
+    U = pi.target
     F = U.foliation
     m = F.num_generators
     A, B = atom.left, atom.right
@@ -972,8 +971,7 @@ def _reduce_addition(pi, atom, ctx, quad_order):
                for X in (A, B)):
         return None
     n = F.dim
-    order = quad_order or ctx.quad.order_for(m)
-    nodes, weights = gauss_nodes(B.xi_box, order)
+    nodes, weights = B._nodes(ctx)
     flow = ctx.flow
     Q = len(nodes)
 
@@ -1019,22 +1017,22 @@ def _reduce_addition(pi, atom, ctx, quad_order):
     zeta_box = A.xi_box + B.xi_box  # Minkowski interval sum
     # Keep node density over the wider zeta box on par with the factors.
     zeta_order = None
-    if quad_order is not None:
+    if B.quad_order is not None:
         w_zeta = np.max(zeta_box[:, 1] - zeta_box[:, 0])
-        w_fac = np.max(
-            np.maximum(A.xi_box[:, 1] - A.xi_box[:, 0],
-                       B.xi_box[:, 1] - B.xi_box[:, 0])
-        )
-        zeta_order = int(np.ceil(order * max(1.0, w_zeta / w_fac)))
+        w_fac = np.max(np.maximum(A.xi_box[:, 1] - A.xi_box[:, 0],
+                                  B.xi_box[:, 1] - B.xi_box[:, 0]))
+        zeta_order = int(np.ceil(B.quad_order * max(1.0, w_zeta / w_fac)))
     return DensityAtom(U, dens, zeta_box, B.base_box, quad_order=zeta_order,
-                       dens_key=("reduce", A.key(), B.key(), order, flow))
+                       dens_key=("reduce", A.key(), B.key(), Q, flow))
 
 
-def pushforward(pi, a: FibredKernel, ctx=None, quad_order=None) -> FibredKernel:
+def pushforward(pi, a: FibredKernel, ctx=None) -> FibredKernel:
     """Integration along the fibres of a morphism: (pi_* a, phi) = (a, pi^* phi).
 
-    Addition morphisms reduce density*density atoms to explicit smooth
-    densities; everything else is kept lazy through the pairing contract.
+    The result lives over pi's target foliation.  Addition morphisms
+    reduce density*density atoms to explicit smooth densities at the
+    quadrature order the right factor carries (or the context's); everything
+    else is kept lazy through the pairing contract.
     """
     ctx = ctx or PairingCtx()
     out = []
@@ -1046,9 +1044,9 @@ def pushforward(pi, a: FibredKernel, ctx=None, quad_order=None) -> FibredKernel:
             )
         reduced = None
         if isinstance(pi, bis.AdditionMorphism) and isinstance(atom, ConvolvedAtom):
-            reduced = _reduce_addition(pi, atom, ctx, quad_order)
+            reduced = _reduce_addition(pi, atom, ctx)
         out.append(reduced if reduced is not None else PushedAtom(pi, atom))
-    return FibredKernel(a.side, out, a.foliation)
+    return FibredKernel(a.side, out, pi.target.foliation)
 
 
 class PulledKernel:

@@ -168,15 +168,15 @@ def suite_associativity(ws):
 def suite_pushforward(ws):
     ctx = ws.ctx()
     out = []
-    for tag, Uname, ka, kb, fname, box, res, order in (
-        ("T", "U_T", "gauss_T", "gauss_T2", "f_T", [[-2, 2]], (41,), None),
+    for tag, Uname, ka, kb, fname, box, res in (
+        ("T", "U_T", "gauss_T", "gauss_T2", "f_T", [[-2, 2]], (41,)),
         ("C", "U_C", "gauss_C", "gauss_C2", "f_C", [[-1.2, 1.2], [-1.2, 1.2]],
-         (3, 3), 20),
+         (3, 3)),
     ):
         U = ws.get("bisubmersions", Uname)
         pi = bis.make_addition_morphism(U, cfg=ctx.flow)
         ab = ker.convolve(ws.get("kernels", ka), ws.get("kernels", kb), ctx)
-        pushed = ker.pushforward(pi, ab, ctx, quad_order=order)
+        pushed = ker.pushforward(pi, ab, ctx)
         f = ws.get("functions", fname)
         pts = oper.grid_points(box, res)
         lhs = oper.op_values(pushed, f, pts, ctx)

@@ -1,8 +1,9 @@
 """Acceptance gate: every structural criterion at its pinned tolerance.
 
 Runs the full verification registry over the canonical fixtures and
-asserts each check, printing one line per criterion.  The twelve
-criterion groups map onto the suites as follows:
+asserts each check, printing one line per criterion, and pins each
+check's measured value.  The twelve criterion groups map onto the suites
+as follows:
 
  1 flow exactness ........... flows
  2 translation operators .... translation
@@ -55,3 +56,57 @@ def test_criterion(full_report, suite):
         if r.status != "pass":
             failures.append(line)
     assert not failures, "\n".join(failures)
+
+
+# Every check's measured value, pinned.  A value may move by ulp-level
+# platform noise, within _PIN_SLACK times its check's tolerance; a change
+# that eats into a tolerance moves it further and fails.
+_PIN_SLACK = 1e-3
+_PINNED = {
+    ("flows", "scaling flow exp((1),2) = 2e"): 0.0,
+    ("flows", "rotation flow exp((pi/2),(1,0)) = (0,1)"): 0.0,
+    ("flows", "quadratic flow exp((0.5),1) = 1/(1-0.5) = 2"): 4.866684832904866e-11,
+    ("translation",
+     "Op(c Dirac) equals c * (f o rotation by -xi0)"):
+        1.1102230246251565e-16,
+    ("composition", "Op(a*b) = Op(a)Op(b) [T dirac*dirac]"): 1.1102230246251565e-16,
+    ("composition", "Op(a*b) = Op(a)Op(b) [T dirac*density]"): 2.7755575615628914e-17,
+    ("composition", "Op(a*b) = Op(a)Op(b) [T density*dirac]"): 2.7755575615628914e-17,
+    ("composition", "Op(a*b) = Op(a)Op(b) [T density*density]"): 0.0,
+    ("composition", "Op(a*b) = Op(a)Op(b) [R dirac*dirac]"): 1.1102230246251565e-16,
+    ("composition", "Op(a*b) = Op(a)Op(b) [R density*density]"): 0.0,
+    ("associativity",
+     "Op((a*b)*c) = Op(a*(b*c)) [T mixed triple]"):
+        1.3877787807814457e-17,
+    ("pushforward", "Op(pi_*(a*b)) = Op(a*b) [T]"): 4.046926205258927e-08,
+    ("pushforward", "Op(pi_*(a*b)) = Op(a*b) [C]"): 2.728406611751666e-09,
+    ("smoothing", "pi_*(density*density) is a smooth density atom"): 0.0,
+    ("smoothing",
+     "second differences of the reduced density converge at order >= 1.9"):
+        1.969999688268952,
+    ("smoothing", "second differences stay bounded"): 5.382189822578514,
+    ("smoothing", "density*dirac is structurally a smooth density atom"): 0.0,
+    ("transpose", "adjoint of (a*b)^t = adjoint of b^t*a^t [T]"): 0.0,
+    ("adjoint", "<Op(a)f, g> = <f, Op(a~^t)g> [S]"): 1.2351231148954867e-15,
+    ("adjoint", "conversion factor matches e^xi [S]"): 8.881784197001252e-16,
+    ("mu-independence",
+     "Op(a)k agrees for Lebesgue and (1+x^2/10)*Lebesgue [T]"):
+        1.1102230246251565e-16,
+    ("support", "support bound covers the translated support [T]"): 0.0,
+    ("support", "|Op(a)f| vanishes outside the bound [T]"): 0.0,
+    ("support", "empty input support gives an empty bound"): 0.0,
+    ("leaf", "off-leaf perturbation leaves Op(a)f on L unchanged"): 0.0,
+    ("leaf", "(Op(a)f)|_L = Op_L(a)(f|_L)"): 3.608224830031759e-16,
+    ("leaf", "(a*b)|_L = a|_L * b|_L on leaf values"): 3.122502256758253e-17,
+    ("negative", "involutivity check fails on {[1,0],[0,x1]} at the x1=0 locus"): 0.0,
+    ("negative", "addition morphism rejects non-commuting generators"): 0.0,
+}
+
+
+def test_measured_values_are_pinned(full_report):
+    measured = {(s, r.check): (r.measured, r.tolerance) for s, r in full_report}
+    assert set(measured) == set(_PINNED)
+    moved = [f"{key}: {got!r}, pinned {_PINNED[key]!r}"
+             for key, (got, tol) in measured.items()
+             if not abs(got - _PINNED[key]) <= _PIN_SLACK * tol]
+    assert not moved, "\n".join(moved)

@@ -426,14 +426,20 @@ def test_nan_xi_escapes(canonical):
 
 def test_huge_xi_escapes_quietly(canonical):
     """Overflow in the matrix exponential, and a rotation too fast for its
-    squarings to resolve, escape without a RuntimeWarning."""
+    squarings to keep within the default tolerance, escape without a
+    RuntimeWarning; a rotation by 1e6 (18 squarings) stays accurate."""
     for name, xi, x in (("S", 800.0, [1.0]), ("S", 1e300, [1.0]),
+                        ("R", 1e10, [1.0, 0.0]), ("R", 1e16, [1.0, 0.0]),
                         ("R", 1e300, [1.0, 0.0])):
         for entry in (exp_flow_batch, flow_jacobian_batch):
             escaped = entry(canonical[name], [[xi]], [x], allow_escape=True)[-1]
             assert escaped.tolist() == [True], (name, xi, entry.__name__)
     assert back_flow_batch(canonical["R"], [[1e300]], [[1.0, 0.0]],
                            allow_escape=True)[1].tolist() == [True]
+    Y, escaped = exp_flow_batch(canonical["R"], [[1e6]], [[1.0, 0.0]],
+                                allow_escape=True)
+    assert escaped.tolist() == [False]
+    assert np.max(np.abs(Y[0] - [math.cos(1e6), math.sin(1e6)])) <= 1e-10
 
 
 def _scipy_rel_err(E, G):

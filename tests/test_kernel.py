@@ -485,11 +485,17 @@ def test_addition_reduction_row_masks_keep_their_bits(family):
 
 def test_addition_reduction_order_rule_2d():
     """On U_C the reduced density is int a(zeta - xi) b(xi) d(xi) over the
-    right factor's xi box, which separates into per-axis scipy quads."""
+    right factor's xi box, which separates into per-axis scipy quads; the
+    reduction runs at the order its factors carry."""
     ws = canonical_workspace()
     ctx = ws.ctx()
     pi = make_addition_morphism(ws.bisubmersions["U_C"], cfg=ctx.flow)
-    ab = ker.convolve(ws.kernels["gauss_C"], ws.kernels["gauss_C2"], ctx)
+
+    def factor(name, q):  # the canonical factor, carrying order q
+        (X,) = ws.kernels[name].atoms
+        return ker.density(X.host, lambda p: X.dens_fn(p, None), X.xi_box,
+                           X.base_box, quad_order=q)
+
     a_centre, b_centre = (0.2, -0.1), (-0.3, 0.2)
     b_box = ws.kernels["gauss_C2"].atoms[0].xi_box
     params = np.array([[0.1, 0.05, 0.3, -0.2],
@@ -509,7 +515,8 @@ def test_addition_reduction_order_rule_2d():
     want = np.array([reference(p[:2]) for p in params])
     errors = []
     for q in (12, 20, 32):
-        (atom,) = ker.pushforward(pi, ab, ctx, quad_order=q).atoms
+        ab = ker.convolve(factor("gauss_C", q), factor("gauss_C2", q), ctx)
+        (atom,) = ker.pushforward(pi, ab, ctx).atoms
         assert isinstance(atom, ker.DensityAtom)
         errors.append(np.max(np.abs(atom.dens_fn(params, None) - want)))
     assert errors[0] > errors[1] > errors[2]
@@ -568,6 +575,50 @@ def test_extension_by_zero(UT, lineF):
     xs = np.linspace(-1.5, 1.5, 11)[:, None]
     phi = lambda p, r, atom: np.exp(-p[:, 0] ** 2) * np.cos(p[:, 1])
     assert np.allclose(pushed.pairing(phi, xs), a.pairing(phi, xs))
+
+
+def test_default_pushforward_on_C_matches_the_lazy_side():
+    """Without any order given, the reduction of gauss_C * gauss_C2 runs
+    at the order gauss_C2 carries (20), not the context's 12."""
+    ws = canonical_workspace()
+    ctx = ws.ctx()
+    pi = make_addition_morphism(ws.bisubmersions["U_C"], cfg=ctx.flow)
+    ab = ker.convolve(ws.kernels["gauss_C"], ws.kernels["gauss_C2"], ctx)
+    pushed = ker.pushforward(pi, ab, ctx)
+    f = ws.functions["f_C"]
+    pts = oper.grid_points([[-1.2, 1.2], [-1.2, 1.2]], (3, 3))
+    err = np.max(np.abs(oper.op_values(pushed, f, pts, ctx)
+                        - oper.op_values(ab, f, pts, ctx)))
+    assert err <= 1e-6
+
+
+def test_pushforward_between_generating_families():
+    """T' = {[1], [2]} generates the same foliation as T = {[1]}: pushed
+    along (xi1, xi2, x) -> (xi1 + 2 xi2, x), a kernel on U_T' becomes a
+    kernel over T with the same operator, bit for bit."""
+    from foliops.bisubmersion import Morphism
+
+    ws = canonical_workspace()
+    ctx = ws.ctx()
+    UT = ws.bisubmersions["U_T"]
+    Tp = SingularFoliation(dim=1, chart_box=[[-3.0, 3.0]],
+                           generators=[parse_field("[1]", 1),
+                                       parse_field("[2]", 1)],
+                           xi_radius=[1.0, 0.5])
+    Up = make_path_holonomy(Tp)
+    pi = Morphism(Up, UT,
+                  lambda p: np.column_stack([p[:, 0] + 2 * p[:, 1], p[:, 2]]),
+                  cfg=ctx.flow)
+    a = ker.density(Up, _f("exp(-25*(x1-0.3)^2-20*(x2+0.1)^2)", 3),
+                    xi_box=[[-0.8, 1.0], [-0.5, 0.3]], base_box=[[-12.0, 12.0]])
+    pushed = ker.pushforward(pi, a, ctx)
+    assert pushed.foliation.key() == UT.foliation.key()
+    assert all(atom.host is UT for atom in pushed.atoms)
+    f = ws.functions["f_T"]
+    pts = np.linspace(-2, 2, 21)[:, None]
+    want = oper.op_values(a, f, pts, ctx)
+    assert np.all(want > 0)
+    assert oper.op_values(pushed, f, pts, ctx).tobytes() == want.tobytes()
 
 
 def test_pullback_identity_and_functoriality(UT, gauss_kernel):

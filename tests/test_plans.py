@@ -463,7 +463,7 @@ def _budget_case(case):
         pi = bis.make_addition_morphism(ws.get("bisubmersions", "U_C"),
                                         cfg=ws.flow_cfg)
         ab = ker.convolve(kern["gauss_C"], kern["gauss_C2"], ws.ctx())
-        pushed = ker.pushforward(pi, ab, ws.ctx(), quad_order=20)
+        pushed = ker.pushforward(pi, ab, ws.ctx())
         assert isinstance(pushed.atoms[0], ker.DensityAtom)
         pts = oper.grid_points([[-1.2, 1.2], [-1.2, 1.2]], (3, 3))
         f = ws.get("functions", "f_C")
