@@ -262,6 +262,30 @@ class Integrand:
         return self.gather(params, rows, self.geometry(params, rows))
 
 
+class OpIntegrand(Integrand):
+    """f o s on ``host``, the integrand of Op(a)f; its geometry is the source
+    points and their ok mask.  Its parts are methods, not closures, so it
+    holds no reference cycle that would keep a plan store alive until a GC
+    pass."""
+
+    def __init__(self, f_fn, host, flow):
+        self.f_fn = f_fn
+        self.host = host
+        self.flow = flow
+        self.key = ("op", host.key())
+
+    def geometry(self, params, rows):
+        return self.host.s(params, self.flow, allow_escape=True)
+
+    def gather(self, params, rows, geom):
+        spts, ok = geom
+        return np.where(ok, self.f_fn(spts), np.nan)
+
+    def on(self, host):
+        """The same f pulled back by ``host``'s source map."""
+        return OpIntegrand(self.f_fn, host, self.flow)
+
+
 class Atom:
     host = None
 
@@ -499,13 +523,18 @@ class DensityAtom(Atom):
     coefficient's box, which is exact, and the density*Dirac rule sets
     ``s_hint`` to the sampled s image of the coefficient's support.
     ``dens_key`` names what ``dens_fn`` computes (by default ``dens_fn``
-    itself); atoms with equal ``key()`` pair alike.
+    itself); atoms with equal ``key()`` pair alike.  ``fibre_only`` is True
+    for a density that reads only the fibre coordinates of its rows, or a
+    predicate ``fibre_only(under, inside)`` that proves it for the rows of
+    one plan block whose base ``under`` is ``inside`` the base box; such a
+    density is evaluated once per node (see ``_plan_block``).
     """
 
     def __init__(self, host, dens_fn, xi_box, base_box, quad_order=None,
-                 r_hint=None, s_hint=None, *, dens_key=None):
+                 r_hint=None, s_hint=None, *, dens_key=None, fibre_only=None):
         self.host = host
         self.dens_fn = dens_fn
+        self.fibre_only = fibre_only
         self.xi_box = np.atleast_2d(np.asarray(xi_box, float))
         self.base_box = np.atleast_2d(np.asarray(base_box, float))
         self.quad_order = quad_order
@@ -546,17 +575,34 @@ class DensityAtom(Atom):
 
     def _plan_block(self, side, bases, nodes, weights, ctx, row_offset):
         """The density is evaluated once, on the chart rows in the base box,
-        and is zero elsewhere; a range fibre's base is its range base."""
+        and is zero elsewhere; a range fibre's base is its range base.
+
+        Where ``fibre_only`` holds on the block, it is evaluated on the Q
+        node rows at the base of the first row inside, and tiled over the N
+        base rows.  A chart keeps the nodes as its rows' fibre coordinates
+        and evaluation is elementwise, so the bits are the rows' own.
+        """
         N, Q = len(bases), len(nodes)
+        m = self.host.fibre_dim
         base_rep = np.repeat(bases, Q, axis=0)
         params, ok = self.host.chart(side, np.tile(nodes, (N, 1)), base_rep,
                                      ctx.flow, allow_escape=True)
-        dens = np.zeros(len(params))
-        inside = ok & _in_box(params[:, self.host.fibre_dim:], self.base_box)
-        if np.any(inside):
+        under = params[:, m:]
+        inside = ok & _in_box(under, self.base_box)
+        fibre_only = self.fibre_only
+        if not np.any(inside):
+            dens = np.zeros(len(params))
+        elif fibre_only is True or (fibre_only and fibre_only(under, inside)):
+            at = np.empty((Q, params.shape[1]))
+            at[:, :m] = nodes
+            at[:, m:] = under[np.argmax(inside)]
+            dens = np.tile(self.dens_fn(at, None), N)
+            dens[~inside] = 0.0
+        else:
+            dens = np.zeros(len(params))
             dens[inside] = self.dens_fn(
                 params[inside], base_rep[inside] if side == "r" else None)
-        del base_rep, inside
+        del base_rep, under, inside
 
         def params_of(idx):  # no copy when every node is live
             return params if len(idx) == len(params) else params[idx]
@@ -567,7 +613,8 @@ class DensityAtom(Atom):
         return DensityAtom(self.host, _scaled_fn(self.dens_fn, factor),
                            self.xi_box, self.base_box, self.quad_order,
                            self.r_hint, self.s_hint,
-                           dens_key=("scaled", repr(factor), self.dens_key))
+                           dens_key=("scaled", repr(factor), self.dens_key),
+                           fibre_only=self.fibre_only)
 
     def _clip(self, box, side):
         """``box`` (or None) cut to the ``side`` hint, if there is one."""
@@ -621,8 +668,15 @@ class ConvolvedAtom(Atom):
             outer, inner = self.left, self.right
         else:
             outer, inner = self.right, self.left
+        # Op's integrand is f o s, and on the range side the composite's s
+        # is the inner factor's: the inner pairing reads f o s of its own
+        # host, whose geometry its plan can keep.  Every other integrand
+        # reads whole composite rows.
         inner_ctx = ctx.nested_in(outer, side, bases)
         opposite = getattr(outer.host, _OTHER[side])
+        pulled = (phi.on(inner.host) if side == "r"
+                  and isinstance(phi, OpIntegrand) and phi.host is self.host
+                  else None)
 
         def mids(o_params, o_rows):
             return opposite(o_params, ctx.flow, allow_escape=True)
@@ -634,7 +688,8 @@ class ConvolvedAtom(Atom):
                     parts.reverse()
                 return phi(np.concatenate(parts, axis=1), o_rows[i_rows])
 
-            vals = inner.pair(side, geom[0], phi_in, inner_ctx)
+            vals = inner.pair(side, geom[0], phi_in if pulled is None else pulled,
+                              inner_ctx)
             return np.where(geom[1], vals, np.nan)
 
         phi_out = Integrand(mids, gather, ("mids", _OTHER[side], outer.host.key()))
@@ -850,8 +905,10 @@ def density(U, a, xi_box=None, base_box=None, side="r",
         base_box = _cut_to(base_box, U.box[m:], "base box")
     xi_box = _checked_box(xi_box, U.fibre_dim, "xi_box", HostMismatch)
     base_box = _checked_box(base_box, U.base_dim, "base_box")
+    fibre_only = (True if isinstance(a, ScalarExpr)
+                  and a.node.max_var() < U.fibre_dim else None)
     atom = DensityAtom(U, _as_dens_fn(a), xi_box, base_box, quad_order=quad_order,
-                       dens_key=_fn_key(a))
+                       dens_key=_fn_key(a), fibre_only=fibre_only)
     return FibredKernel(side, [atom])
 
 
@@ -954,6 +1011,30 @@ def transpose(a: FibredKernel) -> FibredKernel:
 # Pushforward / pullback
 
 
+# Margin, relative to a box's largest bound, by which the shift proof keeps
+# boxes apart: far above the rounding of y + sum_i xi_i b_i.
+_PROOF_SLACK = 1e-9
+
+
+def _box_within(inner, outer):
+    slack = _PROOF_SLACK * (1.0 + np.max(np.abs(outer)))
+    return bool(np.all(outer[:, 0] + slack <= inner[:, 0])
+                and np.all(inner[:, 1] <= outer[:, 1] - slack))
+
+
+def _shift_proof(escape_box, a_box, reach, under, inside):
+    """Whether no mask or escape of a reduced density on a translation
+    family fires on a block's rows whose base ``under`` is ``inside`` (so in
+    B's base box): the box of those bases lies in the escape box, and moved
+    by ``reach``, the interval of sum_i xi_i b_i over B's xi box, in the
+    escape box and A's base box.  The value then depends on zeta alone."""
+    box = np.array([[under[inside, k].min(), under[inside, k].max()]
+                    for k in range(under.shape[1])])
+    moved = box + reach
+    return (_box_within(box, escape_box) and _box_within(moved, escape_box)
+            and _box_within(moved, a_box))
+
+
 def _reduce_addition(pi, atom, ctx):
     """Integrate a density*density atom along the addition morphism.
 
@@ -962,6 +1043,9 @@ def _reduce_addition(pi, atom, ctx):
     xi-convolution evaluated by quadrature, using that the generators
     commute.  Both factors must be densities on U = pi.target itself,
     which get no range base; any other atom stays lazy.  The xi nodes are B's.
+    When both factors read only their fibre coordinates and every generator
+    is a constant field b_i, the reduced density is fibre-only on every plan
+    block that ``_shift_proof`` passes.
     """
     U = pi.target
     F = U.foliation
@@ -1022,8 +1106,17 @@ def _reduce_addition(pi, atom, ctx):
         w_fac = np.max(np.maximum(A.xi_box[:, 1] - A.xi_box[:, 0],
                                   B.xi_box[:, 1] - B.xi_box[:, 0]))
         zeta_order = int(np.ceil(B.quad_order * max(1.0, w_zeta / w_fac)))
+    fibre_only = None
+    parts = _flow._affine_parts(F)  # (A, b): constant fields have A = 0
+    if A.fibre_only is True and B.fibre_only is True and parts is not None \
+            and not np.any(parts[0]):
+        ends = B.xi_box[:, :, None] * parts[1][:, None, :]  # (m, 2, n)
+        reach = np.stack([ends.min(axis=1).sum(axis=0),
+                          ends.max(axis=1).sum(axis=0)], axis=1)
+        fibre_only = partial(_shift_proof, F.escape_box, A.base_box, reach)
     return DensityAtom(U, dens, zeta_box, B.base_box, quad_order=zeta_order,
-                       dens_key=("reduce", A.key(), B.key(), Q, flow))
+                       dens_key=("reduce", A.key(), B.key(), Q, flow),
+                       fibre_only=fibre_only)
 
 
 def pushforward(pi, a: FibredKernel, ctx=None) -> FibredKernel:

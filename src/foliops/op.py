@@ -33,6 +33,7 @@ from .kernel import (
     DensityAtom,
     FibredKernel,
     Integrand,
+    OpIntegrand,
     PairingCtx,
     QuadratureConfig,
     TransposedAtom,
@@ -178,16 +179,7 @@ def op_values(kernel: FibredKernel, f, points, ctx=None):
     f_fn = _wrap_f(f)
     total = np.zeros(len(points))
     for atom in kernel.atoms:
-        host = atom.host
-
-        def sources(params, rows, host=host):
-            return host.s(params, ctx.flow, allow_escape=True)
-
-        def gather(params, rows, geom):
-            spts, ok = geom
-            return np.where(ok, f_fn(spts), np.nan)
-
-        phi = Integrand(sources, gather, ("op", host.key()))
+        phi = OpIntegrand(f_fn, atom.host, ctx.flow)
         total = total + atom.pair("r", points, phi, ctx)
     return total
 
