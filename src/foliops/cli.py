@@ -84,8 +84,11 @@ def _write(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _workspace(args):
@@ -141,6 +144,8 @@ def svg_leaf(points, box):
 def svg_grid(grid: oper.GridFunction):
     """Heatmap (2-D) or curve (1-D) of a grid function."""
     vals = grid.values
+    if vals.ndim > 2:
+        raise ConfigError(f"only 1-D and 2-D grids are plotted, not {vals.ndim}-D")
     finite = vals[np.isfinite(vals)]
     vmin = float(finite.min()) if finite.size else 0.0
     vmax = float(finite.max()) if finite.size else 1.0
@@ -279,21 +284,19 @@ def cmd_verify(args):
 
 
 def cmd_plot(args):
-    with open(args.input) as fh:
-        text = fh.read()
-    header = text.splitlines()[0]
-    if header.startswith("# box="):
-        _write(args.svg, svg_grid(oper.GridFunction.from_csv(text)))
-    else:
-        rows = [
-            [float(t) for t in ln.split(",")]
-            for ln in text.splitlines()[1:]
-            if ln.strip()
-        ]
-        pts = np.asarray(rows)
-        lo = pts.min(axis=0) - 0.1
-        hi = pts.max(axis=0) + 0.1
-        _write(args.svg, svg_leaf(pts, np.stack([lo, hi], axis=1)))
+    grid = None
+    try:
+        with open(args.input) as fh:
+            text = fh.read()
+        if text.startswith("# box="):
+            grid = oper.GridFunction.from_csv(text)
+        else:
+            pts = np.array([[float(t) for t in ln.split(",")]
+                            for ln in text.splitlines()[1:] if ln.strip()])
+            box = np.stack([pts.min(axis=0) - 0.1, pts.max(axis=0) + 0.1], axis=1)
+    except (OSError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot plot --input {args.input}: {exc}") from exc
+    _write(args.svg, svg_leaf(pts, box) if grid is None else svg_grid(grid))
     return 0
 
 

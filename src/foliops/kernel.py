@@ -163,7 +163,7 @@ class PairingCtx:
     def nested_in(self, atom, side, bases):
         """One level down, for pairings on points that the rows of
         ``atom.pair(side, bases)`` on this context fix (a lazy convolution's
-        mid points, a nested adjoint's flowed points).
+        mid points, those where a factor-wise action reads its inner factor).
 
         Such points repeat bit for bit once that outer plan is reused, since
         they come from its kept geometry.  The deeper context therefore
@@ -260,30 +260,6 @@ class Integrand:
 
     def __call__(self, params, rows):
         return self.gather(params, rows, self.geometry(params, rows))
-
-
-class OpIntegrand(Integrand):
-    """f o s on ``host``, the integrand of Op(a)f; its geometry is the source
-    points and their ok mask.  Its parts are methods, not closures, so it
-    holds no reference cycle that would keep a plan store alive until a GC
-    pass."""
-
-    def __init__(self, f_fn, host, flow):
-        self.f_fn = f_fn
-        self.host = host
-        self.flow = flow
-        self.key = ("op", host.key())
-
-    def geometry(self, params, rows):
-        return self.host.s(params, self.flow, allow_escape=True)
-
-    def gather(self, params, rows, geom):
-        spts, ok = geom
-        return np.where(ok, self.f_fn(spts), np.nan)
-
-    def on(self, host):
-        """The same f pulled back by ``host``'s source map."""
-        return OpIntegrand(self.f_fn, host, self.flow)
 
 
 class Atom:
@@ -646,7 +622,8 @@ class DensityAtom(Atom):
 
 
 class ConvolvedAtom(Atom):
-    """Lazy convolution: nested pairing over the composed host."""
+    """Lazy convolution: nested pairing over the composed host of whole
+    composite rows.  Op and the adjoint act factor by factor (``op._act``)."""
 
     def __init__(self, left, right):
         self.left = left
@@ -668,15 +645,8 @@ class ConvolvedAtom(Atom):
             outer, inner = self.left, self.right
         else:
             outer, inner = self.right, self.left
-        # Op's integrand is f o s, and on the range side the composite's s
-        # is the inner factor's: the inner pairing reads f o s of its own
-        # host, whose geometry its plan can keep.  Every other integrand
-        # reads whole composite rows.
         inner_ctx = ctx.nested_in(outer, side, bases)
         opposite = getattr(outer.host, _OTHER[side])
-        pulled = (phi.on(inner.host) if side == "r"
-                  and isinstance(phi, OpIntegrand) and phi.host is self.host
-                  else None)
 
         def mids(o_params, o_rows):
             return opposite(o_params, ctx.flow, allow_escape=True)
@@ -688,8 +658,7 @@ class ConvolvedAtom(Atom):
                     parts.reverse()
                 return phi(np.concatenate(parts, axis=1), o_rows[i_rows])
 
-            vals = inner.pair(side, geom[0], phi_in if pulled is None else pulled,
-                              inner_ctx)
+            vals = inner.pair(side, geom[0], phi_in, inner_ctx)
             return np.where(geom[1], vals, np.nan)
 
         phi_out = Integrand(mids, gather, ("mids", _OTHER[side], outer.host.key()))

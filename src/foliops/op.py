@@ -12,11 +12,15 @@ Op, a point is masked only where an escaped chart meets a nonzero
 density.
 Both pair through an ``Integrand``: a reused plan keeps the points where
 f or k is read, |det J| and the ok mask, and evaluates only f or k.
+Both act on lazy convolutions factor by factor, in one recursion
+(``_act``): a*b acts as a after b, one nesting level down, and (a*b)^t
+as b^t * a^t.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import numpy as np
 
 from .errors import (
@@ -33,7 +37,6 @@ from .kernel import (
     DensityAtom,
     FibredKernel,
     Integrand,
-    OpIntegrand,
     PairingCtx,
     QuadratureConfig,
     TransposedAtom,
@@ -131,10 +134,8 @@ class GridFunction:
             raise ValueError("missing grid header")
         meta = header[2:]
         box_part, res_part = meta.split(";")
-        import json as _json
-
-        box = np.asarray(_json.loads(box_part.split("=", 1)[1]), float)
-        res = tuple(_json.loads(res_part.split("=", 1)[1]))
+        box = np.asarray(json.loads(box_part.split("=", 1)[1]), float)
+        res = tuple(json.loads(res_part.split("=", 1)[1]))
         vals = np.array([float(ln) for ln in lines[1:]]).reshape(res)
         return cls(box, vals)
 
@@ -170,6 +171,47 @@ def _wrap_f(f):
     return safe
 
 
+def _factors(atom):
+    """(left, right) of a lazy convolution, (b^t, a^t) of a transposed lazy
+    convolution (a*b)^t, else None."""
+    if isinstance(atom, ConvolvedAtom):
+        return atom.left, atom.right
+    if isinstance(atom, TransposedAtom) and isinstance(atom.inner, ConvolvedAtom):
+        return atom.inner.right.transposed(), atom.inner.left.transposed()
+    return None
+
+
+def _act(act_one, atom, fn, pts, ctx):
+    """``act_one(atom, fn, pts, ctx)``, with a lazy left*right acting as left
+    after right: left is paired one level down, in this context's store,
+    against right's action on the points its geometry reads."""
+    factors = _factors(atom)
+    if factors is None:
+        return act_one(atom, fn, pts, ctx)
+    left, right = factors
+    inner_ctx = ctx.nested_in(left, "r", pts)
+
+    def inner(zs):
+        return _act(act_one, right, fn, zs, inner_ctx)
+
+    return _act(act_one, left, inner, pts, ctx.deeper(keep_plans=True))
+
+
+def _op_atom(atom, f_fn, pts, ctx):
+    """Op(atom)f at pts: a pairing over range fibres against f o s."""
+    host, flow = atom.host, ctx.flow
+
+    def geometry(params, rows):
+        return host.s(params, flow, allow_escape=True)
+
+    def gather(params, rows, geom):
+        spts, ok = geom
+        return np.where(ok, f_fn(spts), np.nan)
+
+    phi = Integrand(geometry, gather, ("op", host.key()))
+    return atom.pair("r", pts, phi, ctx)
+
+
 def op_values(kernel: FibredKernel, f, points, ctx=None):
     """Op(a)f at arbitrary points; NaN marks escaped (masked) points."""
     if kernel.side != "r":
@@ -179,8 +221,7 @@ def op_values(kernel: FibredKernel, f, points, ctx=None):
     f_fn = _wrap_f(f)
     total = np.zeros(len(points))
     for atom in kernel.atoms:
-        phi = OpIntegrand(f_fn, atom.host, ctx.flow)
-        total = total + atom.pair("r", points, phi, ctx)
+        total = total + _act(_op_atom, atom, f_fn, points, ctx)
     return total
 
 
@@ -217,23 +258,8 @@ def _adjoint_atom(atom, k_fn, ys, ctx):
 
     A transposed range density a^t pairs a over source fibres against
     |det J| * k(r(p)); a native source density pairs over range fibres
-    against k(s(p)) / |det J|.  Transposed lazy convolutions are rewritten
-    as (a*b)^t = b^t * a^t and nest one adjoint inside the other.
+    against k(s(p)) / |det J|.
     """
-    if isinstance(atom, TransposedAtom) and isinstance(atom.inner, ConvolvedAtom):
-        # Pairing the composite directly would recompute the right factor's
-        # Jacobian on every inner row.
-        atom = ConvolvedAtom(atom.inner.right.transposed(),
-                             atom.inner.left.transposed())
-    if isinstance(atom, ConvolvedAtom):
-        # The inner adjoint reads the points the outer geometry flowed, and
-        # the outer pairing is over the left factor's range side.
-        inner_ctx = ctx.nested_in(atom.left, "r", ys)
-
-        def g(zs):
-            return _adjoint_atom(atom.right, k_fn, zs, inner_ctx)
-
-        return _adjoint_atom(atom.left, g, ys, ctx)
     side, dens = ("s", atom.inner) if isinstance(atom, TransposedAtom) \
         else ("r", atom)
     if not isinstance(dens, DensityAtom):
@@ -279,7 +305,7 @@ def adjoint_values(kernel: FibredKernel, k, ys, ctx=None, mu_weight=None):
         k_fn = lambda pts: base_fn(pts) * w_fn(pts)
     total = np.zeros(len(ys))
     for atom in kernel.atoms:
-        total = total + _adjoint_atom(atom, k_fn, ys, ctx)
+        total = total + _act(_adjoint_atom, atom, k_fn, ys, ctx)
     if mu_weight is not None:
         total = total / w_fn(ys)
     return total

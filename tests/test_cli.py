@@ -443,6 +443,43 @@ def test_unusable_inputs_exit_2(tmp_path, capsys, args, message):
     assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot plot --input {csv}: [Errno 2] No such file"),
+    ("", "cannot plot --input {csv}: zero-size array"),
+    ("# foliation=T\n", "cannot plot --input {csv}: zero-size array"),
+    ("# box=[[0,1]];res=[2]\n1\nabc\n",
+     "cannot plot --input {csv}: could not convert string to float"),
+    ("# box=[[0,1]];res=[3]\n1\n2\n", "cannot plot --input {csv}: cannot reshape"),
+    ("# foliation=T\n0.5\nx\n",
+     "cannot plot --input {csv}: could not convert string to float"),
+    ("# foliation=R\n0.5,1\n0.5\n", "cannot plot --input {csv}: "),
+    ("# box=[[0,1],[0,1],[0,1]];res=[2,2,2]\n" + "1\n" * 8,
+     "only 1-D and 2-D grids are plotted, not 3-D"),
+], ids=["missing", "empty", "no-points", "grid-text", "grid-short", "leaf-text",
+        "leaf-ragged", "grid-3d"])
+def test_unusable_plot_input_exit_2(tmp_path, capsys, text, message):
+    """A missing, empty or unparsable CSV is a usage error (exit 2), not a
+    failed check (exit 1), and writes no plot."""
+    csv = tmp_path / "in.csv"
+    if text is not None:
+        csv.write_text(text)
+    assert run_cli("plot", "--input", str(csv), "--svg",
+                   str(tmp_path / "out.svg")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: " + message.format(csv=csv))
+    assert not (tmp_path / "out.svg").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_unwritable_output_exit_2(tmp_path, capsys, flag):
+    """An output path in a missing directory is a usage error (exit 2)."""
+    args = (["info", "--out"] if flag == "--out" else
+            ["leaf", "--foliation", "T", "--point", "0", "--budget", "5",
+             "--out", str(tmp_path / "leaf.csv"), "--svg"])
+    assert run_cli(*args, str(tmp_path / "missing" / "x")) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError: cannot write")
+
+
 def test_apply_reports_its_masked_points(tmp_path, capsys):
     """With escape factor 1 the range fibre over x leaves [-3, 3] for some
     xi in [-1.5, 1.5] exactly when |x| > 1.5: 4 of the 7 points."""

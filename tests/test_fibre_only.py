@@ -245,13 +245,23 @@ def _lazy_cases(ws):
     yield _pendulum()
 
 
-@pytest.mark.parametrize("case", [0, 1, 2], ids=["T", "R", "pendulum"])
-def test_lazy_op_pairs_its_inner_factor_with_the_bits_of_composite_rows(ws, case):
+@pytest.mark.parametrize("case, transposed", [
+    pytest.param(case, transposed, id=name + ("-transposed" if transposed else ""))
+    for transposed in (False, True)
+    for case, name in enumerate(["T", "R", "pendulum"])
+])
+def test_lazy_op_pairs_its_inner_factor_with_the_bits_of_composite_rows(
+        ws, case, transposed):
     """Cold and on three calls that share one store (the inner plans are
-    kept from the third), Op of a*b equals the composite-row pairing."""
+    kept from the third), Op of a*b, and of (b^t * a^t)^t, equals the
+    composite-row pairing."""
     a, b, f, pts = list(_lazy_cases(ws))[case]
-    (atom,) = ker.convolve(a, b).atoms
-    assert isinstance(atom, ker.ConvolvedAtom)
+    if transposed:
+        k = ker.transpose(ker.convolve(ker.transpose(b), ker.transpose(a)))
+    else:
+        k = ker.convolve(a, b)
+    (atom,) = k.atoms
+    assert isinstance(atom, ker.TransposedAtom if transposed else ker.ConvolvedAtom)
     cold = ker.PairingCtx(ws.quad_cfg, ws.flow_cfg)
     want = atom.pair("r", pts, _composite_rows_phi(f, atom.host, cold.flow), cold)
     store = ker.PairingCtx(ws.quad_cfg, ws.flow_cfg)
@@ -265,12 +275,21 @@ def test_lazy_op_pairs_its_inner_factor_with_the_bits_of_composite_rows(ws, case
 
 def test_op_integrand_of_another_host_reads_composite_rows(ws):
     """f o s of the inverse composite is f o r of the composite, which the
-    inner factor cannot give; it is read from whole composite rows."""
+    inner factor cannot give: a lazy convolution pairs it on whole
+    composite rows, as an Integrand with the bits of a plain function."""
     f, pts = ws.functions["f_T"], np.linspace(-1.0, 1.0, 5)[:, None]
     (atom,) = ker.convolve(ws.kernels["gauss_T"], ws.kernels["gauss_T2"]).atoms
     other = bis.invert(atom.host)
     ctx = ker.PairingCtx()
-    got = atom.pair("r", pts, ker.OpIntegrand(oper._wrap_f(f), other, ctx.flow),
+    f_fn = oper._wrap_f(f)
+
+    def geometry(params, rows):
+        return other.s(params, ctx.flow, allow_escape=True)
+
+    def gather(params, rows, geom):
+        return np.where(geom[1], f_fn(geom[0]), np.nan)
+
+    got = atom.pair("r", pts, ker.Integrand(geometry, gather, ("op", other.key())),
                     ctx)
     want = atom.pair("r", pts, _composite_rows_phi(f, other, ctx.flow),
                      ker.PairingCtx())
@@ -297,16 +316,14 @@ def test_lazy_op_reads_no_composite_row(ws, monkeypatch):
     assert calls == []
 
 
-def test_transposed_composite_still_reads_composite_rows(ws, monkeypatch):
-    """Op of (b^t * a^t)^t pairs over source fibres; its "s" is the
-    composite's r, which reads the left factor's columns."""
+def test_transposed_composite_reads_no_composite_row(ws, monkeypatch):
+    """Op of (b^t * a^t)^t acts as Op(a) after Op(b), as Op of a*b does."""
     ctx = ker.PairingCtx()
     k = ker.transpose(ker.convolve(ker.transpose(ws.kernels["gauss_T2"]),
                                    ker.transpose(ws.kernels["gauss_T"]), ctx))
-    (atom,) = k.atoms
     calls = _composition_maps(monkeypatch)
     oper.op_values(k, ws.functions["f_T"], np.zeros((1, 1)), ctx)
-    assert calls and all(c == ("r", atom.host.param_len) for c in calls)
+    assert calls == []
 
 
 def test_pushed_atom_still_reads_composite_rows(ws, monkeypatch):

@@ -623,23 +623,32 @@ def test_plan_keeps_no_copy_of_the_source_points(ws):
     assert block.nbytes == sum(x.nbytes for x in block.arrays) + ok.nbytes
 
 
-@pytest.mark.parametrize("nest", ["left", "right"])
-def test_nesting_limit_depth_is_unchanged(ws, nest):
+@pytest.mark.parametrize("action, nest", [
+    pytest.param("op", "left", id="left"),
+    pytest.param("op", "right", id="right"),
+    pytest.param("adjoint", "left", id="adjoint-left"),
+    pytest.param("adjoint", "right", id="adjoint-right"),
+])
+def test_nesting_limit_depth_is_unchanged(ws, action, nest):
     """Keeping the outer plan of a lazy convolution leaves the nesting
     depth where it was: a limit of 2 pairs two nested convolutions and
-    raises on three, nested on either side."""
+    raises on three, nested on either side, under Op and under the adjoint
+    (on source-fibred chains)."""
     a, b = ws.get("kernels", "gauss_R"), ws.get("kernels", "gauss_R2")
     quad = ker.QuadratureConfig(order=4, nesting_limit=2)
 
     def ctx():
         return ker.PairingCtx(quad, ws.flow_cfg, plans=ws.plans)
 
+    if action == "adjoint":
+        a, b = ker.r_to_s_convert(a, ctx=ctx()), ker.r_to_s_convert(b, ctx=ctx())
+    act = oper.op_values if action == "op" else oper.adjoint_values
     chain = a
     for count in (1, 2, 3):
         chain = (ker.convolve(chain, b, ctx()) if nest == "left"
                  else ker.convolve(b, chain, ctx()))
         if count < 3:
-            vals = oper.op_values(chain, _f(0.0), _grid(3), ctx())
+            vals = act(chain, _f(0.0), _grid(3), ctx())
             assert np.all(np.isfinite(vals))
     with pytest.raises(QuadratureFailure, match="nesting exceeded 2"):
-        oper.op_values(chain, _f(0.0), _grid(3), ctx())
+        act(chain, _f(0.0), _grid(3), ctx())
