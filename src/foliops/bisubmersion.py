@@ -104,7 +104,8 @@ class Bisubmersion:
     # Each map returns ``(values, ok)`` with allow_escape and otherwise the
     # values, raising DomainEscape if any row escaped.  A term supplies the
     # hooks ``_map(side, params, cfg)`` and ``_chart(side, xi, bases, cfg)``,
-    # which return ``(values, ok)``.
+    # which return ``(values, ok)``, and ``_chart_product(side, nodes,
+    # bases, cfg)`` where it has a product rule.
     def r(self, params, cfg=None, allow_escape=False):
         return _checked(*self._map("r", params, cfg), allow_escape, "range map")
 
@@ -113,9 +114,23 @@ class Bisubmersion:
 
     def chart(self, side, xi, bases, cfg=None, allow_escape=False):
         """Parameter rows of the ``side`` fibre over ``bases`` at fibre
-        coordinates ``xi``; shapes (K, fibre_dim) and (K, n)."""
-        return _checked(*self._chart(side, xi, bases, cfg), allow_escape,
-                        f"{side}-fibre chart of {type(self).__name__}")
+        coordinates ``xi``: K rows for shapes (K, fibre_dim) and (K, n), or
+        a product of Q nodes (Q, fibre_dim) and N bases (N, 1, n), whose
+        N x Q rows (base, node) have the bits of the rows over
+        np.repeat(bases, Q) and np.tile(xi, N)."""
+        what = f"{side}-fibre chart of {type(self).__name__}"
+        if np.ndim(bases) == 3:
+            nodes = np.atleast_2d(np.asarray(xi, float))
+            return _checked(*self._chart_product(side, nodes,
+                                                 np.asarray(bases, float)[:, 0], cfg),
+                            allow_escape, what)
+        return _checked(*self._chart(side, xi, bases, cfg), allow_escape, what)
+
+    def _chart_product(self, side, nodes, bases, cfg):
+        """The product chart over ``bases`` (N, n); a term with no product
+        rule charts the repeated bases and tiled nodes."""
+        return self._chart(side, np.tile(nodes, (len(bases), 1)),
+                           np.repeat(bases, len(nodes), axis=0), cfg)
 
     def xi_box(self):
         raise NotImplementedError
@@ -184,18 +199,25 @@ class PathHolonomy(Bisubmersion):
         return under
 
     def chart(self, side, xi, bases, cfg=None, allow_escape=False):
+        # Rows or a product (Bisubmersion.chart): either is one back flow
+        # call, and the rows are written into one array column by column
+        # (numpy copies a short trailing axis slowly).
         xi = np.atleast_2d(np.asarray(xi, float))
         bases = np.atleast_2d(np.asarray(bases, float))
+        shape = np.broadcast_shapes(xi.shape[:-1], bases.shape[:-1])
         if side == "s":
-            params = np.concatenate([xi, bases], axis=1)
-            ok = np.ones(len(params), dtype=bool)
+            under, ok = bases, np.ones(shape, dtype=bool)
         else:
             under, escaped = _flow.back_flow_batch(
                 self.foliation, xi, bases, cfg, allow_escape=True
             )
-            params = np.concatenate([xi, under], axis=1)
             ok = ~escaped
-        return _checked(params, ok, allow_escape, f"{side}-fibre chart")
+        cols = [*np.moveaxis(xi, -1, 0), *np.moveaxis(under, -1, 0)]
+        params = np.empty(shape + (len(cols),))
+        for j, col in enumerate(cols):
+            params[..., j] = col
+        return _checked(params.reshape(-1, len(cols)), ok.reshape(-1), allow_escape,
+                        f"{side}-fibre chart")
 
     def chart_jac_det(self, xi, under, cfg):
         pts, J, escaped = _flow.flow_jacobian_batch(
@@ -241,6 +263,10 @@ class _OnInner(Bisubmersion):
 
     def _chart(self, side, xi, bases, cfg):
         return self.inner.chart(self._sides[side], xi, bases, cfg, allow_escape=True)
+
+    def _chart_product(self, side, nodes, bases, cfg):
+        return self.inner.chart(self._sides[side], nodes, bases[:, None], cfg,
+                                allow_escape=True)
 
     def xi_box(self):
         return self.inner.xi_box()
@@ -384,6 +410,14 @@ class Translate(_OnInner):
         mapped, ok0 = self._diffeo(_OTHER[side])(bases, cfg, allow_escape=True)
         params, ok1 = super()._chart(side, xi, mapped, cfg)
         return params, ok0 & ok1
+
+    def _chart_product(self, side, nodes, bases, cfg):
+        # Phi_S maps each of the N bases once, not once per node.
+        if side != self.moved:
+            return super()._chart_product(side, nodes, bases, cfg)
+        mapped, ok0 = self._diffeo(_OTHER[side])(bases, cfg, allow_escape=True)
+        params, ok1 = super()._chart_product(side, nodes, mapped, cfg)
+        return params, np.repeat(ok0, len(nodes)) & ok1
 
     def key(self):
         return (f"translate_{self.name}", self.inner.key(), self.bisection.key())
@@ -736,9 +770,8 @@ class FibreChart:
 
     def map(self, xi):
         """The chart rows over ``xi``; DomainEscape if any escaped."""
-        xi = np.atleast_2d(np.asarray(xi, float))
-        bases = np.tile(self.base_point, (len(xi), 1))
-        return self.host.chart(self.side, xi, bases, self._cfg)
+        return self.host.chart(self.side, xi, self.base_point[None, None],
+                               self._cfg)
 
 
 def fibre_param(U, side, x, cfg=None) -> FibreChart:

@@ -1,23 +1,28 @@
 """Unit-time flows of generator combinations, their inverses and Jacobians.
 
 The map realized here sends (xi, x) to the time-1 state of the initial
-value problem y' = sum_i xi_i X_i(y), y(0) = x.  There are four paths,
+value problem y' = sum_i xi_i X_i(y), y(0) = x.  A batch is N rows, xi
+(N, m) against x (N, n), or a product: Q nodes xi (Q, m) against N bases
+x (N, 1, n), the N x Q rows (base, node) of fibre quadrature, with the
+bits those rows have when repeated and tiled out.  There are four paths,
 chosen from the batch and the generators themselves:
 
 * A batch whose xi rows are all zero takes the identity (J = I).
 * Translation families (every generator constant, X_i(y) = b_i) take
   the shift y = x + sum_i xi_i b_i, with J = I.  No matrix exponential,
-  bound or path sample is needed.
+  bound or path sample is needed.  A product forms each shift once per
+  node and tests each start once per base.
 * Other affine families (every generator Jacobian entry is a constant
   node, so X_i(y) = A_i y + b_i) take the exact flow.  With G(xi) the
   augmented matrix [[sum xi_i A_i, sum xi_i b_i], [0, 0]], the flow is
   the affine map of expm(G), its Jacobian is the linear block, and the
   back flow uses -G.  ``_expm`` is numpy: the Pade [13/13] approximant
   with scaling and squaring (Higham 2005), over the stack of distinct xi
-  rows at once, so no path imports scipy.  Fibre quadrature tiles a few
-  nodes over many base points, and that period is found in O(N).
-  These two paths take no steps, so tolerances and the step budget do
-  not apply.
+  rows at once, so no path imports scipy.  A product's distinct rows are
+  its nodes; a row batch is reduced to its distinct rows, and rows that
+  are whole tiles of their first period (the parameter rows of a plan)
+  are found so in O(N).  These two paths take no steps, so tolerances
+  and the step budget do not apply.
 * Every other family takes one batched Dormand-Prince 5(4) integrator
   with step control per row (Hairer-Norsett-Wanner II.4): each
   trajectory has its own time and step size, accepts or rejects its own
@@ -27,8 +32,8 @@ chosen from the batch and the generators themselves:
   of a ~10^5-row batch from fibre quadrature takes the attempts it needs
   itself, not those of the batch's hardest row, and its result is the
   same bits alone or in any batch.  So a run of bitwise equal (xi, x)
-  rows is integrated once and its result copied to the run; fibre
-  quadrature makes such runs when it repeats a base point over its nodes.
+  rows is integrated once and its result copied to the run.  A product
+  is written out as its rows first.
   The last stage is taken at the 5th-order solution, so it is the next
   step's first stage (FSAL, Hairer-Norsett-Wanner II.5), and a rejected
   step keeps its first stage too: each attempt costs six field
@@ -43,11 +48,15 @@ finite, or when its trajectory leaves the box or turns non-finite.  Every
 path checks the start the same way, and a row with a non-finite xi
 escapes on every path.  The shift checks the endpoint too, and that
 rule is exact: the box is convex and a shift's path is the segment from
-x to y.  DP45 checks the state after each accepted
+x to y.  In a product the endpoint test is spared when every start
+inside plus every shift is proven inside, column by column from their
+extremes (rounding is monotone), so the mask is the same.  DP45 checks
+the state after each accepted
 step.  The ``expm`` path checks the endpoint of every row and, on rows
 that the log-norm ball |y(t)| <= e^{mu+} (|x| + |g|) does not already
 keep inside the box, the path at t = k/64; mu is the largest eigenvalue
-of the symmetric part of the linear block and g the constant part.
+of the symmetric part of the linear block and g the constant part.  When
+the largest |x| lies inside every node's ball, so do all rows.
 That rule is sampled: an excursion between two samples goes unseen.  A
 row whose matrix needs more squarings than the default tolerance
 survives turns non-finite (see ``_expm``).
@@ -141,30 +150,53 @@ def _field_rhs(foliation, with_jacobian):
 
 
 def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
-    """Unit-time flow of the batch; returns (Y, J|None, escaped)."""
-    N, n = x.shape
-    if not np.any(xi != 0):  # NaN rows go on to a backend and escape
-        J = np.tile(np.eye(n), (N, 1, 1)) if with_jacobian else None
-        return x.copy(), J, _outside(x, *foliation.escape_box.T)
-    parts = _affine_parts(foliation)
+    """Unit-time flow of the batch; returns (Y, J|None, escaped).
+
+    The rows are the broadcast of the leading axes of ``xi`` (..., m) and
+    ``x`` (..., n): (N, m) against (N, n) for N rows, or Q nodes (Q, m)
+    against N bases (N, 1, n) for a product of N x Q rows in (base, node)
+    order.  Results have the rows' shape.
+    """
+    shape = np.broadcast_shapes(xi.shape[:-1], x.shape[:-1])
+    m, n = xi.shape[-1], x.shape[-1]
+    if not np.any(xi != 0) or 0 in shape:  # NaN rows go on to a backend and escape
+        J = np.broadcast_to(np.eye(n), shape + (n, n)).copy() if with_jacobian else None
+        return (np.broadcast_to(x, shape + (n,)).copy(), J,
+                np.broadcast_to(_outside(x, *foliation.escape_box.T), shape).copy())
+    parts = foliation.affine_parts
     if parts is not None:
         A, b = parts
         if not np.any(A):
             return _shift_flow(foliation, b, direction * xi, x, with_jacobian)
+        if xi.ndim == x.ndim:  # a row batch: flow its distinct xi rows
+            reps, inv = _distinct_rows(xi)
+            if inv is None:  # whole tiles of reps: a product
+                Y, J, escaped = _affine_flow(foliation, A, b, direction * reps,
+                                             x.reshape(-1, len(reps), n),
+                                             with_jacobian)
+                return (Y.reshape(-1, n), None if J is None else J.reshape(-1, n, n),
+                        escaped.reshape(-1))
+            return _affine_flow(foliation, A, b, direction * reps, x, with_jacobian,
+                                inv)
         return _affine_flow(foliation, A, b, direction * xi, x, with_jacobian)
-    # Runs of bitwise equal (xi, x) rows, found without a sort, are
-    # integrated once: fibre quadrature repeats base points over its nodes.
-    new = np.zeros(N, dtype=bool)
+    # DP45 takes rows.  Runs of bitwise equal (xi, x) rows, found without a
+    # sort, are integrated once.
+    xi = np.broadcast_to(xi, shape + (m,)).reshape(-1, m)
+    x = np.broadcast_to(x, shape + (n,)).reshape(-1, n)
+    new = np.zeros(len(x), dtype=bool)
     new[0] = True
     for col in (*xi.T, *x.T):
         bits = col.view(np.uint64)
         new[1:] |= bits[1:] != bits[:-1]
     if np.all(new):
-        return _dp45(foliation, xi, x, cfg, direction, with_jacobian)
-    first, run = np.flatnonzero(new), np.cumsum(new) - 1
-    Y, J, escaped = _dp45(foliation, xi[first], x[first], cfg, direction,
-                          with_jacobian)
-    return Y[run], None if J is None else J[run], escaped[run]
+        Y, J, escaped = _dp45(foliation, xi, x, cfg, direction, with_jacobian)
+    else:
+        first, run = np.flatnonzero(new), np.cumsum(new) - 1
+        Y, J, escaped = _dp45(foliation, xi[first], x[first], cfg, direction,
+                              with_jacobian)
+        Y, J, escaped = Y[run], None if J is None else J[run], escaped[run]
+    return (Y.reshape(shape + (n,)), None if J is None else J.reshape(shape + (n, n)),
+            escaped.reshape(shape))
 
 
 def _affine_parts(foliation):
@@ -183,9 +215,9 @@ def _affine_parts(foliation):
 def _distinct_rows(xi):
     """(reps, inv) with xi == reps[inv]; inv is None when xi is reps tiled.
 
-    Fibre quadrature passes its nodes tiled over base points, so the
-    period is the first repeat of row 0; only a batch that is not whole
-    tiles of it is sorted.
+    A row batch of tiled nodes (the parameter rows of a plan, read by its
+    geometry) has the first repeat of row 0 as its period; only a batch
+    that is not whole tiles of it is sorted.
     """
     N = len(xi)
     if N == 1:
@@ -200,9 +232,13 @@ def _distinct_rows(xi):
 
 
 def _affine_map(E, y):
-    """Points y (..., n) through augmented affine maps E (..., n+1, n+1)."""
+    """Points y (..., n) through augmented affine maps E (..., n+1, n+1),
+    one output column at a time (see _outside)."""
     n = y.shape[-1]
-    return E[..., :n, n] + sum(y[..., j, None] * E[..., :n, j] for j in range(n))
+    Y = np.empty(np.broadcast_shapes(E.shape[:-2], y.shape[:-1]) + (n,))
+    for i in range(n):
+        Y[..., i] = E[..., i, n] + sum(y[..., j] * E[..., i, j] for j in range(n))
+    return Y
 
 
 # Row reductions below loop over the few columns: numpy reduces a short
@@ -275,25 +311,48 @@ def _shift_flow(foliation, b, xi, x, with_jacobian):
     """Exact unit-time flow of sum_i xi_i b_i: y = x + xi b; xi carries the sign.
 
     The path is the segment from x to y and the escape box is convex, so a
-    row escapes exactly when x or y lies outside it.  A non-finite xi
+    row escapes exactly when x or y lies outside it.  The shift is formed
+    once per xi row and the start tested once per x row, so a product
+    (see ``_integrate``) does both per node and per base.  A non-finite xi
     entry makes every entry of y non-finite (inf * 0 is NaN), so such rows
     escape too; they stay at x, as on the other backends.
     """
-    N, n = x.shape
+    shape = np.broadcast_shapes(xi.shape[:-1], x.shape[:-1])
+    n = x.shape[-1]
     lo, hi = foliation.escape_box.T
-    Y = np.empty((N, n))
+    Y = np.moveaxis(np.empty((n,) + shape), 0, -1)  # contiguous columns
+    shifts = []
     with np.errstate(invalid="ignore", over="ignore"):  # such rows escape
         for k in range(n):  # whole columns: see _outside
-            shift = xi[:, 0] * b[0, k]
+            shift = xi[..., 0] * b[0, k]
             for i in range(1, len(b)):
-                shift += xi[:, i] * b[i, k]
-            np.add(x[:, k], shift, out=Y[:, k])
-    escaped = _outside(x, lo, hi) | _outside(Y, lo, hi)
-    rows = np.flatnonzero(escaped)
-    stay = rows[~np.all(np.isfinite(xi[rows]), axis=1)]
-    Y[stay] = x[stay]
-    J = np.tile(np.eye(n), (N, 1, 1)) if with_jacobian else None
+                shift += xi[..., i] * b[i, k]
+            np.add(x[..., k], shift, out=Y[..., k])
+            shifts.append(shift)
+    start = _outside(x, lo, hi)
+    if x.shape[:-1] != shape and _ends_inside(x[~start], shifts, lo, hi):
+        escaped = np.broadcast_to(start, shape).copy()
+    else:
+        escaped = start | _outside(Y, lo, hi)
+    rows = np.unravel_index(np.flatnonzero(escaped), shape)
+    bad = ~np.all(np.isfinite(np.broadcast_to(xi, shape + xi.shape[-1:])[rows]),
+                  axis=1)
+    stay = tuple(r[bad] for r in rows)
+    Y[stay] = np.broadcast_to(x, Y.shape)[stay]
+    J = np.broadcast_to(np.eye(n), shape + (n, n)).copy() if with_jacobian else None
     return Y, J, escaped
+
+
+def _ends_inside(starts, shifts, lo, hi):
+    """Whether every start of ``starts`` (rows inside [lo, hi]) plus every
+    shift ends inside too.  Rounding is monotone, so column k of
+    fl(x + s) lies between fl(min x + min s) and fl(max x + max s); a
+    non-finite shift fails the test."""
+    if not len(starts):
+        return True
+    return all(lo[k] <= starts[:, k].min() + s.min()
+               and starts[:, k].max() + s.max() <= hi[k]
+               for k, s in enumerate(shifts))
 
 
 # Pade [13/13] coefficients b_0..b_13 of exp over b_0, and the 1-norm below
@@ -341,41 +400,44 @@ def _expm(G):
     return E
 
 
-def _affine_flow(foliation, A, b, xi, x, with_jacobian):
-    """Exact unit-time flow of sum_i xi_i (A_i y + b_i); xi carries the sign."""
-    N, n = x.shape
+def _affine_flow(foliation, A, b, xi, x, with_jacobian, inv=None):
+    """Exact unit-time flow of sum_i xi_i (A_i y + b_i); xi carries the sign.
+
+    ``xi`` holds distinct rows: the Q nodes against N bases ``x`` (N, 1, n)
+    of a product, or the rows that ``inv`` spreads over the rows of ``x``.
+    Each matrix is built and exponentiated once, per node.
+    """
+    n = x.shape[-1]
     lo, hi = foliation.escape_box.T
-    reps, inv = _distinct_rows(xi)
-    # Per-distinct arrays broadcast against the rows viewed as (tiles, Q).
-    Q = len(reps) if inv is None else N
     spread = (lambda a: a) if inv is None else (lambda a: a[inv])
-    x3 = x.reshape(-1, Q, n)
-    bad = ~np.all(np.isfinite(reps), axis=1)
-    reps = np.where(bad[:, None], 0.0, reps)  # DP45 leaves such rows at x
-    G = np.zeros((len(reps), n + 1, n + 1))
-    G[:, :n, :n] = np.einsum("dm,mij->dij", reps, A)
-    G[:, :n, n] = reps @ b
+    shape = np.broadcast_shapes(x.shape[:-1], (len(xi) if inv is None else len(inv),))
+    bad = ~np.all(np.isfinite(xi), axis=1)
+    xi = np.where(bad[:, None], 0.0, xi)  # DP45 leaves such rows at x
+    G = np.zeros((len(xi), n + 1, n + 1))
+    G[:, :n, :n] = np.einsum("dm,mij->dij", xi, A)
+    G[:, :n, n] = xi @ b
     with np.errstate(over="ignore", invalid="ignore"):  # such rows escape
         E = _expm(G)
-        Y3 = _affine_map(spread(E), x3)
-        escaped = (spread(bad) | _outside(x3, lo, hi)
-                   | _outside(Y3, lo, hi)).reshape(N)
-        Y = Y3.reshape(N, n)
+        Y = _affine_map(spread(E), x)
+        escaped = spread(bad) | _outside(x, lo, hi) | _outside(Y, lo, hi)
 
         # Rows that the log-norm ball does not keep inside get their path
-        # sampled.
+        # sampled.  Rounding is monotone, so when the largest |x| is inside
+        # every node's ball, every row is.
         GA, g = G[:, :n, :n], G[:, :n, n]
         mu = np.linalg.eigvalsh((GA + GA.transpose(0, 2, 1)) / 2)[:, -1]
-        radius = (spread(np.exp(np.maximum(mu, 0.0)))
-                  * (_row_norm(x3) + spread(_row_norm(g))))
-        in_ball = (radius < np.min(np.minimum(hi, -lo))).reshape(N)
-    rows = np.flatnonzero(~escaped & ~in_ball)
-    d = rows % Q if inv is None else inv[rows]
-    escaped[rows] = _sampled_escape(G, d, x[rows], lo, hi)
+        scale, xn, gn = np.exp(np.maximum(mu, 0.0)), _row_norm(x), _row_norm(g)
+        cap = np.min(np.minimum(hi, -lo))
+        sampled = np.empty(0, dtype=np.intp)
+        if not np.all(scale * (np.max(xn, initial=0.0) + gn) < cap):
+            sampled = np.flatnonzero(~escaped & ~(spread(scale) * (xn + spread(gn)) < cap))
+    rows = np.unravel_index(sampled, shape)
+    d = rows[-1] if inv is None else inv[rows[-1]]
+    escaped[rows] = _sampled_escape(G, d, np.broadcast_to(x, Y.shape)[rows], lo, hi)
 
     J = None
     if with_jacobian:
-        J = np.broadcast_to(spread(E[:, :n, :n]), (N // Q, Q, n, n)).reshape(N, n, n)
+        J = np.broadcast_to(spread(E[:, :n, :n]), shape + (n, n))
     return Y, J, escaped
 
 
@@ -406,7 +468,9 @@ def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
     Each row has its own time t and step h.  The M rows still active lead
     every work buffer; a row that reaches t = 1 or escapes moves behind
     them and is not touched again.  A row that starts outside the escape
-    box, or not finite, escapes before the first step and stays at x.
+    box, or not finite, escapes before the first step and stays at x; so
+    does a row with an infinite xi entry, whose field would meet inf * 0
+    and sin(inf).  A NaN xi row fails its first attempt and stays too.
     Every operation acts on each row alone, so a row's result is the same
     bits alone or in any batch.
     Rows only ever leave, so the loop count is the attempt count of every
@@ -414,7 +478,7 @@ def _dp45(foliation, xi, x, cfg, direction, with_jacobian):
     """
     N, n = x.shape
     lo, hi = foliation.escape_box.T
-    escaped = _outside(x, lo, hi)
+    escaped = _outside(x, lo, hi) | np.any(np.isinf(xi), axis=1)
     rows = np.argsort(escaped, kind="stable")  # original index of each row of state
     M = N - int(np.count_nonzero(escaped))
     width = n + n * n if with_jacobian else n
@@ -514,15 +578,20 @@ def _flow_batch(foliation, xi, x, cfg, allow_escape, direction, with_jacobian,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     Y, J, escaped = _integrate(foliation, xi, x, cfg, direction, with_jacobian)
     if not allow_escape and np.any(escaped):
-        idx = int(np.argmax(escaped))
+        idx = np.unravel_index(np.argmax(escaped), escaped.shape)
+        x0 = np.broadcast_to(x, escaped.shape + x.shape[-1:])[idx]
+        xi0 = np.broadcast_to(xi, escaped.shape + xi.shape[-1:])[idx]
         raise DomainEscape(
-            f"{what} from {x[idx]} with xi={xi[idx]} left the integration domain"
+            f"{what} from {x0} with xi={xi0} left the integration domain"
         )
     return Y, J, escaped
 
 
 def exp_flow_batch(foliation, xi, x, cfg=None, allow_escape=False):
-    """Time-1 flow for a batch: xi is (N, m), x is (N, n).
+    """Time-1 flow for a batch: xi is (N, m), x is (N, n); or a product of
+    Q nodes xi (Q, m) and N bases x (N, 1, n), whose N x Q rows (base,
+    node) have the bits of the rows np.repeat(x, Q) and np.tile(xi, N) and
+    whose results have shape (N, Q, ...).
 
     Returns (points, escaped_mask) when ``allow_escape`` is set, else
     raises DomainEscape if any trajectory leaves the integration domain.
@@ -533,14 +602,15 @@ def exp_flow_batch(foliation, xi, x, cfg=None, allow_escape=False):
 
 
 def back_flow_batch(foliation, xi, x, cfg=None, allow_escape=False):
-    """Inverse of the time-1 flow: unit-time flow of the negated field."""
+    """Inverse of the time-1 flow: unit-time flow of the negated field;
+    batches as in exp_flow_batch."""
     Y, _, escaped = _flow_batch(foliation, xi, x, cfg, allow_escape, -1.0,
                                 False, "reverse flow")
     return (Y, escaped) if allow_escape else Y
 
 
 def flow_jacobian_batch(foliation, xi, x, cfg=None, allow_escape=False):
-    """Jacobians d exp_flow(xi, .)/dx for a batch.
+    """Jacobians d exp_flow(xi, .)/dx for a batch, as in exp_flow_batch.
 
     Exact for affine families; otherwise from the variational equation.
     """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,13 +81,25 @@ class SingularFoliation:
         r = self.xi_radius
         return np.stack([-r, r], axis=1)
 
-    @property
+    # Every flow call reads the two below: each is computed once, read-only.
+    @cached_property
     def escape_box(self):
         mid = self.chart_box.mean(axis=1, keepdims=True)
         half = (self.chart_box[:, 1:] - self.chart_box[:, :1]) / 2.0
-        return np.concatenate(
+        box = np.concatenate(
             [mid - self.escape_factor * half, mid + self.escape_factor * half], axis=1
         )
+        box.setflags(write=False)
+        return box
+
+    @cached_property
+    def affine_parts(self):
+        """(A, b) with X_i(y) = A[i] y + b[i], or None unless every X_i is
+        affine (``flow._affine_parts``)."""
+        parts = _flow._affine_parts(self)
+        for a in parts or ():
+            a.setflags(write=False)
+        return parts
 
     def key(self):
         """Structural identity: equal for foliations built from equal data."""

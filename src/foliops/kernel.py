@@ -329,22 +329,27 @@ class _PlanBlock:
     bisection map's ``ok`` mask and density ``dens``.  A node is NaN where
     ``ok`` is False or the density is not finite, and live where it is
     finite and nonzero.  ``live`` marks the live nodes, ``params`` (from
-    ``params_of`` on their flat indices) and ``rows`` are their parameter
-    rows and base-row indices, ``wd`` is ``weights[node]`` x density, ``nan``
-    holds the flat indices of the NaN nodes, and ``geometry`` maps an
-    integrand's key to its geometry on ``params``.  The arrays are
-    read-only, since stored plans serve many calls.
+    ``params_of`` on their flat indices, or ``slice(None)`` if all are live)
+    and ``rows`` are their parameter rows and base-row indices, ``wd`` is
+    ``weights[node]`` x density, ``nan`` holds the flat indices of the NaN
+    nodes, and ``geometry`` maps an integrand's key to its geometry on
+    ``params``.  The arrays are read-only, since stored plans serve many calls.
     """
 
     def __init__(self, Q, ok, dens, params_of, weights, row_offset=0):
         finite = np.isfinite(dens)
-        nan = np.flatnonzero(~(ok & finite)).astype(np.int32)
         live = ok & finite & (dens != 0.0)
-        idx = np.flatnonzero(live)
-        wd = weights[idx % Q] * dens[idx]
+        if live.all():  # no NaN node, and no flat-index gathers
+            nan, idx = np.empty(0, np.int32), slice(None)
+            wd = (weights * dens.reshape(-1, Q)).reshape(-1)
+            rows = np.repeat(np.arange(len(live) // Q, dtype=np.int32) + row_offset, Q)
+        else:
+            nan = np.flatnonzero(~(ok & finite)).astype(np.int32)
+            idx = np.flatnonzero(live)
+            wd = weights[idx % Q] * dens[idx]
+            rows = (idx // Q + row_offset).astype(np.int32)
         del dens, finite
         params = params_of(idx)
-        rows = (idx // Q + row_offset).astype(np.int32)
         self.Q = Q
         self.arrays = (live, nan, params, rows, wd)
         for a in self.arrays:
@@ -450,7 +455,7 @@ class DiracAtom(Atom):
         coeff[valid] = self.coeff_fn(bases[valid])
 
         def params_of(idx):
-            return (S.section(under[idx], ctx.flow) if len(idx)
+            return (S.section(under[idx], ctx.flow) if len(under[idx])
                     else np.empty((0, self.host.param_len)))
 
         yield _PlanBlock(1, ok, coeff, params_of, np.ones(1))
@@ -550,8 +555,9 @@ class DensityAtom(Atom):
                                    rows.start)
 
     def _plan_block(self, side, bases, nodes, weights, ctx, row_offset):
-        """The density is evaluated once, on the chart rows in the base box,
-        and is zero elsewhere; a range fibre's base is its range base.
+        """The host charts the product of the Q nodes and the N bases.  The
+        density is evaluated once, on the chart rows in the base box, and
+        is zero elsewhere; a range fibre's base is its range base.
 
         Where ``fibre_only`` holds on the block, it is evaluated on the Q
         node rows at the base of the first row inside, and tiled over the N
@@ -560,9 +566,8 @@ class DensityAtom(Atom):
         """
         N, Q = len(bases), len(nodes)
         m = self.host.fibre_dim
-        base_rep = np.repeat(bases, Q, axis=0)
-        params, ok = self.host.chart(side, np.tile(nodes, (N, 1)), base_rep,
-                                     ctx.flow, allow_escape=True)
+        params, ok = self.host.chart(side, nodes, bases[:, None], ctx.flow,
+                                     allow_escape=True)
         under = params[:, m:]
         inside = ok & _in_box(under, self.base_box)
         fibre_only = self.fibre_only
@@ -576,14 +581,10 @@ class DensityAtom(Atom):
             dens[~inside] = 0.0
         else:
             dens = np.zeros(len(params))
-            dens[inside] = self.dens_fn(
-                params[inside], base_rep[inside] if side == "r" else None)
-        del base_rep, under, inside
-
-        def params_of(idx):  # no copy when every node is live
-            return params if len(idx) == len(params) else params[idx]
-
-        return _PlanBlock(Q, ok, dens, params_of, weights, row_offset)
+            dens[inside] = self.dens_fn(params[inside], bases[
+                np.flatnonzero(inside) // Q] if side == "r" else None)
+        del under, inside
+        return _PlanBlock(Q, ok, dens, params.__getitem__, weights, row_offset)
 
     def scaled(self, factor):
         return DensityAtom(self.host, _scaled_fn(self.dens_fn, factor),
@@ -1031,36 +1032,35 @@ def _reduce_addition(pi, atom, ctx):
     def dens_block(params):
         """Sum over the nodes xi of w A(zeta - xi, mid) B(xi, y), mid = exp(xi)y.
 
-        Each factor is masked by its own base box: B's base y is the same
-        for all of a row's nodes, so its mask is taken once per row.  A
-        node whose mid point escapes is NaN.
+        The K bases y and the Q nodes make a product: the mid points are
+        one product flow, and B is masked by its base box once per base,
+        and evaluated once per node where it reads only xi.  A node whose
+        mid point escapes is NaN.
         """
         K = len(params)
         y = params[:, m:]
-        # Parameter rows are built column by column (column-major), as
-        # the flow and the densities read them.
-        pb = np.empty((m + n, K * Q)).T  # rows (xi, y), nodes tiled over y
-        for j in range(m):
-            pb[:, j] = np.tile(nodes[:, j], K)
-        for k in range(n):
-            pb[:, m + k] = np.repeat(y[:, k], Q)
-        mid, esc = _flow.exp_flow_batch(F, pb[:, :m], pb[:, m:], flow,
+        mid, esc = _flow.exp_flow_batch(F, nodes, y[:, None], flow,
                                         allow_escape=True)
-        vb = B.dens_fn(pb, None)
-        del pb
-        fb = np.where(np.repeat(_in_box(y, B.base_box), Q), vb, 0.0)
-        del vb
-        pa = np.empty((m + n, K * Q)).T  # rows (zeta - xi, mid)
+        # Parameter rows are built column by column (column-major), as the
+        # densities read them; a fibre-only B needs the rows of one base.
+        yb = y[:1] if B.fibre_only is True else y
+        pb = np.empty((m + n, len(yb), Q))  # rows (xi, y)
+        pb[:m] = nodes.T[:, None]
+        pb[m:] = yb.T[:, :, None]
+        vb = B.dens_fn(pb.reshape(m + n, -1).T, None).reshape(len(yb), Q)
+        fb = np.where(_in_box(y, B.base_box)[:, None], vb, 0.0).reshape(-1)
+        del pb, vb
+        pa = np.empty((m + n, K, Q))  # rows (zeta - xi, mid)
         for j in range(m):
-            np.subtract(np.repeat(params[:, j], Q), np.tile(nodes[:, j], K),
-                        out=pa[:, j])
-        pa[:, m:] = mid
+            np.subtract(params[:, j, None], nodes[:, j], out=pa[j])
+        pa[m:] = np.moveaxis(mid, -1, 0)
         del mid
+        pa = pa.reshape(m + n, -1).T
         contrib = np.where(_in_box(pa[:, m:], A.base_box), A.dens_fn(pa, None), 0.0)
         del pa
         contrib.reshape(K, Q)[...] *= weights
         contrib *= fb
-        contrib[esc] = np.nan
+        contrib[esc.reshape(-1)] = np.nan
         return contrib.reshape(K, Q).sum(axis=1)
 
     def dens(params, rbase):
@@ -1076,7 +1076,7 @@ def _reduce_addition(pi, atom, ctx):
                                   B.xi_box[:, 1] - B.xi_box[:, 0]))
         zeta_order = int(np.ceil(B.quad_order * max(1.0, w_zeta / w_fac)))
     fibre_only = None
-    parts = _flow._affine_parts(F)  # (A, b): constant fields have A = 0
+    parts = F.affine_parts  # (A, b): constant fields have A = 0
     if A.fibre_only is True and B.fibre_only is True and parts is not None \
             and not np.any(parts[0]):
         ends = B.xi_box[:, :, None] * parts[1][:, None, :]  # (m, 2, n)
