@@ -104,8 +104,7 @@ class Bisubmersion:
     # Each map returns ``(values, ok)`` with allow_escape and otherwise the
     # values, raising DomainEscape if any row escaped.  A term supplies the
     # hooks ``_map(side, params, cfg)`` and ``_chart(side, xi, bases, cfg)``,
-    # which return ``(values, ok)``, and ``_chart_product(side, nodes,
-    # bases, cfg)`` where it has a product rule.
+    # which return ``(values, ok)``; ``_chart`` takes the batch of ``chart``.
     def r(self, params, cfg=None, allow_escape=False):
         return _checked(*self._map("r", params, cfg), allow_escape, "range map")
 
@@ -114,23 +113,15 @@ class Bisubmersion:
 
     def chart(self, side, xi, bases, cfg=None, allow_escape=False):
         """Parameter rows of the ``side`` fibre over ``bases`` at fibre
-        coordinates ``xi``: K rows for shapes (K, fibre_dim) and (K, n), or
-        a product of Q nodes (Q, fibre_dim) and N bases (N, 1, n), whose
-        N x Q rows (base, node) have the bits of the rows over
-        np.repeat(bases, Q) and np.tile(xi, N)."""
-        what = f"{side}-fibre chart of {type(self).__name__}"
-        if np.ndim(bases) == 3:
-            nodes = np.atleast_2d(np.asarray(xi, float))
-            return _checked(*self._chart_product(side, nodes,
-                                                 np.asarray(bases, float)[:, 0], cfg),
-                            allow_escape, what)
-        return _checked(*self._chart(side, xi, bases, cfg), allow_escape, what)
-
-    def _chart_product(self, side, nodes, bases, cfg):
-        """The product chart over ``bases`` (N, n); a term with no product
-        rule charts the repeated bases and tiled nodes."""
-        return self._chart(side, np.tile(nodes, (len(bases), 1)),
-                           np.repeat(bases, len(nodes), axis=0), cfg)
+        coordinates ``xi``.  The leading axes of ``xi`` (..., fibre_dim) and
+        ``bases`` (..., n) broadcast, as in the flows, and the rows are the
+        broadcast flattened in C order, each with the bits it has alone:
+        K rows are (K, fibre_dim) against (K, n), and Q nodes (Q, fibre_dim)
+        against N bases (N, 1, n) are the N x Q rows (base, node)."""
+        xi = np.atleast_2d(np.asarray(xi, float))
+        bases = np.atleast_2d(np.asarray(bases, float))
+        return _checked(*self._chart(side, xi, bases, cfg), allow_escape,
+                        f"{side}-fibre chart of {type(self).__name__}")
 
     def xi_box(self):
         raise NotImplementedError
@@ -264,10 +255,6 @@ class _OnInner(Bisubmersion):
     def _chart(self, side, xi, bases, cfg):
         return self.inner.chart(self._sides[side], xi, bases, cfg, allow_escape=True)
 
-    def _chart_product(self, side, nodes, bases, cfg):
-        return self.inner.chart(self._sides[side], nodes, bases[:, None], cfg,
-                                allow_escape=True)
-
     def xi_box(self):
         return self.inner.xi_box()
 
@@ -313,8 +300,10 @@ class Composition(Bisubmersion):
         return self.right.s(v, cfg, allow_escape=True)
 
     def _chart(self, side, xi, bases, cfg):
-        xi = np.atleast_2d(np.asarray(xi, float))
-        bases = np.atleast_2d(np.asarray(bases, float))
+        # The factors chart rows, so the batch is written out as its rows.
+        shape = np.broadcast_shapes(xi.shape[:-1], bases.shape[:-1])
+        xi, bases = (np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, a.shape[-1])
+                     for a in (xi, bases))
         kl = self.left.fibre_dim
         xl, xr = xi[:, :kl], xi[:, kl:]
         if side == "s":
@@ -405,19 +394,15 @@ class Translate(_OnInner):
         return out, ok1 & ok2
 
     def _chart(self, side, xi, bases, cfg):
+        # Phi_S maps each base once, not once per row it spans.
         if side != self.moved:
             return super()._chart(side, xi, bases, cfg)
-        mapped, ok0 = self._diffeo(_OTHER[side])(bases, cfg, allow_escape=True)
-        params, ok1 = super()._chart(side, xi, mapped, cfg)
-        return params, ok0 & ok1
-
-    def _chart_product(self, side, nodes, bases, cfg):
-        # Phi_S maps each of the N bases once, not once per node.
-        if side != self.moved:
-            return super()._chart_product(side, nodes, bases, cfg)
-        mapped, ok0 = self._diffeo(_OTHER[side])(bases, cfg, allow_escape=True)
-        params, ok1 = super()._chart_product(side, nodes, mapped, cfg)
-        return params, np.repeat(ok0, len(nodes)) & ok1
+        lead = bases.shape[:-1]
+        mapped, ok0 = self._diffeo(_OTHER[side])(bases.reshape(-1, bases.shape[-1]),
+                                                 cfg, allow_escape=True)
+        params, ok1 = super()._chart(side, xi, mapped.reshape(bases.shape), cfg)
+        ok0 = np.broadcast_to(ok0.reshape(lead), np.broadcast_shapes(xi.shape[:-1], lead))
+        return params, ok0.reshape(-1) & ok1
 
     def key(self):
         return (f"translate_{self.name}", self.inner.key(), self.bisection.key())
@@ -518,7 +503,7 @@ def constant_bisection(host, xi0, base_box=None, label=""):
                 np.ones(len(x), dtype=bool))
 
     def phi_inv(x, cfg):
-        pts, esc = _flow.back_flow_batch(F, np.tile(xi0, (len(x), 1)), x, cfg, True)
+        pts, esc = _flow.back_flow_batch(F, xi0[None], x, cfg, True)
         return pts, ~esc
 
     key = ("constant", host.key(), xi0.tobytes(), base_box.tobytes())

@@ -1,28 +1,30 @@
 """Unit-time flows of generator combinations, their inverses and Jacobians.
 
 The map realized here sends (xi, x) to the time-1 state of the initial
-value problem y' = sum_i xi_i X_i(y), y(0) = x.  A batch is N rows, xi
-(N, m) against x (N, n), or a product: Q nodes xi (Q, m) against N bases
-x (N, 1, n), the N x Q rows (base, node) of fibre quadrature, with the
-bits those rows have when repeated and tiled out.  There are four paths,
-chosen from the batch and the generators themselves:
+value problem y' = sum_i xi_i X_i(y), y(0) = x.  A batch is xi (..., m)
+against x (..., n): the leading axes broadcast, the rows are the
+broadcast flattened in C order, and each row has the bits it has alone.
+So K rows are xi (K, m) against x (K, n), and Q nodes xi (Q, m) against
+N bases x (N, 1, n) are a product, the N x Q rows (base, node) of fibre
+quadrature.  There are four paths, chosen from the batch and the
+generators themselves:
 
 * A batch whose xi rows are all zero takes the identity (J = I).
 * Translation families (every generator constant, X_i(y) = b_i) take
   the shift y = x + sum_i xi_i b_i, with J = I.  No matrix exponential,
-  bound or path sample is needed.  A product forms each shift once per
-  node and tests each start once per base.
+  bound or path sample is needed.  Each shift is formed once per xi row
+  and each start tested once per x row.
 * Other affine families (every generator Jacobian entry is a constant
   node, so X_i(y) = A_i y + b_i) take the exact flow.  With G(xi) the
   augmented matrix [[sum xi_i A_i, sum xi_i b_i], [0, 0]], the flow is
   the affine map of expm(G), its Jacobian is the linear block, and the
   back flow uses -G.  ``_expm`` is numpy: the Pade [13/13] approximant
-  with scaling and squaring (Higham 2005), over the stack of distinct xi
-  rows at once, so no path imports scipy.  A product's distinct rows are
-  its nodes; a row batch is reduced to its distinct rows, and rows that
-  are whole tiles of their first period (the parameter rows of a plan)
-  are found so in O(N).  These two paths take no steps, so tolerances
-  and the step budget do not apply.
+  with scaling and squaring (Higham 2005), over the stack of xi rows at
+  once, so no path imports scipy.  A matrix is built per xi row: per
+  node of a product, and per node of K rows that are whole tiles of
+  their first period (the parameter rows of a plan), found so in O(N).
+  These two paths take no steps, so tolerances and the step budget do
+  not apply.
 * Every other family takes one batched Dormand-Prince 5(4) integrator
   with step control per row (Hairer-Norsett-Wanner II.4): each
   trajectory has its own time and step size, accepts or rejects its own
@@ -31,9 +33,8 @@ chosen from the batch and the generators themselves:
   kept compacted at the front of buffers allocated once per call.  A row
   of a ~10^5-row batch from fibre quadrature takes the attempts it needs
   itself, not those of the batch's hardest row, and its result is the
-  same bits alone or in any batch.  So a run of bitwise equal (xi, x)
-  rows is integrated once and its result copied to the run.  A product
-  is written out as its rows first.
+  same bits alone or in any batch.  A broadcast batch is written out as
+  its rows first.
   The last stage is taken at the 5th-order solution, so it is the next
   step's first stage (FSAL, Hairer-Norsett-Wanner II.5), and a rejected
   step keeps its first stage too: each attempt costs six field
@@ -48,18 +49,18 @@ finite, or when its trajectory leaves the box or turns non-finite.  Every
 path checks the start the same way, and a row with a non-finite xi
 escapes on every path.  The shift checks the endpoint too, and that
 rule is exact: the box is convex and a shift's path is the segment from
-x to y.  In a product the endpoint test is spared when every start
-inside plus every shift is proven inside, column by column from their
-extremes (rounding is monotone), so the mask is the same.  DP45 checks
-the state after each accepted
-step.  The ``expm`` path checks the endpoint of every row and, on rows
-that the log-norm ball |y(t)| <= e^{mu+} (|x| + |g|) does not already
-keep inside the box, the path at t = k/64; mu is the largest eigenvalue
-of the symmetric part of the linear block and g the constant part.  When
-the largest |x| lies inside every node's ball, so do all rows.
-That rule is sampled: an excursion between two samples goes unseen.  A
-row whose matrix needs more squarings than the default tolerance
-survives turns non-finite (see ``_expm``).
+x to y.  Where x broadcasts (a product), the endpoint test is spared
+when every start inside plus every shift is proven inside, column by
+column from their extremes (rounding is monotone), so the mask is the
+same.  DP45 checks the state after each accepted step.  The ``expm``
+path checks the endpoint of every row and, on rows that the log-norm
+ball |y(t)| <= e^{mu+} (|x| + |g|) does not already keep inside the box,
+the path at t = k/64; mu is the largest eigenvalue of the symmetric part
+of the linear block and g the constant part.  When the largest |x| lies
+inside every xi row's ball, so do all rows.  That rule is sampled: an
+excursion between two samples goes unseen.  A row whose matrix needs
+more squarings than the default tolerance survives turns non-finite
+(see ``_expm``).
 """
 
 from __future__ import annotations
@@ -153,48 +154,27 @@ def _integrate(foliation, xi, x, cfg, direction, with_jacobian):
     """Unit-time flow of the batch; returns (Y, J|None, escaped).
 
     The rows are the broadcast of the leading axes of ``xi`` (..., m) and
-    ``x`` (..., n): (N, m) against (N, n) for N rows, or Q nodes (Q, m)
-    against N bases (N, 1, n) for a product of N x Q rows in (base, node)
-    order.  Results have the rows' shape.
+    ``x`` (..., n), and results have the broadcast shape.
     """
     shape = np.broadcast_shapes(xi.shape[:-1], x.shape[:-1])
-    m, n = xi.shape[-1], x.shape[-1]
+    n = x.shape[-1]
     if not np.any(xi != 0) or 0 in shape:  # NaN rows go on to a backend and escape
         J = np.broadcast_to(np.eye(n), shape + (n, n)).copy() if with_jacobian else None
         return (np.broadcast_to(x, shape + (n,)).copy(), J,
                 np.broadcast_to(_outside(x, *foliation.escape_box.T), shape).copy())
     parts = foliation.affine_parts
-    if parts is not None:
-        A, b = parts
-        if not np.any(A):
-            return _shift_flow(foliation, b, direction * xi, x, with_jacobian)
-        if xi.ndim == x.ndim:  # a row batch: flow its distinct xi rows
-            reps, inv = _distinct_rows(xi)
-            if inv is None:  # whole tiles of reps: a product
-                Y, J, escaped = _affine_flow(foliation, A, b, direction * reps,
-                                             x.reshape(-1, len(reps), n),
-                                             with_jacobian)
-                return (Y.reshape(-1, n), None if J is None else J.reshape(-1, n, n),
-                        escaped.reshape(-1))
-            return _affine_flow(foliation, A, b, direction * reps, x, with_jacobian,
-                                inv)
-        return _affine_flow(foliation, A, b, direction * xi, x, with_jacobian)
-    # DP45 takes rows.  Runs of bitwise equal (xi, x) rows, found without a
-    # sort, are integrated once.
-    xi = np.broadcast_to(xi, shape + (m,)).reshape(-1, m)
-    x = np.broadcast_to(x, shape + (n,)).reshape(-1, n)
-    new = np.zeros(len(x), dtype=bool)
-    new[0] = True
-    for col in (*xi.T, *x.T):
-        bits = col.view(np.uint64)
-        new[1:] |= bits[1:] != bits[:-1]
-    if np.all(new):
+    if parts is None:  # DP45 takes rows
+        xi, x = (np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, a.shape[-1])
+                 for a in (xi, x))
         Y, J, escaped = _dp45(foliation, xi, x, cfg, direction, with_jacobian)
+    elif not np.any(parts[0]):
+        return _shift_flow(foliation, parts[1], direction * xi, x, with_jacobian)
     else:
-        first, run = np.flatnonzero(new), np.cumsum(new) - 1
-        Y, J, escaped = _dp45(foliation, xi[first], x[first], cfg, direction,
-                              with_jacobian)
-        Y, J, escaped = Y[run], None if J is None else J[run], escaped[run]
+        if xi.ndim == 2 and x.shape[:-1] == (len(xi),):  # rows: one period of xi
+            x = x.reshape(-1, _period(xi), n)
+            xi = xi[:x.shape[1]]
+        Y, J, escaped = _affine_flow(foliation, *parts, direction * xi, x,
+                                     with_jacobian)
     return (Y.reshape(shape + (n,)), None if J is None else J.reshape(shape + (n, n)),
             escaped.reshape(shape))
 
@@ -212,23 +192,17 @@ def _affine_parts(foliation):
     return np.array(A, dtype=float), b
 
 
-def _distinct_rows(xi):
-    """(reps, inv) with xi == reps[inv]; inv is None when xi is reps tiled.
-
-    A row batch of tiled nodes (the parameter rows of a plan, read by its
-    geometry) has the first repeat of row 0 as its period; only a batch
-    that is not whole tiles of it is sorted.
-    """
+def _period(xi):
+    """The first repeat of row 0 of ``xi`` (N, m) if xi is whole tiles of the
+    rows before it, else N, in O(N): the parameter rows of a plan (r o
+    section of a constant bisection, plan geometry) are tiled nodes."""
     N = len(xi)
-    if N == 1:
-        return xi, None
     repeats = np.flatnonzero(np.all(xi[1:] == xi[0], axis=1))
     if len(repeats):
         Q = int(repeats[0]) + 1
         if N % Q == 0 and np.array_equal(xi[Q:], xi[:-Q]):
-            return xi[:Q], None
-    reps, inv = np.unique(xi, axis=0, return_inverse=True)
-    return reps, inv.reshape(-1)
+            return Q
+    return N
 
 
 def _affine_map(E, y):
@@ -312,8 +286,7 @@ def _shift_flow(foliation, b, xi, x, with_jacobian):
 
     The path is the segment from x to y and the escape box is convex, so a
     row escapes exactly when x or y lies outside it.  The shift is formed
-    once per xi row and the start tested once per x row, so a product
-    (see ``_integrate``) does both per node and per base.  A non-finite xi
+    once per xi row and the start tested once per x row.  A non-finite xi
     entry makes every entry of y non-finite (inf * 0 is NaN), so such rows
     escape too; they stay at x, as on the other backends.
     """
@@ -400,17 +373,17 @@ def _expm(G):
     return E
 
 
-def _affine_flow(foliation, A, b, xi, x, with_jacobian, inv=None):
+def _affine_flow(foliation, A, b, xi, x, with_jacobian):
     """Exact unit-time flow of sum_i xi_i (A_i y + b_i); xi carries the sign.
 
-    ``xi`` holds distinct rows: the Q nodes against N bases ``x`` (N, 1, n)
-    of a product, or the rows that ``inv`` spreads over the rows of ``x``.
-    Each matrix is built and exponentiated once, per node.
+    The leading axes of ``xi`` (..., m) and ``x`` (..., n) broadcast (see
+    ``_integrate``).  Each matrix is built and exponentiated once per xi row.
     """
     n = x.shape[-1]
     lo, hi = foliation.escape_box.T
-    spread = (lambda a: a) if inv is None else (lambda a: a[inv])
-    shape = np.broadcast_shapes(x.shape[:-1], (len(xi) if inv is None else len(inv),))
+    lead = xi.shape[:-1]
+    shape = np.broadcast_shapes(lead, x.shape[:-1])
+    xi = xi.reshape(-1, xi.shape[-1])
     bad = ~np.all(np.isfinite(xi), axis=1)
     xi = np.where(bad[:, None], 0.0, xi)  # DP45 leaves such rows at x
     G = np.zeros((len(xi), n + 1, n + 1))
@@ -418,35 +391,36 @@ def _affine_flow(foliation, A, b, xi, x, with_jacobian, inv=None):
     G[:, :n, n] = xi @ b
     with np.errstate(over="ignore", invalid="ignore"):  # such rows escape
         E = _expm(G)
-        Y = _affine_map(spread(E), x)
-        escaped = spread(bad) | _outside(x, lo, hi) | _outside(Y, lo, hi)
+        Y = _affine_map(E.reshape(lead + E.shape[1:]), x)
+        escaped = bad.reshape(lead) | _outside(x, lo, hi) | _outside(Y, lo, hi)
 
         # Rows that the log-norm ball does not keep inside get their path
         # sampled.  Rounding is monotone, so when the largest |x| is inside
-        # every node's ball, every row is.
+        # every matrix's ball, every row is.
         GA, g = G[:, :n, :n], G[:, :n, n]
         mu = np.linalg.eigvalsh((GA + GA.transpose(0, 2, 1)) / 2)[:, -1]
         scale, xn, gn = np.exp(np.maximum(mu, 0.0)), _row_norm(x), _row_norm(g)
         cap = np.min(np.minimum(hi, -lo))
         sampled = np.empty(0, dtype=np.intp)
         if not np.all(scale * (np.max(xn, initial=0.0) + gn) < cap):
-            sampled = np.flatnonzero(~escaped & ~(spread(scale) * (xn + spread(gn)) < cap))
+            ball = scale.reshape(lead) * (xn + gn.reshape(lead))
+            sampled = np.flatnonzero(~escaped & ~(ball < cap))
     rows = np.unravel_index(sampled, shape)
-    d = rows[-1] if inv is None else inv[rows[-1]]
-    escaped[rows] = _sampled_escape(G, d, np.broadcast_to(x, Y.shape)[rows], lo, hi)
+    d = np.broadcast_to(np.arange(len(xi)).reshape(lead), shape)[rows]
+    escaped[rows] = _sampled_escape(G[d], np.broadcast_to(x, Y.shape)[rows], lo, hi)
 
     J = None
     if with_jacobian:
-        J = np.broadcast_to(spread(E[:, :n, :n]), shape + (n, n))
+        J = np.broadcast_to(E[:, :n, :n].reshape(lead + (n, n)), shape + (n, n))
     return Y, J, escaped
 
 
-def _sampled_escape(G, d, x, lo, hi):
-    """Rows x that leave [lo, hi] at some t = k/_PATH_SAMPLES under expm(t G[d])."""
+def _sampled_escape(G, x, lo, hi):
+    """Rows x that leave [lo, hi] at some t = k/_PATH_SAMPLES under expm(t G),
+    one matrix of G per row."""
     out = np.zeros(len(x), dtype=bool)
     if len(x):
-        dist, sub = np.unique(d, return_inverse=True)
-        step = _expm(G[dist] / _PATH_SAMPLES)[sub]
+        step = _expm(G / _PATH_SAMPLES)
         for _ in range(_PATH_SAMPLES - 1):
             x = _affine_map(step, x)
             out |= _outside(x, lo, hi)
@@ -588,10 +562,11 @@ def _flow_batch(foliation, xi, x, cfg, allow_escape, direction, with_jacobian,
 
 
 def exp_flow_batch(foliation, xi, x, cfg=None, allow_escape=False):
-    """Time-1 flow for a batch: xi is (N, m), x is (N, n); or a product of
-    Q nodes xi (Q, m) and N bases x (N, 1, n), whose N x Q rows (base,
-    node) have the bits of the rows np.repeat(x, Q) and np.tile(xi, N) and
-    whose results have shape (N, Q, ...).
+    """Time-1 flow for a batch: xi (..., m) against x (..., n), whose
+    leading axes broadcast and give the results' leading shape.  Each row
+    has the bits it has alone: Q nodes (Q, m) against N bases (N, 1, n)
+    give, in shape (N, Q, ...), those of the rows np.tile(xi, N) against
+    np.repeat(x, Q).
 
     Returns (points, escaped_mask) when ``allow_escape`` is set, else
     raises DomainEscape if any trajectory leaves the integration domain.

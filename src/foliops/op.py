@@ -226,16 +226,15 @@ def op_values(kernel: FibredKernel, f, points, ctx=None):
 
 
 def _on_grid(values_at, out_box, out_res, strict):
-    """Grid of ``values_at(points)``: non-finite points raise DomainEscape
-    under ``strict``, and infinite values raise QuadratureFailure."""
+    """Grid of ``values_at(points)``: infinite values raise
+    QuadratureFailure, and then masked (NaN) points raise DomainEscape
+    under ``strict``."""
     out_box = np.atleast_2d(np.asarray(out_box, float))
     vals = values_at(grid_points(out_box, out_res))
-    if strict and not np.all(np.isfinite(vals)):
-        raise DomainEscape(
-            f"{int(np.sum(~np.isfinite(vals)))} output points escaped"
-        )
     if np.any(np.isinf(vals)):
         raise QuadratureFailure("quadrature produced infinite values")
+    if strict and np.any(np.isnan(vals)):
+        raise DomainEscape(f"{int(np.sum(np.isnan(vals)))} output points escaped")
     return GridFunction(out_box, vals.reshape(tuple(out_res)))
 
 

@@ -145,6 +145,21 @@ def test_step_limit_exit_5(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: StepLimit:")
 
 
+@pytest.mark.parametrize("strict", [[], ["--strict"]])
+def test_infinite_values_exit_4(tmp_path, capsys, strict):
+    """A function that overflows makes the quadrature infinite: exit 4
+    with or without --strict, which reports only masked points as escapes."""
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"functions": {"h": {"expr": "exp(1000*x1^2)",
+                                                   "dim": 1}}}))
+    with np.errstate(over="ignore"):
+        code = run_cli("apply", "--config", str(cfg), "--kernel", "gauss_T",
+                       "--function", "h", "--box", "[[-1,1]]", "--res", "5",
+                       "--out", str(tmp_path / "h.csv"), *strict)
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: QuadratureFailure:")
+
+
 @pytest.mark.parametrize("setting", [("--ode-tol", "nan"), ("--ode-tol", "-1"),
                                      ("--ode-tol", "inf"), ("--ode-max-steps", "0"),
                                      ("--quad-order", "1")])

@@ -613,19 +613,6 @@ def test_repeated_rows_match_one_row_flows(pendulum):
                 assert a.tobytes() == b[one].tobytes(), (entry.__name__, i)
 
 
-def test_field_is_evaluated_on_distinct_rows_only(pendulum, monkeypatch):
-    """Each run is integrated once: the batch costs the field evaluations
-    of its first rows flowed alone, as one batch."""
-    xi, x = _runs_batch()
-    firsts = [0, 3, 5, 7, 9, 10, 12]
-    rows = _counting_rows(monkeypatch)
-    exp_flow_batch(pendulum, xi, x, allow_escape=True)
-    batch = list(rows)
-    rows.clear()
-    exp_flow_batch(pendulum, xi[firsts], x[firsts], allow_escape=True)
-    assert batch == rows and rows[0] == 6  # 7 runs, one starts outside the box
-
-
 _NO_SCIPY_RUN = """
 import sys
 

@@ -315,9 +315,10 @@ def test_apply_adjoint_rejects_infinite_values(ws, ctx):
         vals = oper.adjoint_values(b, ws.functions["f_T"], pts, ctx,
                                    mu_weight=weight)
         assert np.isinf(vals[2]) and np.all(np.isfinite(np.delete(vals, 2)))
-        with pytest.raises(QuadratureFailure):
-            oper.apply_adjoint(b, ws.functions["f_T"], [[-1.0, 1.0]], (5,), ctx,
-                               mu_weight=weight)
+        for strict in (False, True):  # an infinite value is no escape
+            with pytest.raises(QuadratureFailure):
+                oper.apply_adjoint(b, ws.functions["f_T"], [[-1.0, 1.0]], (5,),
+                                   ctx, mu_weight=weight, strict=strict)
 
 
 def test_adjoint_rejects_diracs(ws, ctx):

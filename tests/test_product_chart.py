@@ -1,9 +1,11 @@
-"""Product-form fibre charts and flows.
+"""Broadcast batches of fibre charts and flows.
 
-A plan block pairs Q quadrature nodes with N base points.  Its host and
-the flow take the nodes (Q, k) and the bases (N, 1, n) as they are; every
-comparison below checks that the N x Q rows (base, node) they give have
-the bits of the rows over np.repeat(bases, Q) and np.tile(nodes, N).
+Charts and flows take fibre coordinates (..., k) against points (..., n)
+with the leading axes broadcast.  A plan block pairs Q quadrature nodes
+with N base points as the product (Q, k) against (N, 1, n); every
+comparison below checks that the rows a broadcast batch gives have the
+bits of the rows written out, as np.repeat(bases, Q) against
+np.tile(nodes, N) for a product.
 """
 
 import numpy as np
@@ -121,6 +123,79 @@ def test_product_flow_equals_tiled_rows(name, base_kind, node_kind):
         assert got[-1].shape == (N, Q)
         for a, b in zip(got, ref):
             assert _same(np.reshape(a, (N * Q,) + b.shape[1:]), b), entry.__name__
+
+
+def _broadcast_points(F):
+    """Points inside the escape box, near its corners (outside every
+    rotation's log-norm ball), outside it, and a NaN."""
+    rng = np.random.default_rng(13)
+    lo, hi = F.escape_box.T
+    inner = rng.uniform(F.chart_box[:, 0], F.chart_box[:, 1], (6, F.dim))
+    corners = np.array([lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo),
+                        np.where(np.arange(F.dim) % 2, lo, hi) * 0.95])
+    return np.vstack([inner, corners, hi + 0.5, np.full(F.dim, np.nan)])
+
+
+def _written_out(xi, x):
+    shape = np.broadcast_shapes(xi.shape[:-1], x.shape[:-1])
+    return (np.broadcast_to(xi, shape + xi.shape[-1:]).reshape(-1, xi.shape[-1]),
+            np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1]))
+
+
+@pytest.mark.parametrize("name", sorted(FOLIATIONS))
+@pytest.mark.parametrize("xi_value", [1.6, -0.3, np.inf, np.nan])
+@pytest.mark.parametrize("form", ["one_xi", "one_point"])
+def test_broadcast_flow_equals_written_out_rows(name, xi_value, form):
+    """One xi (1, m) against N points, or N xi rows against one point
+    (1, n): points, Jacobians and escape masks are the written-out rows'
+    on shift (T, C), expm (R, S) and DP45 (P) families."""
+    F = FOLIATIONS[name]()
+    x = _broadcast_points(F)
+    xi = np.full((1, F.num_generators), xi_value)
+    if form == "one_point":
+        xi = xi * np.linspace(0.1, 1.0, len(x))[:, None]
+        x = x[6:7]  # the first corner point
+    for entry in (exp_flow_batch, back_flow_batch, flow_jacobian_batch):
+        got = entry(F, xi, x, allow_escape=True)
+        ref = entry(F, *_written_out(xi, x), allow_escape=True)
+        for a, b in zip(got, ref):
+            assert _same(np.ascontiguousarray(a), b), entry.__name__
+
+
+def test_broadcast_rotation_samples_its_paths():
+    """On R, a quarter turn takes a corner point to the next corner inside
+    the box, but its path leaves the box: only the path samples see it,
+    and they run under broadcast as on the written-out rows."""
+    F = foliation_R()
+    x = _broadcast_points(F)
+    xi = np.array([[np.pi / 2]])
+    Y, escaped = exp_flow_batch(F, xi, x, allow_escape=True)
+    ref = exp_flow_batch(F, *_written_out(xi, x), allow_escape=True)
+    assert _same(Y, ref[0]) and _same(escaped, ref[1])
+    inside = F.escape_box[:, 0] <= Y
+    inside &= Y <= F.escape_box[:, 1]
+    assert np.any(escaped & inside.all(axis=1))
+
+
+CHART_TERMS = ["composition_T", "translate_left_P", "translate_left_R",
+               "translate_right_P", "translate_right_R"]
+
+
+@pytest.mark.parametrize("name", CHART_TERMS)
+@pytest.mark.parametrize("side", ["r", "s"])
+@pytest.mark.parametrize("form", ["one_xi", "one_base"])
+def test_broadcast_chart_equals_written_out_rows(name, side, form):
+    """Translate and Composition charts over K broadcast rows: one xi
+    against K bases, or K nodes against one base.  Their products are
+    checked by test_product_chart_equals_row_chart."""
+    U = TERMS[name]
+    bases = _bases(U.foliation, "edge")
+    nodes = _nodes(U.xi_box(), "nonfinite")
+    xi, at = (nodes[:1], bases) if form == "one_xi" else (nodes, bases[-1:])
+    params, ok = U.chart(side, xi, at, allow_escape=True)
+    ref_params, ref_ok = U.chart(side, *_written_out(xi, at), allow_escape=True)
+    assert _same(params, ref_params) and _same(ok, ref_ok)
+    assert ok.any()
 
 
 def test_shift_product_proves_its_end_points_inside():
