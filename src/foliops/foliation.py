@@ -212,17 +212,20 @@ def involutivity_check(F, samples=100, tol=1e-7):
     rng = np.random.default_rng(0)
     pts = np.concatenate([_structured_points(F), F.sample_points(samples, rng)])
     m = F.num_generators
+    # The fields are evaluated over all points at once: a row's values do
+    # not depend on the other rows, so they are its one-point values.
     brackets = {}
     for i in range(m):
         for j in range(i + 1, m):
-            brackets[(i, j)] = lie_bracket(F.generators[i], F.generators[j])
+            brackets[(i, j)] = lie_bracket(F.generators[i], F.generators[j])(pts)
+    gens = F.generator_matrix(pts)  # (N, n, m)
 
     worst, worst_p, worst_pair = 0.0, pts[0], (0, 0)
-    for p in pts:
-        G = F.generator_matrix(p)[0]  # (n, m)
+    for k, p in enumerate(pts):
+        G = gens[k]
         scale = 1.0 + np.linalg.norm(G)
         for (i, j), br in brackets.items():
-            v = br(p)
+            v = br[k]
             sol, *_ = np.linalg.lstsq(G, v, rcond=None)
             res = float(np.linalg.norm(G @ sol - v)) / scale
             if res > worst:

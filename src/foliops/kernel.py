@@ -569,7 +569,7 @@ class DensityAtom(Atom):
         params, ok = self.host.chart(side, nodes, bases[:, None], ctx.flow,
                                      allow_escape=True)
         under = params[:, m:]
-        inside = ok & _in_box(under, self.base_box)
+        inside = ok & self._in_base_box(side, bases, under, Q)
         fibre_only = self.fibre_only
         if not np.any(inside):
             dens = np.zeros(len(params))
@@ -585,6 +585,19 @@ class DensityAtom(Atom):
                 np.flatnonzero(inside) // Q] if side == "r" else None)
         del under, inside
         return _PlanBlock(Q, ok, dens, params.__getitem__, weights, row_offset)
+
+    def _in_base_box(self, side, bases, under, Q):
+        """Base-box mask of the ok rows of a block's chart, with bases
+        ``under``: once per base if they are the N ``bases``, none if an ok
+        row ends in an escape box within the base box, else per row."""
+        known = self.host.chart_base(side)
+        if known == "given":
+            return np.repeat(_in_box(bases, self.base_box), Q)
+        esc, box = self.host.foliation.escape_box, self.base_box
+        if (known == "flowed" and np.all(box[:, 0] <= esc[:, 0])
+                and np.all(esc[:, 1] <= box[:, 1])):
+            return True
+        return _in_box(under, box)
 
     def scaled(self, factor):
         return DensityAtom(self.host, _scaled_fn(self.dens_fn, factor),

@@ -154,7 +154,9 @@ def grid_points(box, res):
 
 
 def _wrap_f(f):
-    """Uniform NaN-safe point evaluator for expressions, grids, callables."""
+    """Uniform NaN-safe point evaluator for expressions, grids, callables;
+    a callable gets only finite rows, read-only (the rows themselves when
+    all are finite), and never an empty batch."""
     if isinstance(f, ScalarExpr):
         return lambda pts: f(pts, check_finite=False)
     if isinstance(f, GridFunction):
@@ -162,10 +164,14 @@ def _wrap_f(f):
 
     def safe(pts):
         pts = np.atleast_2d(pts)
+        good = np.isfinite(pts[:, 0])
+        for k in range(1, pts.shape[1]):  # whole columns: see flow._outside
+            good &= np.isfinite(pts[:, k])
         out = np.full(len(pts), np.nan)
-        good = np.all(np.isfinite(pts), axis=1)
-        if np.any(good):
-            out[good] = np.asarray(f(pts[good]), float)
+        if good.any():
+            rows = pts.view() if good.all() else pts[good]
+            rows.setflags(write=False)
+            out[good] = np.asarray(f(rows), float)
         return out
 
     return safe

@@ -358,6 +358,20 @@ def suite_support(ws):
 # --- 11. leaf locality and restriction ----------------------------------------
 
 
+def off_leaf_bump(p):
+    """(1 - u^2)^4 where |u| < 1, else 0, at the points p of the plane, with
+    u = (|p| - 1.5) / 0.35: 1 on the circle of radius 1.5 and 0 outside the
+    annulus 1.15 < |p| < 1.85, so 0 on the unit-circle leaf."""
+    p = np.atleast_2d(p)
+    u = (np.sqrt(p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1]) - 1.5) / 0.35
+    near = np.flatnonzero(np.abs(u) < 1.0)
+    w = 1.0 - u[near] * u[near]
+    w *= w
+    out = np.zeros(len(p))
+    out[near] = w * w
+    return out
+
+
 def suite_leaf(ws):
     ctx = ws.ctx()
     R = ws.get("foliations", "R")
@@ -368,17 +382,10 @@ def suite_leaf(ws):
 
     # off-leaf invariance for a density kernel
     a_dens = ws.get("kernels", "gauss_R")
-
-    def perturb(p):
-        p = np.atleast_2d(p)
-        rad = np.linalg.norm(p, axis=1)
-        u = (rad - 1.5) / 0.35
-        return np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 4, 0.0)
-
     base = oper.op_values(a_dens, f, leaf.points, ctx)
     pert = oper.op_values(
         a_dens,
-        lambda p: f(np.atleast_2d(p), check_finite=False) + perturb(p),
+        lambda p: f(np.atleast_2d(p), check_finite=False) + off_leaf_bump(p),
         leaf.points, ctx,
     )
     out = [

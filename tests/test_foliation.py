@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from foliops import flow as _flow
+from foliops.canonical import foliation_C, foliation_noninvolutive
 from foliops.errors import DimensionMismatch
-from foliops.expr import parse_field
+from foliops.expr import lie_bracket, parse_field
 from foliops.foliation import (
     SingularFoliation,
+    _structured_points,
     involutivity_check,
     leaf_dimension,
     leaf_sample,
@@ -79,6 +81,43 @@ def test_least_squares_residual_oracle(bad):
     residual = np.linalg.norm(G @ coeffs - v) / (1 + np.linalg.norm(G))
     rep = involutivity_check(bad, samples=10)
     assert rep.worst_residual == pytest.approx(residual)
+
+
+def _pointwise_involutivity(F, samples, tol):
+    """involutivity_check as it was written first: the fields evaluated
+    one sample point at a time."""
+    rng = np.random.default_rng(0)
+    pts = np.concatenate([_structured_points(F), F.sample_points(samples, rng)])
+    m = F.num_generators
+    brackets = {(i, j): lie_bracket(F.generators[i], F.generators[j])
+                for i in range(m) for j in range(i + 1, m)}
+    worst, worst_p, worst_pair = 0.0, pts[0], (0, 0)
+    for p in pts:
+        G = F.generator_matrix(p)[0]
+        scale = 1.0 + np.linalg.norm(G)
+        for (i, j), br in brackets.items():
+            v = br(p)
+            sol, *_ = np.linalg.lstsq(G, v, rcond=None)
+            res = float(np.linalg.norm(G @ sol - v)) / scale
+            if res > worst:
+                worst, worst_p, worst_pair = res, p, (i, j)
+    return worst, np.asarray(worst_p), worst_pair, len(pts)
+
+
+@pytest.mark.parametrize("name", ["noninvolutive", "C", "sl2"])
+def test_involutivity_batch_matches_pointwise(name):
+    F = {"noninvolutive": foliation_noninvolutive(), "C": foliation_C(),
+         "sl2": SingularFoliation(
+             dim=2, chart_box=[[-2, 2], [-2, 2]],
+             generators=[parse_field(t, 2) for t in ("[0, x1]", "[x2, 0]",
+                                                     "[x1, -x2]")],
+             xi_radius=[1.0, 1.0, 1.0])}[name]
+    rep = involutivity_check(F, samples=100, tol=1e-7)
+    worst, worst_p, worst_pair, count = _pointwise_involutivity(F, 100, 1e-7)
+    assert rep.worst_residual == worst and rep.worst_pair == worst_pair
+    assert rep.worst_point.tobytes() == worst_p.tobytes()
+    assert rep.samples == count and rep.passed == (worst <= 1e-7)
+    assert rep.passed == (name != "noninvolutive")
 
 
 def test_leaf_sample_circle(rotation):

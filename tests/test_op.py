@@ -19,6 +19,7 @@ from foliops.bisubmersion import constant_bisection, make_path_holonomy
 from foliops import kernel as ker
 from foliops import op as oper
 from foliops.canonical import bump_fn, canonical_workspace
+from foliops.verify import off_leaf_bump
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,86 @@ def test_compactly_supported_functions_stay_compact(ws, ctx):
     assert np.all(np.isfinite(bound))
 
 
+# --- callable test functions ----------------------------------------------------
+
+
+def _reference_wrap(f):
+    """The callable wrapper as it was before it handed f the rows
+    themselves: a row-wise finite test, a gathered copy and a scatter."""
+    def safe(pts):
+        pts = np.atleast_2d(pts)
+        out = np.full(len(pts), np.nan)
+        good = np.all(np.isfinite(pts), axis=1)
+        if np.any(good):
+            out[good] = np.asarray(f(pts[good]), float)
+        return out
+
+    return safe
+
+
+def _wrap_inputs():
+    rng = np.random.default_rng(4)
+    finite = rng.normal(size=(9, 2))
+    mixed = finite.copy()
+    mixed[1, 0] = np.nan
+    mixed[4, 1] = np.inf
+    mixed[6] = [-np.inf, np.nan]
+    strided = rng.normal(size=(9, 4))[:, 1:3]  # a view, as a plan's s points are
+    return {"finite": finite, "mixed": mixed, "strided": strided,
+            "empty": np.empty((0, 2))}
+
+
+@pytest.mark.parametrize("kind", ["finite", "mixed", "strided", "empty"])
+def test_callable_wrapper_matches_the_gathering_wrapper(kind):
+    pts = _wrap_inputs()[kind]
+    seen = []
+
+    def f(p):
+        seen.append(p)
+        return np.sin(p[:, 0]) * np.exp(p[:, 1])
+
+    got = oper._wrap_f(f)(pts)
+    calls = len(seen)
+    want = _reference_wrap(f)(pts)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert calls == (kind != "empty")
+    for p in seen[:calls]:
+        assert len(p) and np.isfinite(p).all() and not p.flags.writeable
+
+
+def test_callable_wrapper_return_rules():
+    pts = _wrap_inputs()["mixed"]
+    for ret in (2.5, np.array([2.5])):
+        got = oper._wrap_f(lambda p, ret=ret: ret)(pts)
+        want = _reference_wrap(lambda p, ret=ret: ret)(pts)
+        assert got.tobytes() == want.tobytes()
+    for kind in ("finite", "mixed"):
+        with pytest.raises(ValueError):
+            oper._wrap_f(lambda p: np.ones(len(p) + 1))(_wrap_inputs()[kind])
+        with pytest.raises(ValueError):
+            _reference_wrap(lambda p: np.ones(len(p) + 1))(_wrap_inputs()[kind])
+
+
+def test_callable_that_writes_its_points_raises_and_leaves_the_plan(ws):
+    a = ws.kernels["gauss_R"]
+    f = ws.functions["f_R"]
+    ctx = ws.ctx()
+    pts = oper.grid_points([[-1.5, 1.5], [-1.5, 1.5]], (7, 7))
+    first = oper.op_values(a, lambda p: f(p), pts, ctx)
+    assert len(ctx.plans)
+
+    def writer(p):
+        p[:, 0] = 0.0
+        return f(p)
+
+    with pytest.raises(ValueError):
+        oper.op_values(a, writer, pts, ctx)
+    with pytest.raises(ValueError):
+        oper._wrap_f(writer)(_wrap_inputs()["mixed"])
+    again = oper.op_values(a, lambda p: f(p), pts, ctx)
+    assert again.tobytes() == first.tobytes()
+
+
 # --- adjoint -------------------------------------------------------------------
 
 
@@ -382,6 +463,38 @@ def test_off_leaf_invariance(ws, ctx, circle):
     base = oper.op_values(a, f, circle.points, ctx)
     pert = oper.op_values(a, perturbed, circle.points, ctx)
     assert np.max(np.abs(base - pert)) <= 1e-7
+
+
+def test_off_leaf_bump_shape():
+    """The leaf suite's bump is 1 on the circle of radius 1.5, 0 on the unit
+    circle and off the annulus 1.15 < r < 1.85, and it is the norm and
+    power formula it replaces to rounding."""
+    axes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+    def at(radius):
+        return off_leaf_bump(radius * axes)
+
+    assert np.all(at(1.5) == 1.0)
+    for radius in (0.0, 0.5, 1.0, 1.1, 1.15, 1.85, 1.9, 3.0):
+        assert np.all(at(radius) == 0.0), radius
+    theta = np.linspace(0.0, 2 * math.pi, 37)
+    assert np.all(off_leaf_bump(np.stack([np.cos(theta), np.sin(theta)], 1)) == 0.0)
+    radii = np.linspace(0.0, 3.0, 30001)
+    sweep = radii[:, None] * np.stack([np.cos(7 * radii), np.sin(7 * radii)], axis=1)
+    u = (np.linalg.norm(sweep, axis=1) - 1.5) / 0.35
+    old = np.where(np.abs(u) < 1.0, (1.0 - u**2) ** 4, 0.0)
+    assert np.max(np.abs(off_leaf_bump(sweep) - old)) <= 4e-16
+
+
+def test_off_leaf_bump_moves_op_off_the_leaf(ws, ctx):
+    """The off-leaf check reads 0.0 because the bump vanishes on the leaf,
+    not because Op cannot see it: off the leaf it moves Op(gauss_R)f."""
+    a = ws.kernels["gauss_R"]
+    f = ws.functions["f_R"]
+    at = np.array([[1.5, 0.0]])
+    base = oper.op_values(a, f, at, ctx)
+    pert = oper.op_values(a, lambda p: f(p) + off_leaf_bump(p), at, ctx)
+    assert abs(pert[0] - base[0]) > 1e-3
 
 
 def test_leaf_restriction_homomorphism(ws, ctx, circle):

@@ -374,3 +374,84 @@ def test_fibre_chart_maps_one_base():
     xi = np.array([[0.3], [-1.1], [2.0]])
     ref = U.chart("r", xi, np.tile([0.5, -0.25], (3, 1)))
     assert _same(chart.map(xi), ref)
+
+
+def _density(params, rbase):
+    """A density that is nonzero everywhere, so the base box alone decides
+    which chart rows it is evaluated on."""
+    return np.exp(-0.1 * np.sum(params * params, axis=1)) + 0.5
+
+
+def _base_boxes(F):
+    """Base boxes equal to, wider than and narrower than the escape box."""
+    esc = F.escape_box
+    return {"equal": esc.copy(), "wider": esc + [-1.0, 1.0],
+            "narrower": F.chart_box.copy()}
+
+
+def _boxed_bases(F, box):
+    """Bases on the escape box and one ulp past it, on the base box and one
+    ulp past it, inside the chart box, and a NaN."""
+    lo, hi = box.T
+    return np.vstack([_bases(F, "edge"), _bases(F, "nan")[3:4], lo, hi,
+                      np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                      np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)])
+
+
+def _per_row_test(atom, side, bases, under, Q):
+    return ker._in_box(under, atom.base_box)
+
+
+@pytest.mark.parametrize("name", sorted(TERMS))
+@pytest.mark.parametrize("side", ["r", "s"])
+@pytest.mark.parametrize("box_kind", ["equal", "wider", "narrower"])
+def test_base_box_proof_keeps_the_plan_blocks(name, side, box_kind, monkeypatch):
+    """A plan block's arrays have the bits of the per-row base-box test
+    whether or not the host proves the test; a source block tests its N
+    bases, a proven range block tests no row, and the rest test all N x Q."""
+    U = TERMS[name]
+    F = U.foliation
+    box = _base_boxes(F)[box_kind]
+    if isinstance(U, bis.Composition):  # parameters not laid out as (fibre, base)
+        with pytest.raises(ker.HostMismatch):
+            ker.DensityAtom(U, _density, U.xi_box(), box)
+        assert U.chart_base(side) is None
+        return
+    atom = ker.DensityAtom(U, _density, U.xi_box(), box)
+    bases = _boxed_bases(F, box)
+    ctx = ker.PairingCtx(ker.QuadratureConfig(order=4, order_highdim=3))
+    Q = atom.node_count(ctx)
+    tested = []
+    in_box = ker._in_box
+
+    def spy(points, box, tol=0.0):
+        tested.append(len(points))
+        return in_box(points, box, tol)
+
+    monkeypatch.setattr(ker, "_in_box", spy)
+    blocks = list(atom._plan_blocks(side, bases, ctx))
+    known = U.chart_base(side)
+    proven = known == "flowed" and box_kind != "narrower"
+    want = [len(bases)] if known == "given" else [] if proven else [len(bases) * Q]
+    assert tested == want
+    monkeypatch.setattr(ker.DensityAtom, "_in_base_box", _per_row_test)
+    ref = list(atom._plan_blocks(side, bases, ctx))
+    assert len(blocks) == len(ref) == 1
+    assert all(_same(a, b) for a, b in zip(blocks[0].arrays, ref[0].arrays))
+    live = blocks[0].arrays[0]
+    assert live.any() and not live.all()
+
+
+def test_base_box_proof_needs_the_escape_box_inside_the_base_box():
+    """On a range fibre of R, a base box narrower than the escape box drops
+    flow ends between the two, which the proof would keep."""
+    U = TERMS["path_holonomy_R"]
+    F = U.foliation
+    atom = ker.DensityAtom(U, _density, U.xi_box(), F.chart_box)
+    nodes, weights = ker.gauss_nodes(U.xi_box(), 4)
+    bases = _boxed_bases(F, F.chart_box)
+    params, ok = U.chart("r", *_rows(nodes, bases), allow_escape=True)
+    outside = ~ker._in_box(params[:, 1:], F.chart_box)
+    assert np.any(ok & outside)
+    block = atom._plan_block("r", bases, nodes, weights, ker.PairingCtx(), 0)
+    assert not np.any(block.arrays[0] & outside)
