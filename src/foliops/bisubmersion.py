@@ -123,14 +123,6 @@ class Bisubmersion:
         return _checked(*self._chart(side, xi, bases, cfg), allow_escape,
                         f"{side}-fibre chart of {type(self).__name__}")
 
-    def chart_base(self, side):
-        """What the base columns of an ok row of the ``side`` chart are
-        known to be: "given", the base point the row was charted over;
-        "flowed", the end of a flow, which is ok only inside the
-        foliation's escape box (every flow backend tests the end); or None
-        where nothing is known."""
-        return None
-
     def xi_box(self):
         raise NotImplementedError
 
@@ -224,9 +216,6 @@ class PathHolonomy(Bisubmersion):
         )
         return pts, np.abs(np.linalg.det(J)), ~escaped
 
-    def chart_base(self, side):
-        return "given" if side == "s" else "flowed"
-
     def contains(self, params, cfg, tol=1e-7):
         # Under-points may wander into the integration domain: compositions
         # produce intermediate basepoints outside the chart box.
@@ -265,9 +254,6 @@ class _OnInner(Bisubmersion):
 
     def _chart(self, side, xi, bases, cfg):
         return self.inner.chart(self._sides[side], xi, bases, cfg, allow_escape=True)
-
-    def chart_base(self, side):
-        return self.inner.chart_base(self._sides[side])
 
     def xi_box(self):
         return self.inner.xi_box()
@@ -417,11 +403,6 @@ class Translate(_OnInner):
         params, ok1 = super()._chart(side, xi, mapped.reshape(bases.shape), cfg)
         ok0 = np.broadcast_to(ok0.reshape(lead), np.broadcast_shapes(xi.shape[:-1], lead))
         return params, ok0.reshape(-1) & ok1
-
-    def chart_base(self, side):
-        # The moved side charts the inner fibre over the mapped bases.
-        base = super().chart_base(side)
-        return None if side == self.moved and base == "given" else base
 
     def key(self):
         return (f"translate_{self.name}", self.inner.key(), self.bisection.key())

@@ -468,26 +468,26 @@ class DiracAtom(Atom):
     def image(self, out_side, kernel_side, ctx, given=None):
         # A support row is a bisection point.  On the kernel's side it lies
         # in the coefficient box cut to the bisection's image there (its
-        # ``home``); other boxes are sampled images under ``to_out``, of the
-        # box on the other side of ``out_side`` cut to ``given``.
+        # ``home``); other boxes are sampled once each, as images under the
+        # map to their side of the box on the other side cut to ``given``.
         S = self.bisection
-        to_out = S.phi if out_side == "r" else S.phi_inv
 
-        def across(box):
+        def across(box, side):
+            to_side = S.phi if side == "r" else S.phi_inv
             return (None if box is None
-                    else bis._sampled_image_box(to_out, box, ctx.flow))
+                    else bis._sampled_image_box(to_side, box, ctx.flow))
 
         def cut(box):
             return box if given is None else _intersect_boxes(box, given)
 
+        home = _intersect_boxes(self.coeff_box, S.base_box if kernel_side == "s"
+                                else across(S.base_box, "r"))
         if out_side != kernel_side:
-            return across(cut(self.image(kernel_side, kernel_side, ctx)))
-        home = _intersect_boxes(self.coeff_box, S.base_box if out_side == "s"
-                                else across(S.base_box))
+            return across(cut(home), out_side)
         if given is None or home is None:
             return home
-        other = self.image(_OTHER[out_side], kernel_side, ctx)
-        return _intersect_boxes(across(cut(other)), home)
+        other = across(home, _OTHER[out_side])
+        return _intersect_boxes(across(cut(other), out_side), home)
 
 
 class DensityAtom(Atom):
@@ -569,7 +569,7 @@ class DensityAtom(Atom):
         params, ok = self.host.chart(side, nodes, bases[:, None], ctx.flow,
                                      allow_escape=True)
         under = params[:, m:]
-        inside = ok & self._in_base_box(side, bases, under, Q)
+        inside = ok & self._in_base_box(bases, under)
         fibre_only = self.fibre_only
         if not np.any(inside):
             dens = np.zeros(len(params))
@@ -586,16 +586,15 @@ class DensityAtom(Atom):
         del under, inside
         return _PlanBlock(Q, ok, dens, params.__getitem__, weights, row_offset)
 
-    def _in_base_box(self, side, bases, under, Q):
-        """Base-box mask of the ok rows of a block's chart, with bases
-        ``under``: once per base if they are the N ``bases``, none if an ok
-        row ends in an escape box within the base box, else per row."""
-        known = self.host.chart_base(side)
-        if known == "given":
-            return np.repeat(_in_box(bases, self.base_box), Q)
-        esc, box = self.host.foliation.escape_box, self.base_box
-        if (known == "flowed" and np.all(box[:, 0] <= esc[:, 0])
-                and np.all(esc[:, 1] <= box[:, 1])):
+    def _in_base_box(self, bases, under):
+        """Base-box mask of ok rows with bases ``under``, charted over
+        ``bases``.  An ok row's base is its charted base or a point where an
+        ok flow started or ended, so in the escape box; where the base box
+        holds the escape box and every charted base, it holds every ok
+        row's base and the mask is True, else it is tested row by row."""
+        box, esc = self.base_box, self.host.foliation.escape_box
+        if (np.all(box[:, 0] <= esc[:, 0]) and np.all(esc[:, 1] <= box[:, 1])
+                and np.all(_in_box(bases, box))):
             return True
         return _in_box(under, box)
 
@@ -629,7 +628,7 @@ class DensityAtom(Atom):
         else:
             params, ok = self.host.chart(other, xi[:k], under[:k], ctx.flow,
                                          allow_escape=True)
-            ok = ok & _in_box(params[:, self.host.fibre_dim:], self.base_box)
+            ok = ok & self._in_base_box(under[:k], params[:, self.host.fibre_dim:])
         pts, ok_out = getattr(self.host, out_side)(params, ctx.flow,
                                                    allow_escape=True)
         return self._clip(bis._padded_bounds(pts[ok & ok_out]), out_side)
@@ -1046,9 +1045,10 @@ def _reduce_addition(pi, atom, ctx):
         """Sum over the nodes xi of w A(zeta - xi, mid) B(xi, y), mid = exp(xi)y.
 
         The K bases y and the Q nodes make a product: the mid points are
-        one product flow, and B is masked by its base box once per base,
-        and evaluated once per node where it reads only xi.  A node whose
-        mid point escapes is NaN.
+        one product flow, B is masked by its base box once per base and
+        evaluated once per node where it reads only xi, and A's base box
+        takes the rule of ``DensityAtom._in_base_box`` on the mid points,
+        flow ends from y.  A node whose mid point escapes is NaN.
         """
         K = len(params)
         y = params[:, m:]
@@ -1069,7 +1069,7 @@ def _reduce_addition(pi, atom, ctx):
         pa[m:] = np.moveaxis(mid, -1, 0)
         del mid
         pa = pa.reshape(m + n, -1).T
-        contrib = np.where(_in_box(pa[:, m:], A.base_box), A.dens_fn(pa, None), 0.0)
+        contrib = np.where(A._in_base_box(y, pa[:, m:]), A.dens_fn(pa, None), 0.0)
         del pa
         contrib.reshape(K, Q)[...] *= weights
         contrib *= fb

@@ -24,6 +24,7 @@ import json
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DomainEscape,
     InsufficientLeafSampling,
     NotTransverse,
@@ -31,7 +32,7 @@ from .errors import (
     SideMismatch,
 )
 from .expr import ScalarExpr
-from .flow import _in_box
+from .flow import _checked_box, _in_box, _number, _numbers
 from .kernel import (
     ConvolvedAtom,
     DensityAtom,
@@ -231,11 +232,34 @@ def op_values(kernel: FibredKernel, f, points, ctx=None):
     return total
 
 
+def _kernel_box(kernel, box, what):
+    """``box`` past the box rule on the kernel's foliation (on the box's own
+    axes for a kernel without one, the bare zero kernel)."""
+    F = kernel.foliation
+    dim = F.dim if F is not None else len(np.atleast_2d(_numbers(box, f"{what} bound")))
+    return _checked_box(box, dim, what)
+
+
+def _checked_grid(kernel, out_box, out_res):
+    """``(out_box, out_res)`` past the box and number rules: a box on the
+    kernel's foliation and an integral count of at least 2 per axis."""
+    box = _kernel_box(kernel, out_box, "out_box")
+    if isinstance(out_res, np.ndarray):
+        out_res = out_res.tolist()
+    if not isinstance(out_res, (list, tuple)) or len(out_res) != len(box):
+        raise ConfigError(f"out_res {out_res!r} needs one count per axis, "
+                          f"{len(box)} in all")
+    res = tuple(_number(r.item() if isinstance(r, np.generic) else r,
+                        "out_res entry", integer=True) for r in out_res)
+    if min(res) < 2:
+        raise ConfigError(f"out_res {list(res)} needs at least 2 points per axis")
+    return box, res
+
+
 def _on_grid(values_at, out_box, out_res, strict):
-    """Grid of ``values_at(points)``: infinite values raise
-    QuadratureFailure, and then masked (NaN) points raise DomainEscape
-    under ``strict``."""
-    out_box = np.atleast_2d(np.asarray(out_box, float))
+    """Grid of ``values_at(points)`` on a checked box and resolution
+    (``_checked_grid``): infinite values raise QuadratureFailure, and then
+    masked (NaN) points raise DomainEscape under ``strict``."""
     vals = values_at(grid_points(out_box, out_res))
     if np.any(np.isinf(vals)):
         raise QuadratureFailure("quadrature produced infinite values")
@@ -250,8 +274,8 @@ def apply_op(kernel, f, out_box, out_res, ctx=None, strict=False):
     Masked points (fibre chart escaped the integration domain) are NaN in
     the result; with ``strict`` they raise DomainEscape instead.
     """
-    return _on_grid(lambda pts: op_values(kernel, f, pts, ctx), out_box, out_res,
-                    strict)
+    return _on_grid(lambda pts: op_values(kernel, f, pts, ctx),
+                    *_checked_grid(kernel, out_box, out_res), strict)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +346,7 @@ def apply_adjoint(kernel, k, out_box, out_res, ctx=None, mu_weight=None,
     masking, ``strict`` and infinite values are handled as in apply_op."""
     return _on_grid(
         lambda pts: adjoint_values(kernel, k, pts, ctx, mu_weight=mu_weight),
-        out_box, out_res, strict,
+        *_checked_grid(kernel, out_box, out_res), strict,
     )
 
 
@@ -370,6 +394,6 @@ def support_bound(kernel: FibredKernel, f_support, ctx=None):
     ctx = ctx or PairingCtx()
     if f_support is None:
         return None
-    f_support = np.atleast_2d(np.asarray(f_support, float))
+    f_support = _kernel_box(kernel, f_support, "f_support")
     return _union_boxes([atom.image("r", "r", ctx, f_support)
                          for atom in kernel.atoms])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from foliops.errors import (
+    ConfigError,
     DomainEscape,
     InsufficientLeafSampling,
     NotTransverse,
@@ -15,6 +16,7 @@ from foliops.errors import (
 from foliops.expr import parse_field, parse_scalar
 from foliops.flow import DEFAULT_FLOW
 from foliops.foliation import SingularFoliation, leaf_sweep
+from foliops import bisubmersion as bis
 from foliops.bisubmersion import constant_bisection, make_path_holonomy
 from foliops import kernel as ker
 from foliops import op as oper
@@ -221,6 +223,82 @@ def test_support_bound_covers_a_small_input_support(ws, ctx, name, f_box, res):
     bound = oper.support_bound(kernel, f_box, ctx)
     assert len(hit) and bound is not None
     assert np.all((hit >= bound[:, 0]) & (hit <= bound[:, 1]))
+
+
+_BAD_GRID = {
+    "reversed box": ([[1, 0]], (3,)),
+    "infinite bound": ([[0, float("inf")]], (3,)),
+    "NaN bound": ([[float("nan"), 1]], (3,)),
+    "2-D box": ([[-1, 1], [-1, 1]], (3, 3)),
+    "one point": ([[-1, 1]], (1,)),
+    "fractional count": ([[-1, 1]], (2.5,)),
+    "boolean count": ([[-1, 1]], (True,)),
+    "numpy boolean count": ([[-1, 1]], np.array([True])),
+    "two counts": ([[-1, 1]], (3, 3)),
+    "bare count": ([[-1, 1]], 3),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_GRID))
+def test_output_grids_pass_the_box_and_number_rules(ws, ctx, bad):
+    """apply_op and apply_adjoint took their grid unchecked: a reversed box
+    gave a reversed grid, an infinite bound NaN values and a warning, and a
+    2-D box on a 1-D kernel a bare ValueError."""
+    box, res = _BAD_GRID[bad]
+    with pytest.raises(ConfigError):
+        oper.apply_op(ws.kernels["gauss_T"], ws.functions["f_T"], box, res, ctx)
+    with pytest.raises(ConfigError):
+        oper.apply_adjoint(ker.transpose(ws.kernels["gauss_T"]), ws.functions["f_T"],
+                           box, res, ctx)
+
+
+def test_output_grids_take_integral_counts_of_any_number_type(ws, ctx):
+    f = ws.functions["f_T"]
+    want = oper.apply_op(ws.kernels["gauss_T"], f, [[-1, 1]], (5,), ctx).values
+    for res in ([5], (5.0,), np.array([5]), (np.int64(5),)):
+        got = oper.apply_op(ws.kernels["gauss_T"], f, [[-1, 1]], res, ctx).values
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("f_support", [[[0, float("nan")]], [[0, 1, 2]],
+                                       [[1, 0]], [[0, float("inf")]],
+                                       [[0, 1], [0, 1]]],
+                         ids=["NaN", "three bounds", "reversed", "infinite", "2-D"])
+def test_support_bound_input_passes_the_box_rule(ws, ctx, f_support):
+    """support_bound(dirac_shift, [[0, nan]]) gave [[0.98, 1.02]] and
+    [[0, 1, 2]] gave [[0.96, 2.04]]."""
+    with pytest.raises(ConfigError):
+        oper.support_bound(ws.kernels["dirac_shift"], f_support, ctx)
+
+
+@pytest.mark.parametrize("side", ["r", "s"])
+def test_dirac_image_samples_each_box_once(ws, ctx, side, monkeypatch):
+    """Under ``given`` a Dirac atom's image on its kernel's side samples the
+    bisection's image there (on the range side only), the other side's
+    image of its home and the image back of that cut to ``given``: 3
+    sampled images on the range side, where it took 4, and 2 on the
+    source side.  Without ``given`` each box is sampled once, as before."""
+    atom = ws.kernels["dirac_rot90"].atoms[0]
+    if side == "s":
+        S = atom.bisection
+        atom = ker.DiracAtom(S, atom.coeff_fn, S.base_box)
+    given = np.array([[-0.5, 1.0], [-1.0, 0.5]])
+    other = "s" if side == "r" else "r"
+    calls = []
+    sampled = bis._sampled_image_box
+
+    def spy(*args, **kw):
+        calls.append(1)
+        return sampled(*args, **kw)
+
+    monkeypatch.setattr(bis, "_sampled_image_box", spy)
+    counts = {}
+    for out, box in ((side, given), (side, None), (other, None)):
+        calls.clear()
+        assert atom.image(out, side, ctx, box) is not None
+        counts[out, box is None] = len(calls)
+    want = {"r": [3, 1, 2], "s": [2, 0, 1]}[side]
+    assert list(counts.values()) == want
 
 
 def test_compactly_supported_functions_stay_compact(ws, ctx):

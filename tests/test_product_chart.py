@@ -398,7 +398,7 @@ def _boxed_bases(F, box):
                       np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)])
 
 
-def _per_row_test(atom, side, bases, under, Q):
+def _per_row_test(atom, bases, under):
     return ker._in_box(under, atom.base_box)
 
 
@@ -407,38 +407,43 @@ def _per_row_test(atom, side, bases, under, Q):
 @pytest.mark.parametrize("box_kind", ["equal", "wider", "narrower"])
 def test_base_box_proof_keeps_the_plan_blocks(name, side, box_kind, monkeypatch):
     """A plan block's arrays have the bits of the per-row base-box test
-    whether or not the host proves the test; a source block tests its N
-    bases, a proven range block tests no row, and the rest test all N x Q."""
+    whether or not the rule proves the test.  Where the base box holds the
+    escape box the rule tests the N bases, and all N x Q rows only if a
+    base lies outside; elsewhere it tests the N x Q rows."""
     U = TERMS[name]
     F = U.foliation
     box = _base_boxes(F)[box_kind]
     if isinstance(U, bis.Composition):  # parameters not laid out as (fibre, base)
         with pytest.raises(ker.HostMismatch):
             ker.DensityAtom(U, _density, U.xi_box(), box)
-        assert U.chart_base(side) is None
         return
     atom = ker.DensityAtom(U, _density, U.xi_box(), box)
-    bases = _boxed_bases(F, box)
+    boxed = _boxed_bases(F, box)
+    base_sets = {"boxed": boxed, "inside": boxed[ker._in_box(boxed, box)]}
     ctx = ker.PairingCtx(ker.QuadratureConfig(order=4, order_highdim=3))
     Q = atom.node_count(ctx)
-    tested = []
     in_box = ker._in_box
+    blocks = {}
+    for kind, bases in base_sets.items():
+        N, tested = len(bases), []
 
-    def spy(points, box, tol=0.0):
-        tested.append(len(points))
-        return in_box(points, box, tol)
+        def spy(points, box, tol=0.0, tested=tested):
+            tested.append(len(points))
+            return in_box(points, box, tol)
 
-    monkeypatch.setattr(ker, "_in_box", spy)
-    blocks = list(atom._plan_blocks(side, bases, ctx))
-    known = U.chart_base(side)
-    proven = known == "flowed" and box_kind != "narrower"
-    want = [len(bases)] if known == "given" else [] if proven else [len(bases) * Q]
-    assert tested == want
+        monkeypatch.setattr(ker, "_in_box", spy)
+        blocks[kind] = list(atom._plan_blocks(side, bases, ctx))
+        if box_kind == "narrower":
+            assert tested == [N * Q]
+        else:
+            assert tested == ([N] if kind == "inside" else [N, N * Q])
+    monkeypatch.setattr(ker, "_in_box", in_box)
     monkeypatch.setattr(ker.DensityAtom, "_in_base_box", _per_row_test)
-    ref = list(atom._plan_blocks(side, bases, ctx))
-    assert len(blocks) == len(ref) == 1
-    assert all(_same(a, b) for a, b in zip(blocks[0].arrays, ref[0].arrays))
-    live = blocks[0].arrays[0]
+    for kind, bases in base_sets.items():
+        ref = list(atom._plan_blocks(side, bases, ctx))
+        assert len(blocks[kind]) == len(ref) == 1
+        assert all(_same(a, b) for a, b in zip(blocks[kind][0].arrays, ref[0].arrays))
+    live = blocks["boxed"][0].arrays[0]
     assert live.any() and not live.all()
 
 
@@ -455,3 +460,72 @@ def test_base_box_proof_needs_the_escape_box_inside_the_base_box():
     assert np.any(ok & outside)
     block = atom._plan_block("r", bases, nodes, weights, ker.PairingCtx(), 0)
     assert not np.any(block.arrays[0] & outside)
+
+
+_PUSHED = {"T": ("U_T", "gauss_T", "gauss_T2"), "C": ("U_C", "gauss_C", "gauss_C2")}
+
+
+@pytest.mark.parametrize("name", sorted(_PUSHED))
+@pytest.mark.parametrize("box_kind", ["equal", "wider", "narrower"])
+def test_reduced_density_keeps_the_per_row_base_box_bits(name, box_kind,
+                                                         monkeypatch):
+    """The reduced density of pushforward [T] and [C], with factors whose
+    base box is equal to, wider or narrower than the escape box, has the
+    bits of the per-row test of A's base box on its mid points: on rows
+    whose bases all lie in that box, and on rows with bases outside it and
+    outside the escape box, where mid points escape."""
+    ws = canonical_workspace()
+    ctx = ws.ctx()
+    U_name, *names = _PUSHED[name]
+    U = ws.get("bisubmersions", U_name)
+    F = U.foliation
+    box = _base_boxes(F)[box_kind]
+    A, B = (ker.DensityAtom(U, X.dens_fn, X.xi_box, box, X.quad_order,
+                            dens_key=X.dens_key, fibre_only=X.fibre_only)
+            for X in (ws.get("kernels", k).atoms[0] for k in names))
+    pi = bis.make_addition_morphism(U, cfg=ctx.flow)
+    ab = ker.convolve(ker.FibredKernel("r", [A]), ker.FibredKernel("r", [B]), ctx)
+    reduced = ker.pushforward(pi, ab, ctx).atoms[0]
+    assert isinstance(reduced, ker.DensityAtom)
+    rng = np.random.default_rng(9)
+    esc = F.escape_box
+    lo, hi = np.maximum(box[:, 0], esc[:, 0]), np.minimum(box[:, 1], esc[:, 1])
+    inside = rng.uniform(lo, hi, (200, F.dim))
+    inside[:40] = rng.uniform(hi - 0.3, hi, (40, F.dim))
+    spread = rng.uniform(esc[:, 0] - 0.5, esc[:, 1] + 0.5, (200, F.dim))
+    spread[:40] = rng.uniform(esc[:, 1] - 0.5, esc[:, 1], (40, F.dim))
+    zeta = rng.uniform(*reduced.xi_box.T, (200, F.num_generators))
+    rows = [np.column_stack([zeta, y]) for y in (inside, spread)]
+    got = [reduced.dens_fn(params, None) for params in rows]
+    monkeypatch.setattr(ker.DensityAtom, "_in_base_box", _per_row_test)
+    assert all(_same(g, reduced.dens_fn(params, None)) for g, params in zip(got, rows))
+    assert np.isnan(got[1]).any() and (np.abs(got[1]) > 1e-12).any()
+    assert (np.abs(got[0]) > 1e-12).any()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in TERMS
+                                        if not n.startswith("composition")))
+@pytest.mark.parametrize("box_kind", ["equal", "wider", "narrower"])
+def test_support_boxes_over_given_keep_the_per_row_bits(name, box_kind,
+                                                        monkeypatch):
+    """support_bound of a density and of its lazy square, whose images chart
+    rows over a given input box, and support_of, have the bits of the
+    per-row base-box test: for an input box inside the chart box and for
+    one sticking out of the density's base box."""
+    U = TERMS[name]
+    F = U.foliation
+    box = _base_boxes(F)[box_kind]
+    k = ker.FibredKernel("r", [ker.DensityAtom(U, _density, U.xi_box(), box)])
+    kk = ker.convolve(k, k)
+    givens = [0.5 * F.chart_box, box + [[-0.5, 0.5]]]
+
+    def boxes():
+        support = ker.support_of(kk)
+        return ([oper.support_bound(kernel, g) for kernel in (k, kk) for g in givens]
+                + [support.r_box, support.s_box])
+
+    got = boxes()
+    monkeypatch.setattr(ker.DensityAtom, "_in_base_box", _per_row_test)
+    ref = boxes()
+    assert got[0] is not None and got[1] is not None
+    assert all(g is r is None or _same(g, r) for g, r in zip(got, ref))
