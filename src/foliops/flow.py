@@ -294,14 +294,10 @@ def _shift_flow(foliation, b, xi, x, with_jacobian):
     n = x.shape[-1]
     lo, hi = foliation.escape_box.T
     Y = np.moveaxis(np.empty((n,) + shape), 0, -1)  # contiguous columns
-    shifts = []
     with np.errstate(invalid="ignore", over="ignore"):  # such rows escape
-        for k in range(n):  # whole columns: see _outside
-            shift = xi[..., 0] * b[0, k]
-            for i in range(1, len(b)):
-                shift += xi[..., i] * b[i, k]
+        shifts = _shifts(b, xi)
+        for k, shift in enumerate(shifts):
             np.add(x[..., k], shift, out=Y[..., k])
-            shifts.append(shift)
     start = _outside(x, lo, hi)
     if x.shape[:-1] != shape and _ends_inside(x[~start], shifts, lo, hi):
         escaped = np.broadcast_to(start, shape).copy()
@@ -314,6 +310,18 @@ def _shift_flow(foliation, b, xi, x, with_jacobian):
     Y[stay] = np.broadcast_to(x, Y.shape)[stay]
     J = np.broadcast_to(np.eye(n), shape + (n, n)).copy() if with_jacobian else None
     return Y, J, escaped
+
+
+def _shifts(b, xi):
+    """Column k of sum_i xi_i b_i over the rows of ``xi``, one array per
+    column (whole columns: see _outside), summed in the order of i."""
+    shifts = []
+    for k in range(b.shape[1]):
+        shift = xi[..., 0] * b[0, k]
+        for i in range(1, len(b)):
+            shift += xi[..., i] * b[i, k]
+        shifts.append(shift)
+    return shifts
 
 
 def _ends_inside(starts, shifts, lo, hi):

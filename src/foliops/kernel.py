@@ -166,7 +166,7 @@ class PairingCtx:
         mid points, those where a factor-wise action reads its inner factor).
 
         Such points repeat bit for bit once that outer plan is reused, since
-        they come from its kept geometry.  The deeper context therefore
+        they come from its kept parameter rows.  The deeper context therefore
         keeps plans only when the outer plan is stored before the call: a
         nested pairing that runs once leaves no plan behind.
         """
@@ -245,12 +245,12 @@ def _fn_key(fn):
 
 
 class Integrand:
-    """``phi(params, rows)`` split into ``geometry(params, rows)``, a tuple
-    of arrays that does not depend on the test function (where it is read,
-    a weight such as |det J|, an ok mask), and ``gather(params, rows,
-    geom)``, which reads the test function there.  A plan keeps each
-    geometry under ``key``, naming the integrand and the host whose maps
-    it reads.
+    """``phi(params, rows)`` split into ``geometry(params)``, a tuple of
+    arrays that does not depend on the test function (where it is read, a
+    weight such as |det J|, an ok mask), and ``gather(params, geom)``, which
+    reads the test function there; neither reads the base-row index ``rows``.
+    A plan keeps each geometry under ``key``, naming the integrand and the
+    host whose maps it reads.
     """
 
     def __init__(self, geometry, gather, key):
@@ -259,7 +259,7 @@ class Integrand:
         self.key = key
 
     def __call__(self, params, rows):
-        return self.gather(params, rows, self.geometry(params, rows))
+        return self.gather(params, self.geometry(params))
 
 
 class Atom:
@@ -270,8 +270,8 @@ class Atom:
 
         ``phi(params, rows)`` receives parameter rows of the host together
         with the index of the base row each came from.  A plain function is
-        run whole on every call; an Integrand lets a stored plan keep its
-        geometry.
+        run whole on every call; an Integrand reads the parameter rows only,
+        and a stored plan keeps its geometry.
         """
         raise NotImplementedError
 
@@ -330,10 +330,11 @@ class _PlanBlock:
     ``ok`` is False or the density is not finite, and live where it is
     finite and nonzero.  ``live`` marks the live nodes, ``params`` (from
     ``params_of`` on their flat indices, or ``slice(None)`` if all are live)
-    and ``rows`` are their parameter rows and base-row indices, ``wd`` is
-    ``weights[node]`` x density, ``nan`` holds the flat indices of the NaN
-    nodes, and ``geometry`` maps an integrand's key to its geometry on
-    ``params``.  The arrays are read-only, since stored plans serve many calls.
+    are their parameter rows, ``wd`` is ``weights[node]`` x density, ``nan``
+    holds the flat indices of the NaN nodes, and ``geometry`` maps an
+    integrand's key to its geometry on ``params``.  The block's first base
+    row is row ``row_offset`` of the pairing.  The arrays are read-only,
+    since stored plans serve many calls.
     """
 
     def __init__(self, Q, ok, dens, params_of, weights, row_offset=0):
@@ -342,16 +343,15 @@ class _PlanBlock:
         if live.all():  # no NaN node, and no flat-index gathers
             nan, idx = np.empty(0, np.int32), slice(None)
             wd = (weights * dens.reshape(-1, Q)).reshape(-1)
-            rows = np.repeat(np.arange(len(live) // Q, dtype=np.int32) + row_offset, Q)
         else:
             nan = np.flatnonzero(~(ok & finite)).astype(np.int32)
             idx = np.flatnonzero(live)
             wd = weights[idx % Q] * dens[idx]
-            rows = (idx // Q + row_offset).astype(np.int32)
         del dens, finite
         params = params_of(idx)
         self.Q = Q
-        self.arrays = (live, nan, params, rows, wd)
+        self.row_offset = row_offset
+        self.arrays = (live, nan, params, wd)
         for a in self.arrays:
             a.setflags(write=False)
         self.geometry = {}
@@ -367,19 +367,20 @@ class _PlanBlock:
         """Row sums of weight x density x phi, NaN where a node escaped;
         with one node per row, the products themselves (a sum would turn
         -0.0 into 0.0)."""
-        live, nan, params, rows, wd = self.arrays
+        live, nan, params, wd = self.arrays
         contrib = np.zeros(len(live))
         contrib[nan] = np.nan
-        if len(rows):
+        if len(wd):
             if not isinstance(phi, Integrand):
-                vals = phi(params, rows)
+                rows = np.flatnonzero(live) // self.Q + self.row_offset
+                vals = phi(params, rows.astype(np.int32))
             else:
                 key = phi.key
                 if key not in self.geometry:
-                    self.geometry[key] = phi.geometry(params, rows)
+                    self.geometry[key] = phi.geometry(params)
                     for a in self.geometry[key]:
                         a.setflags(write=False)
-                vals = phi.gather(params, rows, self.geometry[key])
+                vals = phi.gather(params, self.geometry[key])
             contrib[live] = wd * vals
         return contrib if self.Q == 1 else contrib.reshape(-1, self.Q).sum(axis=1)
 
@@ -652,8 +653,8 @@ class ConvolvedAtom(Atom):
         # inner factor's fibre.  Composite rows are always (left, right).
         # The outer pairing is on the caller's points: it keeps its plan in
         # the caller's store, one level down as the nesting limit counts it.
-        # The inner pairings are on the mid points of its kept geometry and
-        # keep theirs once it is reused.
+        # The inner pairings are on the mid points of its rows, flowed on
+        # each call, and keep their plans once the outer plan is reused.
         if side == "r":
             outer, inner = self.left, self.right
         else:
@@ -661,20 +662,16 @@ class ConvolvedAtom(Atom):
         inner_ctx = ctx.nested_in(outer, side, bases)
         opposite = getattr(outer.host, _OTHER[side])
 
-        def mids(o_params, o_rows):
-            return opposite(o_params, ctx.flow, allow_escape=True)
-
-        def gather(o_params, o_rows, geom):
+        def phi_out(o_params, o_rows):
             def phi_in(i_params, i_rows):
                 parts = [o_params[i_rows], i_params]
                 if side == "s":
                     parts.reverse()
                 return phi(np.concatenate(parts, axis=1), o_rows[i_rows])
 
-            vals = inner.pair(side, geom[0], phi_in, inner_ctx)
-            return np.where(geom[1], vals, np.nan)
+            mids, ok = opposite(o_params, ctx.flow, allow_escape=True)
+            return np.where(ok, inner.pair(side, mids, phi_in, inner_ctx), np.nan)
 
-        phi_out = Integrand(mids, gather, ("mids", _OTHER[side], outer.host.key()))
         return outer.pair(side, bases, phi_out, ctx.deeper(keep_plans=True))
 
     def scaled(self, factor):
@@ -993,28 +990,16 @@ def transpose(a: FibredKernel) -> FibredKernel:
 # Pushforward / pullback
 
 
-# Margin, relative to a box's largest bound, by which the shift proof keeps
-# boxes apart: far above the rounding of y + sum_i xi_i b_i.
-_PROOF_SLACK = 1e-9
-
-
-def _box_within(inner, outer):
-    slack = _PROOF_SLACK * (1.0 + np.max(np.abs(outer)))
-    return bool(np.all(outer[:, 0] + slack <= inner[:, 0])
-                and np.all(inner[:, 1] <= outer[:, 1] - slack))
-
-
-def _shift_proof(escape_box, a_box, reach, under, inside):
+def _shift_proof(escape_box, a_box, shifts, under, inside):
     """Whether no mask or escape of a reduced density on a translation
     family fires on a block's rows whose base ``under`` is ``inside`` (so in
-    B's base box): the box of those bases lies in the escape box, and moved
-    by ``reach``, the interval of sum_i xi_i b_i over B's xi box, in the
-    escape box and A's base box.  The value then depends on zeta alone."""
-    box = np.array([[under[inside, k].min(), under[inside, k].max()]
-                    for k in range(under.shape[1])])
-    moved = box + reach
-    return (_box_within(box, escape_box) and _box_within(moved, escape_box)
-            and _box_within(moved, a_box))
+    B's base box): those bases lie in the escape box, and each plus each of
+    ``shifts``, sum_i xi_i b_i over B's nodes as the shift flow sums it,
+    ends in the escape box and A's base box.  The value then depends on
+    zeta alone."""
+    starts = under[inside]
+    return not np.any(_flow._outside(starts, *escape_box.T)) and all(
+        _flow._ends_inside(starts, shifts, *box.T) for box in (escape_box, a_box))
 
 
 def _reduce_addition(pi, atom, ctx):
@@ -1092,10 +1077,8 @@ def _reduce_addition(pi, atom, ctx):
     parts = F.affine_parts  # (A, b): constant fields have A = 0
     if A.fibre_only is True and B.fibre_only is True and parts is not None \
             and not np.any(parts[0]):
-        ends = B.xi_box[:, :, None] * parts[1][:, None, :]  # (m, 2, n)
-        reach = np.stack([ends.min(axis=1).sum(axis=0),
-                          ends.max(axis=1).sum(axis=0)], axis=1)
-        fibre_only = partial(_shift_proof, F.escape_box, A.base_box, reach)
+        fibre_only = partial(_shift_proof, F.escape_box, A.base_box,
+                             _flow._shifts(parts[1], nodes))
     return DensityAtom(U, dens, zeta_box, B.base_box, quad_order=zeta_order,
                        dens_key=("reduce", A.key(), B.key(), Q, flow),
                        fibre_only=fibre_only)

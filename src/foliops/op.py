@@ -208,10 +208,10 @@ def _op_atom(atom, f_fn, pts, ctx):
     """Op(atom)f at pts: a pairing over range fibres against f o s."""
     host, flow = atom.host, ctx.flow
 
-    def geometry(params, rows):
+    def geometry(params):
         return host.s(params, flow, allow_escape=True)
 
-    def gather(params, rows, geom):
+    def gather(params, geom):
         spts, ok = geom
         return np.where(ok, f_fn(spts), np.nan)
 
@@ -220,16 +220,33 @@ def _op_atom(atom, f_fn, pts, ctx):
 
 
 def op_values(kernel: FibredKernel, f, points, ctx=None):
-    """Op(a)f at arbitrary points; NaN marks escaped (masked) points."""
+    """Op(a)f at ``points``, an (N, dim) array of finite entries (else
+    ConfigError); NaN marks escaped (masked) points."""
     if kernel.side != "r":
         raise SideMismatch("Op acts on range-fibred kernels")
     ctx = ctx or PairingCtx()
-    points = np.atleast_2d(np.asarray(points, float))
+    points = _checked_points(kernel, points, "points")
     f_fn = _wrap_f(f)
     total = np.zeros(len(points))
     for atom in kernel.atoms:
         total = total + _act(_op_atom, atom, f_fn, points, ctx)
     return total
+
+
+def _checked_points(kernel, points, what):
+    """``points`` as an (N, dim) array of finite entries on the kernel's
+    foliation (of any width for the bare zero kernel), or ConfigError."""
+    try:
+        pts = np.atleast_2d(np.asarray(points, float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} is not an array of numbers") from exc
+    F = kernel.foliation
+    dim = F.dim if F is not None else pts.shape[-1]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ConfigError(f"{what} have shape {pts.shape}, expected (N, {dim})")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"{what} must be finite")
+    return pts
 
 
 def _kernel_box(kernel, box, what):
@@ -301,12 +318,12 @@ def _adjoint_atom(atom, k_fn, ys, ctx):
         raise NotTransverse(f"adjoint action undefined on host {host.describe()}")
     m = host.fibre_dim
 
-    def geometry(params, rows):
+    def geometry(params):
         # One flow gives r(p) and |det J|; on this layout s(p) is the base.
         rpts, jac, ok = host.chart_jac_det(params[:, :m], params[:, m:], ctx.flow)
         return (rpts if side == "s" else params[:, m:]), jac, ok
 
-    def gather(params, rows, geom):
+    def gather(params, geom):
         pts, jac, ok = geom
         with np.errstate(divide="ignore"):
             vals = jac * k_fn(pts) if side == "s" else k_fn(pts) / jac
@@ -317,7 +334,8 @@ def _adjoint_atom(atom, k_fn, ys, ctx):
 
 
 def adjoint_values(kernel: FibredKernel, k, ys, ctx=None, mu_weight=None):
-    """Density of adjoint(b)(k mu) against mu, at the points ys.
+    """Density of adjoint(b)(k mu) against mu, at the points ys, checked
+    as ``op_values`` checks its points.
 
     With ``mu_weight`` w the reference density is mu = w * Lebesgue;
     the input samples are then weighted by w and the output divided by
@@ -326,7 +344,7 @@ def adjoint_values(kernel: FibredKernel, k, ys, ctx=None, mu_weight=None):
     if kernel.side != "s":
         raise SideMismatch("the adjoint action expects a source-fibred kernel")
     ctx = ctx or PairingCtx()
-    ys = np.atleast_2d(np.asarray(ys, float))
+    ys = _checked_points(kernel, ys, "ys")
     k_fn = _wrap_f(k)
     if mu_weight is not None:
         w_fn = _wrap_f(mu_weight)

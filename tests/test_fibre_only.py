@@ -112,19 +112,24 @@ def _narrowed(ws, name, base_box):
                        quad_order=atom.quad_order)
 
 
-@pytest.mark.parametrize("family", ["T", "C"])
-def test_reduced_density_is_tiled_where_the_shift_proof_holds(ws, family):
-    U_name, a, b, bases = {
-        "T": ("U_T", "gauss_T", "gauss_T2", [[-1.5], [0.0], [1.9]]),
-        "C": ("U_C", "gauss_C", "gauss_C2", [[-1.2, 0.4], [1.1, -0.9]]),
-    }[family]
+@pytest.mark.parametrize("family, side, bases", [
+    pytest.param("T", "r", [[-1.5], [0.0], [1.9]], id="T"),
+    pytest.param("C", "r", [[-1.2, 0.4], [1.1, -0.9]], id="C"),
+    # mid points up to 11.0 + 0.9967 against the escape edge 12: the proof
+    # bounds the shifts of B's nodes, not of B's xi box
+    pytest.param("T", "s", [[10.9], [11.0]], id="T-near-escape-edge"),
+])
+def test_reduced_density_is_tiled_where_the_shift_proof_holds(ws, family, side,
+                                                               bases):
+    U_name, a, b = {"T": ("U_T", "gauss_T", "gauss_T2"),
+                    "C": ("U_C", "gauss_C", "gauss_C2")}[family]
     atom = _reduced(ws, U_name, ws.kernels[a], ws.kernels[b])
     assert callable(atom.fibre_only)
     seen = []
-    tiled = _plan_bytes(_variant(atom, atom.fibre_only, seen), "r", bases)
+    tiled = _plan_bytes(_variant(atom, atom.fibre_only, seen), side, bases)
     Q = atom.node_count(ker.PairingCtx())
     assert seen == [Q]
-    assert tiled == _plan_bytes(_variant(atom, None), "r", bases)
+    assert tiled == _plan_bytes(_variant(atom, None), side, bases)
 
 
 @pytest.mark.parametrize("family, bases, a_box", [
@@ -152,6 +157,22 @@ def test_reduced_density_goes_per_row_where_the_proof_fails(ws, family, bases,
                             "r", bases)
     nan_nodes = [block[1] for block in proved]
     assert any(len(n) for n in nan_nodes) or proved != reference
+
+
+def test_reduced_density_goes_per_row_where_a_start_leaves_the_escape_box(ws):
+    """B's base box reaches past the escape box [-12, 12], and B's shifts,
+    all in [0.5, 1.0], carry the start -12.2 back inside: its flows escape
+    all the same, so the proof fails and the block keeps their NaN nodes."""
+    gauss_T2 = _atom(ws, "gauss_T2")
+    b = ker.density(gauss_T2.host, parse_scalar(gauss_T2.dens_key[2], 2),
+                    xi_box=[[0.5, 1.0]], base_box=[[-13.0, 13.0]])
+    atom = _reduced(ws, "U_T", ws.kernels["gauss_T"], b)
+    bases = [[-12.2], [0.0]]
+    seen = []
+    proved = _plan_bytes(_variant(atom, atom.fibre_only, seen), "s", bases)
+    assert seen and seen[0] > atom.node_count(ker.PairingCtx())
+    assert proved == _plan_bytes(_variant(atom, None), "s", bases)
+    assert any(len(block[1]) for block in proved)
 
 
 def test_reduced_density_of_a_base_reading_factor_is_not_declared(ws):
@@ -283,10 +304,10 @@ def test_op_integrand_of_another_host_reads_composite_rows(ws):
     ctx = ker.PairingCtx()
     f_fn = oper._wrap_f(f)
 
-    def geometry(params, rows):
+    def geometry(params):
         return other.s(params, ctx.flow, allow_escape=True)
 
-    def gather(params, rows, geom):
+    def gather(params, geom):
         return np.where(geom[1], f_fn(geom[0]), np.nan)
 
     got = atom.pair("r", pts, ker.Integrand(geometry, gather, ("op", other.key())),

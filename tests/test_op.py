@@ -260,6 +260,37 @@ def test_output_grids_take_integral_counts_of_any_number_type(ws, ctx):
         assert np.array_equal(got, want)
 
 
+_BAD_POINTS = {
+    "2-D point": [[0.0, 1.0]],
+    "NaN point": [[0.0], [float("nan")]],
+    "infinite point": [[float("inf")]],
+    "3-D array": np.zeros((2, 1, 1)),
+    "ragged rows": [[0.0], [0.0, 1.0]],
+    "text": [["x"]],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_POINTS))
+def test_evaluation_points_are_finite_rows_on_the_foliation(ws, ctx, bad):
+    """op_values and adjoint_values took their points unchecked: a 2-D
+    point on a 1-D kernel raised a bare IndexError, and a NaN point read NaN
+    through op_values but 0.0 through adjoint_values."""
+    pts = _BAD_POINTS[bad]
+    with pytest.raises(ConfigError):
+        oper.op_values(ws.kernels["gauss_T"], ws.functions["f_T"], pts, ctx)
+    with pytest.raises(ConfigError):
+        oper.adjoint_values(ker.transpose(ws.kernels["gauss_T"]),
+                            ws.functions["f_T"], pts, ctx)
+
+
+def test_evaluation_points_keep_their_values(ws, ctx):
+    """A single row, a list of rows and an array of them read alike."""
+    kernel, f = ws.kernels["gauss_T"], ws.functions["f_T"]
+    want = oper.op_values(kernel, f, np.array([[0.3], [-0.4]]), ctx)
+    assert np.array_equal(oper.op_values(kernel, f, [[0.3], [-0.4]], ctx), want)
+    assert np.array_equal(oper.op_values(kernel, f, [0.3], ctx), want[:1])
+
+
 @pytest.mark.parametrize("f_support", [[[0, float("nan")]], [[0, 1, 2]],
                                        [[1, 0]], [[0, float("inf")]],
                                        [[0, 1], [0, 1]]],

@@ -617,10 +617,75 @@ def test_plan_keeps_no_copy_of_the_source_points(ws):
     oper.op_values(kernel, _f(0.0), _grid(9), ws.ctx())
     (block,) = _blocks(ws.plans)
     ((spts, ok),) = block.geometry.values()
-    live, nan, params, rows, wd = block.arrays
+    live, nan, params, wd = block.arrays
     assert np.shares_memory(spts, params)
-    assert rows.dtype == nan.dtype == np.int32
+    assert [a.dtype for a in block.arrays] == [bool, np.int32, float, float]
     assert block.nbytes == sum(x.nbytes for x in block.arrays) + ok.nbytes
+
+
+@pytest.mark.parametrize("bases, all_live", [
+    pytest.param([[0.3, -0.2], [1.5, 1.0], [-1.0, 0.7], [0.0, 0.0], [2.0, -2.0]],
+                 [True, True, True], id="all-live"),
+    # some charts over (7, 5) and all over (8, 8.5) escape the box [-8, 8]^2
+    pytest.param([[0.3, -0.2], [7.0, 5.0], [-1.0, 0.7], [8.0, 8.5], [2.0, -2.0]],
+                 [False, False, True], id="masked"),
+])
+def test_plain_function_gets_the_base_row_of_each_live_node(ws, monkeypatch,
+                                                             bases, all_live):
+    """Over blocks of two base rows, cold and from the stored plan, a plain
+    function gets the base row of each live node: the plan keeps no row
+    index, and each block derives it from its row offset."""
+    kernel = ws.get("kernels", "gauss_R")
+    Q = kernel.atoms[0].node_count(ws.ctx())
+    monkeypatch.setattr(ker, "_BLOCK_ROWS", 2 * Q)
+    ctx = ker.PairingCtx()
+    for _ in range(2):
+        seen = []
+        kernel.pairing(lambda p, rows, atom: seen.append(rows) or np.ones(len(p)),
+                       bases, ctx)
+        blocks = _blocks(ctx.plans)
+        live = np.concatenate([block.arrays[0] for block in blocks])
+        want = np.repeat(np.arange(len(bases)), Q)[live].astype(np.int32)
+        got = np.concatenate(seen)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [block.row_offset for block in blocks] == [0, 2, 4]
+    assert [bool(block.arrays[0].all()) for block in blocks] == all_live
+
+
+# Pairings of the lazy gauss_R*gauss_R2 against _generic_phi on _GENERIC_BASES,
+# direct and pushed along the addition morphism, as float.hex.
+_GENERIC_BASES = [[0.3, -0.2], [1.5, 1.0], [-1.0, 0.7]]
+_GENERIC_PAIRINGS = {
+    "direct": ["0x1.738d7bb002aa8p-3", "0x1.0ff83d9d3ee7cp-2",
+               "0x1.e675e43f2269cp-2"],
+    "pushed": ["0x1.7f0cffcbf3e74p-3", "0x1.47b8fd34d6bbap-2",
+               "0x1.0c66e2fcae7a2p-1"],
+}
+
+
+def _generic_phi(params, rows, atom):
+    """Reads the composite rows and each one's base row."""
+    return np.exp(-0.05 * np.sum(params ** 2, axis=1)) * (1.0 + rows)
+
+
+@pytest.mark.parametrize("how", sorted(_GENERIC_PAIRINGS))
+@pytest.mark.parametrize("budget", [None, 64])
+def test_generic_pairing_of_a_lazy_convolution_is_pinned(ws, monkeypatch, how,
+                                                         budget):
+    """A lazy convolution hands a plain function each inner node's outer
+    parameter row and outer base row; a misaligned index moves these bits.
+    A budget of 64 rows splits the outer and the inner pairings into blocks
+    of two base rows."""
+    if budget is not None:
+        monkeypatch.setattr(ker, "_BLOCK_ROWS", budget)
+    ab = ker.convolve(ws.get("kernels", "gauss_R"), ws.get("kernels", "gauss_R2"))
+    (conv,) = ab.atoms
+    assert isinstance(conv, ker.ConvolvedAtom)
+    if how == "pushed":
+        pi = bis.make_addition_morphism(ws.get("bisubmersions", "U_R"))
+        ab = ker.FibredKernel("r", [ker.PushedAtom(pi, conv)])
+    got = ab.pairing(_generic_phi, _GENERIC_BASES, ker.PairingCtx())
+    assert [float(v).hex() for v in got] == _GENERIC_PAIRINGS[how]
 
 
 @pytest.mark.parametrize("action, nest", [

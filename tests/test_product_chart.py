@@ -284,7 +284,8 @@ def test_plan_blocks_equal_row_built_blocks(name, side, monkeypatch):
 @pytest.mark.parametrize("live_all", [True, False])
 def test_all_live_block_skips_only_the_gathers(live_all):
     """A block whose every node is live has the arrays of the flat-index
-    gathers: weight x density, base rows, no NaN node."""
+    gathers (weight x density, no NaN node), and a plain function gets the
+    same base rows."""
     rng = np.random.default_rng(3)
     N, Q, offset = 5, 4, 7
     dens = rng.uniform(0.5, 1.0, N * Q)
@@ -295,13 +296,15 @@ def test_all_live_block_skips_only_the_gathers(live_all):
     weights = rng.uniform(0.1, 1.0, Q)
     params = rng.normal(size=(N * Q, 3))
     block = ker._PlanBlock(Q, ok, dens, lambda idx: params[idx], weights, offset)
-    live, nan, got_params, rows, wd = block.arrays
+    live, nan, got_params, wd = block.arrays
     idx = np.flatnonzero(live)
     assert live.all() == live_all
     assert _same(nan, np.flatnonzero(~(ok & np.isfinite(dens))).astype(np.int32))
     assert _same(got_params, params[idx])
-    assert _same(rows, (idx // Q + offset).astype(np.int32))
     assert _same(wd, weights[idx % Q] * dens[idx])
+    seen = []
+    block.execute(lambda p, rows: seen.append(rows) or np.ones(len(p)))
+    assert _same(seen[0], (idx // Q + offset).astype(np.int32))
 
 
 def test_translate_maps_each_base_once_per_block(monkeypatch):
