@@ -27,7 +27,7 @@ from .errors import (
     QuadratureFailure,
     StepLimit,
 )
-from .flow import _checked_box, _in_box, _number
+from .flow import _checked_box, _count, _in_box, _number, _positive
 from .foliation import leaf_sample
 from .verify import SUITES, report_to_json, run_suites
 from .workspace import _settings, load_config
@@ -61,10 +61,7 @@ def _parse_number(text, what, integer=False):
 
 
 def _parse_count(text, what):
-    count = _parse_number(text, what, integer=True)
-    if count < 0:
-        raise ConfigError(f"{what} must be non-negative, got {count}")
-    return count
+    return _count(_json(text, what), what)
 
 
 def _parse_vector(text, dim, what, integer=False):
@@ -202,9 +199,7 @@ def cmd_leaf(args):
     x0 = _parse_vector(args.point, F.dim, "--point")
     if not _in_box(x0, F.chart_box)[0]:
         raise ConfigError("point lies outside the chart box")
-    mesh = _parse_number(args.mesh, "--mesh")
-    if mesh <= 0:
-        raise ConfigError(f"--mesh must be positive, got {mesh!r}")
+    mesh = _positive(_json(args.mesh, "--mesh"), "--mesh")
     seed = _parse_count(args.seed, "--seed")
     leaf = leaf_sample(F, x0, budget=_parse_count(args.budget, "--budget"),
                        cfg=ws.flow_cfg, mesh=mesh, seed=seed)

@@ -253,7 +253,10 @@ def _number(value, what, integer=False):
     """``value`` as a float, or as an int when ``integer``, or ConfigError
     naming ``what``: the rule for every number a config or the command line
     supplies.  It must be a JSON number (a boolean is not one) and finite,
-    and a count must be integral (``20.0`` passes)."""
+    and a count must be integral (``20.0`` passes).  A numpy scalar reads as
+    its Python value."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} {value!r} is not a number")
     if not abs(value) <= sys.float_info.max:  # NaN, inf, an int past the floats
@@ -261,6 +264,22 @@ def _number(value, what, integer=False):
     if integer and value != int(value):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def _count(value, what):
+    """``value`` as a non-negative int by the number rule, or ConfigError."""
+    count = _number(value, what, integer=True)
+    if count < 0:
+        raise ConfigError(f"{what} must be non-negative, got {count}")
+    return count
+
+
+def _positive(value, what):
+    """``value`` as a positive float by the number rule, or ConfigError."""
+    number = _number(value, what)
+    if not number > 0:
+        raise ConfigError(f"{what} must be positive, got {number!r}")
+    return number
 
 
 def _numbers(value, what):

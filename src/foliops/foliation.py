@@ -8,8 +8,9 @@ the generator matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +18,8 @@ import numpy as np
 from . import flow as _flow
 from .errors import ConfigError, DimensionMismatch
 from .expr import VectorFieldExpr, lie_bracket, parse_field
-from .flow import _checked_box, _number, _numbers, _uniform
+from .flow import (_checked_box, _count, _number, _numbers, _positive, _row_norm,
+                   _uniform)
 
 __all__ = [
     "SingularFoliation",
@@ -156,16 +158,81 @@ class LeafSample:
     leaf_dim: int
     cfg: object  # the FlowConfig given to the sampler
     escapes: int = 0
-    _tree: object = field(default=None, repr=False, compare=False)
 
     def nearest(self, queries):
-        """Nearest sample index and distance for each query point."""
-        if self._tree is None:
-            from scipy.spatial import cKDTree
+        """Nearest sample index and distance for each query point.
 
-            self._tree = cKDTree(self.points)
-        dist, idx = self._tree.query(np.atleast_2d(queries))
+        A distance is the square root of the column-by-column sum of
+        squares, so it has a k-d tree's bits, and a tie goes to the lowest
+        index.  With no samples every index is ``len(points)`` and every
+        distance inf.  A non-finite query raises ConfigError.
+        """
+        q = np.atleast_2d(np.asarray(queries, float))
+        if not np.all(np.isfinite(q)):
+            raise ConfigError("nearest-sample queries must be finite")
+        idx = np.full(len(q), len(self.points))
+        dist = np.full(len(q), np.inf)
+        if not len(self.points):
+            return idx, dist
+        far = np.ones(len(q), bool)
+        if self.mesh > 0:
+            rows, idx_near, dist_near = self._nearest_in_cells(q)
+            idx[rows], dist[rows], far[rows] = idx_near, dist_near, False
+        # The rest is measured against every sample, a chunk of queries at a time.
+        rest = np.flatnonzero(far)
+        step = max(1, 2**16 // len(self.points))
+        for k in range(0, len(rest), step):
+            rows = rest[k:k + step]
+            d = _row_norm(q[rows, None] - self.points)
+            idx[rows] = np.argmin(d, axis=1)
+            dist[rows] = d[np.arange(len(rows)), idx[rows]]
         return idx, dist
+
+    def _nearest_in_cells(self, q):
+        """The queries with a sample within ``mesh``, and each one's nearest
+        sample index and distance.
+
+        Samples are bucketed in cells a little wider than the mesh, so a
+        sample within the mesh of a query lies in the 3^n cells around the
+        query's cell: the margin covers rounding in the cell coordinates,
+        which stays below 2^-20 of a cell on a grid of fewer than 2^32
+        cells.  A larger grid finds nothing here.
+        """
+        pts, n = self.points, self.points.shape[1]
+        side = self.mesh * (1.0 + 2.0**-16)
+        lo = pts.min(axis=0)
+        cells = np.floor((pts - lo) / side)
+        shape = cells.max(axis=0) + 1
+        if not np.prod(shape) < 2.0**32:
+            return np.array([], int), np.array([], int), np.array([])
+        strides = np.cumprod(np.r_[1.0, shape[:-1]])
+        order = np.argsort(cells @ strides, kind="stable")
+        keys = (cells @ strides)[order]
+        # Axis 0 has stride 1, so the three cells along it around a query
+        # are one run of keys: one run per neighbour cell of the other axes.
+        c = np.floor((q - lo) / side)
+        off = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n - 1)))
+        other = c[:, None, 1:] + off
+        inside = (np.all((other >= 0) & (other < shape[1:]), axis=2)
+                  & (c[:, None, 0] >= -1) & (c[:, None, 0] <= shape[0]))
+        qrow, run = np.nonzero(inside)
+        base = other[qrow, run] @ strides[1:]
+        start = np.searchsorted(keys, base + np.maximum(c[qrow, 0] - 1, 0), "left")
+        stop = np.searchsorted(
+            keys, base + np.minimum(c[qrow, 0] + 1, shape[0] - 1), "right")
+        count = stop - start
+        qrow = np.repeat(qrow, count)
+        prow = order[np.arange(len(qrow))
+                     + np.repeat(start - np.cumsum(count) + count, count)]
+        d = _row_norm(pts[prow] - q[qrow])
+        # Candidates come grouped by query, in query order.
+        new = np.diff(qrow, prepend=-1) != 0
+        heads = np.flatnonzero(new)
+        dmin = np.minimum.reduceat(d, heads)
+        first = np.where(d == dmin[np.cumsum(new) - 1], prow, len(pts))
+        imin = np.minimum.reduceat(first, heads)
+        hit = dmin <= self.mesh
+        return qrow[heads][hit], imin[hit], dmin[hit]
 
     def replay(self, index, cfg=None):
         """Re-run the recorded flow word of one sample from the basepoint,
@@ -250,6 +317,14 @@ def leaf_dimension(F, x) -> int:
     return int(np.sum(sv >= cut))
 
 
+def _leaf_basepoint(F, x0):
+    """``x0`` as a (dim,) array of finite numbers, or ConfigError."""
+    x0 = _numbers(x0, "leaf basepoint")
+    if x0.shape != (F.dim,):
+        raise ConfigError(f"leaf basepoint has shape {x0.shape}, expected ({F.dim},)")
+    return x0
+
+
 def leaf_sample(F, x0, budget=400, cfg=None, mesh=1e-3, seed=0):
     """Breadth-first leaf exploration with random xi draws.
 
@@ -261,11 +336,13 @@ def leaf_sample(F, x0, budget=400, cfg=None, mesh=1e-3, seed=0):
     draw order.  A flow row's result does not depend on its batch mates,
     so the points are those one-row flows would give.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _leaf_basepoint(F, x0)
+    budget = _count(budget, "budget")
+    mesh = _positive(mesh, "mesh")
     rng = np.random.default_rng(seed)
     # Every kept point is the basepoint or the end of one attempt, so the
     # samples fit a buffer of budget + 1 rows; ``count`` of them are filled.
-    points = np.empty((max(int(budget), 0) + 1, x0.size))
+    points = np.empty((budget + 1, x0.size))
     points[0] = x0
     count = 1
     words = [[]]
@@ -319,8 +396,12 @@ def leaf_sweep(F, x0, xi_step, count, cfg=None):
     so each point's word is the single entry k * xi_step.  The recorded
     mesh is the largest gap between consecutive samples.
     """
-    x0 = np.asarray(x0, dtype=float)
-    xi_step = np.atleast_1d(np.asarray(xi_step, dtype=float))
+    x0 = _leaf_basepoint(F, x0)
+    xi_step = np.atleast_1d(_numbers(xi_step, "xi_step"))
+    if xi_step.shape != (F.num_generators,):
+        raise ConfigError(f"xi_step has shape {xi_step.shape}, expected "
+                          f"({F.num_generators},)")
+    count = _count(count, "count")
     ks = np.arange(count, dtype=float)
     xis = ks[:, None] * xi_step[None, :]
     pts = _flow.exp_flow_batch(F, xis, np.tile(x0, (count, 1)), cfg)

@@ -266,8 +266,7 @@ def _checked_grid(kernel, out_box, out_res):
     if not isinstance(out_res, (list, tuple)) or len(out_res) != len(box):
         raise ConfigError(f"out_res {out_res!r} needs one count per axis, "
                           f"{len(box)} in all")
-    res = tuple(_number(r.item() if isinstance(r, np.generic) else r,
-                        "out_res entry", integer=True) for r in out_res)
+    res = tuple(_number(r, "out_res entry", integer=True) for r in out_res)
     if min(res) < 2:
         raise ConfigError(f"out_res {list(res)} needs at least 2 points per axis")
     return box, res

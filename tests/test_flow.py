@@ -626,16 +626,19 @@ a = foliops.density(foliops.make_path_holonomy(F),
 f = foliops.parse_scalar("exp(-x1^2-x2^2)", 2)
 values = foliops.apply_op(a, f, [[-1, 1], [-1, 1]], (5, 5)).values
 leaf = foliops.leaf_sample(F, [1.0, 0.0], budget=40, seed=3)
+coarse = foliops.leaf_sample(F, [1.0, 0.0], budget=40, mesh=0.5, seed=3)
+on_leaf = foliops.apply_on_leaf(a, coarse, f(coarse.points))
 assert values.shape == (5, 5) and len(leaf.points) > 1
+assert len(on_leaf) == len(coarse.points) > 1
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
 
 
 def test_pendulum_run_never_imports_scipy():
-    """Only nearest-sample lookup on a leaf (``LeafSample.nearest``, a
-    cKDTree) loads scipy, so Op and leaf sampling on a non-affine family
-    never do."""
+    """Op, leaf sampling and the leaf action on a non-affine family load no
+    scipy: nearest-sample lookup on a leaf (``LeafSample.nearest``) is
+    numpy."""
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -644,12 +647,15 @@ def test_pendulum_run_never_imports_scipy():
 _NO_SCIPY_CLI = """
 import sys
 
-from foliops import cli
+from foliops import cli, verify
 
 for kernel in ("gauss_R", "dirac_rot90"):
     code = cli.main(["apply", "--kernel", kernel, "--function", "f_R",
                      "--box", "[[-1,1],[-1,1]]", "--res", "5,5"])
     assert code == 0, (kernel, code)
+failed = [(suite, res.check) for suite, res in verify.run_suites("all")
+          if res.status != "pass"]
+assert not failed, failed
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
@@ -658,7 +664,8 @@ assert not loaded, loaded
 def test_canonical_cli_run_never_imports_scipy():
     """A one-shot ``foliops apply`` on the canonical workspace, over the
     rotation density and a rot* Dirac, takes the matrix exponential path
-    without loading scipy."""
+    without loading scipy, and every verify suite, the leaf suite's
+    nearest-sample lookups included, passes without it too."""
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CLI],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from foliops import flow as _flow
-from foliops.canonical import foliation_C, foliation_noninvolutive
-from foliops.errors import DimensionMismatch
+from foliops import verify
+from foliops.canonical import canonical_workspace, foliation_C, foliation_noninvolutive
+from foliops.errors import ConfigError, DimensionMismatch
 from foliops.expr import lie_bracket, parse_field
 from foliops.foliation import (
+    LeafSample,
     SingularFoliation,
     _structured_points,
     involutivity_check,
@@ -261,3 +263,146 @@ def test_leaf_sample_counts_its_escapes(seed):
     assert leaf.escapes == want
     assert 0 < want < 8
     assert len(leaf.points) == 1 + 8 - want  # no two ends within the mesh
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("sampler, args, kwargs", [
+    (leaf_sample, ([1.0, 0.0, 0.0],), {}),
+    (leaf_sample, ([[1.0, 0.0]],), {}),
+    (leaf_sample, ([_NAN, 0.0],), {}),
+    (leaf_sample, (["1", 0.0],), {}),
+    (leaf_sample, ([1.0, 0.0],), {"mesh": _NAN}),
+    (leaf_sample, ([1.0, 0.0],), {"mesh": -1.0}),
+    (leaf_sample, ([1.0, 0.0],), {"mesh": 0.0}),
+    (leaf_sample, ([1.0, 0.0],), {"budget": -1}),
+    (leaf_sample, ([1.0, 0.0],), {"budget": 2.5}),
+    (leaf_sweep, ([1.0, 0.0], [0.1, 0.2], 5), {}),
+    (leaf_sweep, ([1.0, 0.0], [math.inf], 5), {}),
+    (leaf_sweep, ([1.0], [0.1], 5), {}),
+    (leaf_sweep, ([1.0, 0.0], [0.1], -2), {}),
+    (leaf_sweep, ([1.0, 0.0], [0.1], 1.5), {}),
+], ids=["x0-long", "x0-nested", "x0-nan", "x0-string", "mesh-nan", "mesh-negative",
+        "mesh-zero", "budget-negative", "budget-fraction", "xi_step-long",
+        "xi_step-inf", "sweep-x0-short", "count-negative", "count-fraction"])
+def test_leaf_samplers_check_their_numbers(rotation, sampler, args, kwargs):
+    """Each of these raised a bare ValueError or TypeError, an EvalError, or
+    ran: a NaN or negative mesh kept the basepoint alone or every attempt,
+    and a negative budget gave the basepoint alone."""
+    with pytest.raises(ConfigError):
+        sampler(rotation, *args, **kwargs)
+
+
+def test_leaf_samplers_read_numpy_numbers(rotation):
+    """Counts and meshes held in numpy scalars pass the number rule."""
+    a = leaf_sample(rotation, np.array([1.0, 0.0]), budget=np.int64(16),
+                    mesh=np.float32(0.5), seed=1)
+    b = leaf_sample(rotation, [1.0, 0.0], budget=16, mesh=0.5, seed=1)
+    assert a.points.tobytes() == b.points.tobytes()
+    a = leaf_sweep(rotation, [1.0, 0.0], np.array([0.1]), np.int32(7))
+    b = leaf_sweep(rotation, [1.0, 0.0], [0.1], 7)
+    assert a.points.tobytes() == b.points.tobytes()
+
+
+def _assert_nearest_as_kd_tree(leaf, queries):
+    """``leaf.nearest`` against scipy's cKDTree: bit-equal distances, equal
+    nearest points, and equal indices wherever the nearest is not tied."""
+    from scipy.spatial import cKDTree
+
+    queries = np.atleast_2d(np.asarray(queries, float))
+    idx, dist = leaf.nearest(queries)
+    ref_dist, ref_idx = cKDTree(leaf.points).query(queries)
+    assert dist.tobytes() == ref_dist.tobytes()
+    if not len(leaf.points):
+        assert idx.tolist() == [0] * len(queries)
+        return idx, dist
+    assert np.array_equal(leaf.points[idx], leaf.points[ref_idx])
+    all_dist = np.linalg.norm(queries[:, None] - leaf.points, axis=2)
+    tied = np.sum(all_dist == np.min(all_dist, axis=1, keepdims=True), axis=1) > 1
+    assert np.array_equal(idx[~tied], ref_idx[~tied])
+    return idx, dist
+
+
+def test_nearest_matches_a_kd_tree_on_the_leaf_suite(monkeypatch):
+    """The four queries of the verify leaf suite: fibre points of the
+    rotation Diracs on R's 4,096-sample sweep."""
+    calls = []
+    nearest = LeafSample.nearest
+
+    def spy(leaf, queries):
+        calls.append((leaf, np.array(queries)))
+        return nearest(leaf, queries)
+
+    monkeypatch.setattr(LeafSample, "nearest", spy)
+    verify.suite_leaf(canonical_workspace())
+    monkeypatch.undo()
+    assert len(calls) == 4
+    for leaf, queries in calls:
+        assert leaf.points.shape == (verify.LEAF_SWEEP_COUNT, 2)
+        _, dist = _assert_nearest_as_kd_tree(leaf, queries)
+        assert np.max(dist) <= leaf.mesh
+
+
+@pytest.fixture(scope="module")
+def pendulum_leaf():
+    F = SingularFoliation(dim=2, chart_box=[[-2, 2], [-2, 2]],
+                          generators=[parse_field("[x2, -sin(x1)]", 2)],
+                          xi_radius=[1.0])
+    return leaf_sample(F, [1.0, 0.0], budget=300, mesh=0.02, seed=4)
+
+
+def test_nearest_matches_a_kd_tree_near_and_far(pendulum_leaf):
+    """Queries within the mesh of a sample take the cells; queries farther
+    away are measured against every sample."""
+    leaf = pendulum_leaf
+    rng = np.random.default_rng(7)
+    near = leaf.points + rng.uniform(-0.01, 0.01, size=leaf.points.shape)
+    far = rng.uniform(-2, 2, size=(500, 2))
+    _, dist = _assert_nearest_as_kd_tree(leaf, np.concatenate([leaf.points, near, far]))
+    assert np.all(dist[:len(leaf.points)] == 0.0)
+    assert np.sum(dist > leaf.mesh) > 100
+
+
+def test_nearest_matches_a_kd_tree_on_a_line():
+    T = SingularFoliation(dim=1, chart_box=[[-3, 3]],
+                          generators=[parse_field("[1]", 1)], xi_radius=[1.0])
+    leaf = leaf_sample(T, [0.5], budget=200, mesh=0.05, seed=2)
+    assert leaf.points.shape[1] == 1 and len(leaf.points) > 20
+    queries = np.linspace(-14, 14, 2001)[:, None]
+    _, dist = _assert_nearest_as_kd_tree(leaf, queries)
+    assert np.any(dist <= leaf.mesh) and np.any(dist > leaf.mesh)
+
+
+def test_nearest_on_degenerate_leaves(rotation):
+    """A sweep from the singular point has mesh 0 and every sample tied; a
+    one-sample leaf and an empty one answer as a k-d tree does."""
+    queries = np.random.default_rng(3).uniform(-2, 2, size=(50, 2))
+    fixed = leaf_sweep(rotation, [0.0, 0.0], [0.1], 40)
+    assert fixed.mesh == 0.0
+    idx, _ = _assert_nearest_as_kd_tree(fixed, queries)
+    assert np.all(idx == 0)
+    alone = leaf_sample(rotation, [1.0, 0.0], budget=0)
+    assert len(alone.points) == 1
+    _assert_nearest_as_kd_tree(alone, queries)
+    empty = leaf_sweep(rotation, [1.0, 0.0], [0.1], 0)
+    assert empty.points.shape == (0, 2)
+    idx, dist = _assert_nearest_as_kd_tree(empty, queries)
+    assert np.all(dist == np.inf)
+
+
+@pytest.mark.parametrize("query", [[_NAN, 0.0], [0.0, math.inf]])
+def test_nearest_takes_finite_queries(pendulum_leaf, query):
+    """A k-d tree raised ValueError on these; a NaN query would otherwise
+    read sample 0 at distance NaN."""
+    with pytest.raises(ConfigError):
+        pendulum_leaf.nearest([[1.0, 0.0], query])
+
+
+def test_nearest_breaks_ties_by_the_lowest_index(rotation):
+    """Sample 1 sorts first in the cells, but sample 0 is as near."""
+    leaf = LeafSample(foliation=rotation, basepoint=np.array([1.0, 0.0]),
+                      points=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.5]]),
+                      words=[[], [], []], mesh=1.5, leaf_dim=1, cfg=None)
+    idx, dist = leaf.nearest([[0.0, 0.0], [0.0, 0.25]])
+    assert idx.tolist() == [0, 0] and dist.tolist() == [1.0, math.hypot(1, 0.25)]
